@@ -59,14 +59,12 @@ from .suprematism_geometry import (
     TrianglePicture,
     area_sum,
     observable_areas,
-    side_chord_lengths,
     triangle_picture,
 )
 from .tomography_channels import (
     AffineMap3,
     ChannelSpec,
     Direction,
-    apply_affine,
     channel_map,
     euler_unitary,
     rotation_formula_checks,
@@ -97,7 +95,6 @@ __all__ = [
     "Trajectory",
     "TrianglePicture",
     "admissible_shift_bound",
-    "apply_affine",
     "area_sum",
     "build_kinetic",
     "channel_map",
@@ -129,7 +126,6 @@ __all__ = [
     "rotation_formula_checks",
     "rotation_from_unitary",
     "sample_trajectory",
-    "side_chord_lengths",
     "state_tomogram",
     "triangle_picture",
     "unitarity_defect",

@@ -96,15 +96,12 @@ def parse_rep(obj) -> ObservableProbRep:
     for key in ("a", "b", "P_a", "P_b"):
         if key not in obj:
             raise ParseError(f"encoding document lacks key {key}")
-    try:
-        return ObservableProbRep(
-            _as_number(obj["a"], "a"),
-            _as_number(obj["b"], "b"),
-            parse_triple(obj["P_a"]),
-            parse_triple(obj["P_b"]),
-        )
-    except DomainError:
-        raise
+    return ObservableProbRep(
+        _as_number(obj["a"], "a"),
+        _as_number(obj["b"], "b"),
+        parse_triple(obj["P_a"]),
+        parse_triple(obj["P_b"]),
+    )
 
 
 def _read_text(path: str) -> str:
@@ -138,9 +135,12 @@ def _tolerance() -> float:
     if raw is None:
         return qubit_core.DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise ParseError(f"QPROB_TOL must be a number, got {raw!r}") from exc
+    if not 0.0 <= tol < np.inf:
+        raise ParseError(f"QPROB_TOL must be finite and nonnegative, got {raw!r}")
+    return tol
 
 
 def _is_triple_doc(doc) -> bool:
@@ -299,7 +299,7 @@ def _triple_report(p: ProbTriple, tol: float, allow_unphysical: bool) -> dict:
     in_cube = bool(np.all(p.as_array() >= -1e-12) and np.all(p.as_array() <= 1.0 + 1e-12))
     if in_cube:
         report["area_sum"] = suprematism_geometry.area_sum(p)
-        report["chord_lengths"] = list(suprematism_geometry.side_chord_lengths(p))
+        report["chord_lengths"] = list(suprematism_geometry.triangle_picture(p).side_lengths)
     return report
 
 

@@ -41,16 +41,16 @@ def unitarity_defect(matrix) -> float:
 
 def require_hermitian(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
     m = as_matrix2(matrix)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > tol:
+    defect = hermiticity_defect(m)
+    if not defect <= tol:
         raise DomainError(f"{name} is not Hermitian (defect {defect:.3e} exceeds {tol:.1e})")
     return m
 
 
 def require_unitary(matrix, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
     m = as_matrix2(matrix)
-    defect = float(np.max(np.abs(m @ m.conj().T - IDENTITY)))
-    if defect > tol:
+    defect = unitarity_defect(m)
+    if not defect <= tol:
         raise DomainError(f"{name} is not unitary (defect {defect:.3e} exceeds {tol:.1e})")
     return m
 
@@ -68,13 +68,13 @@ def eigenvalues_hermitian(matrix, tol: float = HERMITIAN_TOL) -> tuple[float, fl
 
     Uses the quadratic formula with the numerically stable branch: the root of
     larger magnitude comes from the formula, the other from the determinant.
+    The gap sqrt(tr^2 - 4 det) is formed as hypot(h11 - h22, 2 |h21|), which
+    does not cancel when the eigenvalues nearly coincide.
     """
     m = require_hermitian(matrix, tol)
     tr = float(m[0, 0].real + m[1, 1].real)
     det = float(m[0, 0].real * m[1, 1].real - (m[0, 1] * m[1, 0]).real)
-    disc = tr * tr - 4.0 * det
-    # disc >= 0 exactly for Hermitian input; clamp rounding dust
-    root = np.sqrt(max(disc, 0.0))
+    root = float(np.hypot(m[0, 0].real - m[1, 1].real, 2.0 * abs(m[1, 0])))
     big = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
     small = det / big if big != 0.0 else 0.0
     return (small, big) if small <= big else (big, small)

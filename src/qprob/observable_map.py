@@ -18,8 +18,8 @@ import numpy as np
 
 from . import matrix_oracle, qubit_core
 from .errors import DomainError, NonInvertibleEncodingWarning
-from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple
-from .tomography_channels import direction_vector
+from .qubit_core import DEFAULT_TOL, ProbTriple
+from .tomography_channels import _tomogram
 
 # Absolute guard on denominators before dividing.
 DENOM_GUARD = 1e-12
@@ -177,6 +177,4 @@ def decode_observable(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> np.nd
 
 def observable_tomogram(h, direction, x: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Spin tomogram of rho(x): probabilities of projection +1/2 and -1/2 along the direction."""
-    triple = qubit_core.probs_from_density(rho_of_x(h, x), tol)
-    w_plus = float((triple.as_array() - BALL_CENTER) @ direction_vector(direction)) + 0.5
-    return w_plus, 1.0 - w_plus
+    return _tomogram(qubit_core.probs_from_density(rho_of_x(h, x), tol), direction)

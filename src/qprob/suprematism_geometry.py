@@ -88,11 +88,6 @@ def area_sum(p: ProbTriple) -> float:
     )
 
 
-def side_chord_lengths(p: ProbTriple) -> tuple[float, float, float]:
-    """Lengths of the three chords the squares are built on."""
-    return triangle_picture(p).side_lengths
-
-
 def observable_areas(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Summed square areas for the two triples of an observable encoding."""
     qubit_core.require_physical(rep.p_a, tol)

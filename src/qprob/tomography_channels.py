@@ -1,11 +1,12 @@
 """Spin tomograms, measurement-frame unitaries, and unitary-mixture channels.
 
 A unitary rotation of the measurement frame acts on probability triples as an
-affine map p' = L p + C with orthogonal L; convex mixtures of unitaries give
-contractive affine maps, which is the whole channel picture in these
-coordinates. Affine maps are always constructed from four probe states via
-the matrix route, and the closed-form component expressions are validated
-against that construction rather than trusted.
+affine map p' = L p + C: L is the SO(3) adjoint rotation
+R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 of the Bloch vector, and C keeps the
+ball center fixed. Convex mixtures of unitaries give contractive affine maps,
+which is the whole channel picture in these coordinates. The closed form is
+the production route; the affine fit through four probe states of the matrix
+route is its oracle.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_oracle, qubit_core
-from .diagnostics import FormulaCheck
+from .diagnostics import FormulaCheck, component_checks, failed_checks, fit_affine
 from .errors import DomainError, FormulaMismatchWarning
-from .qubit_core import BALL_CENTER, GAMMA, ProbTriple
+from .qubit_core import BALL_CENTER, ProbTriple
 
 TWO_PI = 2.0 * np.pi
 ROTATION_FORMULA_TOL = 1e-9
@@ -89,6 +90,10 @@ def state_tomogram(p: ProbTriple, direction, tol: float = qubit_core.DEFAULT_TOL
     the pair sums to one by construction.
     """
     qubit_core.require_physical(p, tol)
+    return _tomogram(p, direction)
+
+
+def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
     w_plus = float((p.as_array() - BALL_CENTER) @ direction_vector(direction)) + 0.5
     return w_plus, 1.0 - w_plus
 
@@ -112,89 +117,43 @@ class AffineMap3:
         return AffineMap3(other.L @ self.L, other.L @ self.C + other.C)
 
 
-def apply_affine(mapping: AffineMap3, p: ProbTriple) -> ProbTriple:
-    """Evaluate L p + C. The caller is responsible for p being physical."""
-    return mapping.apply(p)
+_PAULI = np.stack([matrix_oracle.SIGMA_X, matrix_oracle.SIGMA_Y, matrix_oracle.SIGMA_Z])
 
 
-# Four probe triples fixing any affine map in three dimensions: the ball
-# center plus half-steps along each axis (all physical, the steps are pure).
-_PROBE_TRIPLES = (
-    ProbTriple(0.5, 0.5, 0.5),
-    ProbTriple(1.0, 0.5, 0.5),
-    ProbTriple(0.5, 1.0, 0.5),
-    ProbTriple(0.5, 0.5, 1.0),
-)
+def _adjoint_rotation(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form: R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 and C = (I - R) c."""
+    frames = u @ _PAULI @ u.conj().T
+    R = 0.5 * np.einsum("iab,jba->ij", _PAULI, frames).real
+    return R, BALL_CENTER - R @ BALL_CENTER
 
 
-def _probe_image(u: np.ndarray, p: ProbTriple) -> np.ndarray:
-    rho = qubit_core.density_from_probs(p)
-    return qubit_core.probs_from_density(matrix_oracle.conjugate_by_unitary(rho, u)).as_array()
+def _probe_fit(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the affine map through the conjugated images of the probe states."""
+    def image(p: ProbTriple) -> np.ndarray:
+        rho = qubit_core.density_from_probs(p)
+        return qubit_core.probs_from_density(matrix_oracle.conjugate_by_unitary(rho, u)).as_array()
 
-
-def _map_from_probes(u: np.ndarray) -> AffineMap3:
-    base = _probe_image(u, _PROBE_TRIPLES[0])
-    columns = [2.0 * (_probe_image(u, probe) - base) for probe in _PROBE_TRIPLES[1:]]
-    L = np.column_stack(columns)
-    return AffineMap3(L, base - L @ BALL_CENTER)
-
-
-def _closed_form_components(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u11, u12, u21, u22 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
-    gbar = np.conj(GAMMA)
-    L = np.array([
-        [
-            (u12 * np.conj(u21)).real + (u11 * np.conj(u22)).real,
-            (1j * u12 * np.conj(u21)).real - (1j * u11 * np.conj(u22)).real,
-            (u11 * np.conj(u21)).real - (u12 * np.conj(u22)).real,
-        ],
-        [
-            -(u12 * np.conj(u21)).imag - (u11 * np.conj(u22)).imag,
-            (1j * u11 * np.conj(u22)).imag - (1j * u12 * np.conj(u21)).imag,
-            (u12 * np.conj(u22)).imag - (u11 * np.conj(u21)).imag,
-        ],
-        [
-            (u12 * np.conj(u11) + u11 * np.conj(u12)).real,
-            (1j * (u12 * np.conj(u11) - u11 * np.conj(u12))).real,
-            abs(u11) ** 2 - abs(u12) ** 2,
-        ],
-    ])
-    C = np.array([
-        (-GAMMA * u12 * np.conj(u21) - gbar * u11 * np.conj(u22) + u12 * np.conj(u22) + gbar).real,
-        (GAMMA * u12 * np.conj(u21) + gbar * u11 * np.conj(u22) - u12 * np.conj(u22) - gbar).imag,
-        (-GAMMA * u12 * np.conj(u11) - gbar * u11 * np.conj(u12) + abs(u12) ** 2).real,
-    ])
-    return L, C
-
-
-def _formula_checks(u: np.ndarray, probe_map: AffineMap3, tol: float) -> list[FormulaCheck]:
-    closed_L, closed_C = _closed_form_components(u)
-    checks = []
-    for i in range(3):
-        for j in range(3):
-            checks.append(FormulaCheck(f"L{i + 1}{j + 1}", float(closed_L[i, j]), float(probe_map.L[i, j]), tol))
-    for i in range(3):
-        checks.append(FormulaCheck(f"C{i + 1}", float(closed_C[i]), float(probe_map.C[i]), tol))
-    return checks
+    return fit_affine(image)
 
 
 def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[FormulaCheck]:
     """Compare every closed-form (L, C) component against the probe construction."""
     w = matrix_oracle.require_unitary(u)
-    return _formula_checks(w, _map_from_probes(w), tol)
+    return component_checks(*_adjoint_rotation(w), *_probe_fit(w), tol)
 
 
 def rotation_from_unitary(u, formula_tol: float = ROTATION_FORMULA_TOL) -> AffineMap3:
     """Affine action of conjugation by a single unitary on probability triples.
 
-    The map is built from four probe states through the matrix route. The
-    closed-form component expressions are then evaluated against it; any
-    component deviating beyond formula_tol raises a FormulaMismatchWarning,
-    and the probe-built map is returned either way (it is authoritative).
+    The map is the closed-form adjoint rotation, checked against the fit
+    through four probe states of the matrix route. If any component deviates
+    beyond formula_tol, a FormulaMismatchWarning names it and the probe fit
+    is returned instead.
     """
     w = matrix_oracle.require_unitary(u)
-    result = _map_from_probes(w)
-    bad = [c for c in _formula_checks(w, result, formula_tol) if not c.ok]
+    L, C = _adjoint_rotation(w)
+    probe_L, probe_C = _probe_fit(w)
+    bad = failed_checks(component_checks(L, C, probe_L, probe_C, formula_tol))
     if bad:
         details = ", ".join(f"{c.name} off by {c.deviation:.3e}" for c in bad)
         warnings.warn(
@@ -202,7 +161,8 @@ def rotation_from_unitary(u, formula_tol: float = ROTATION_FORMULA_TOL) -> Affin
             FormulaMismatchWarning,
             stacklevel=2,
         )
-    return result
+        return AffineMap3(probe_L, probe_C)
+    return AffineMap3(L, C)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from qprob import (
     FormulaMismatchWarning,
     ProbTriple,
     SIGMA_Z,
-    apply_affine,
     area_sum,
     build_kinetic,
     channel_map,
@@ -111,7 +110,7 @@ def test_criterion_4_channel_oracle_equivalence(rng):
         mapping = channel_map(spec)
         for _ in range(20):
             p = random_physical_triple(rng)
-            image = apply_affine(mapping, p)
+            image = mapping.apply(p)
             rho = density_from_probs(p)
             mixed = sum(w * (u @ rho @ u.conj().T) for w, u in zip(weights, unitaries))
             expected = probs_from_density(mixed)
@@ -161,7 +160,7 @@ def test_criterion_7_ball_consistency(rng):
         weights = rng.dirichlet(np.ones(count))
         spec = ChannelSpec(tuple((float(w), random_unitary(rng)) for w in weights))
         mapping = channel_map(spec)
-        image = apply_affine(mapping, random_physical_triple(rng))
+        image = mapping.apply(random_physical_triple(rng))
         assert check_ball(image) >= -1e-10
     for _ in range(100):
         system = build_kinetic(random_hermitian(rng), 0.0)

@@ -107,6 +107,14 @@ def test_encode_rejects_non_hermitian(monkeypatch, capsys):
     assert "Hermitian" in err
 
 
+def test_encode_rejects_nan_entry(monkeypatch, capsys):
+    doc = '{"m11":[NaN,0],"m12":[0,0],"m21":[0,0],"m22":[-1,0]}'
+    code, out, err = run_cli(["encode"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert "Hermitian" in err
+
+
 def test_encode_rejects_inadmissible_shift(monkeypatch, capsys):
     code, _, err = run_cli(
         ["encode", "--a", "2", "--b", "0.5"],
@@ -355,10 +363,11 @@ def test_check_tolerance_env_override(monkeypatch, capsys):
     code, out, _ = run_cli(["check"], stdin_text=slightly_off, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert json.loads(out)["physical"] is True
-    monkeypatch.setenv("QPROB_TOL", "not-a-number")
-    code, _, err = run_cli(["check"], stdin_text=slightly_off, monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2
-    assert "QPROB_TOL" in err
+    for bad in ("not-a-number", "nan", "-1"):
+        monkeypatch.setenv("QPROB_TOL", bad)
+        code, _, err = run_cli(["check"], stdin_text=slightly_off, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2
+        assert "QPROB_TOL" in err
 
 
 def test_figures_rep_writes_five_files(tmp_path, monkeypatch, capsys):

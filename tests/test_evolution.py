@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qprob import (
     DomainError,
@@ -220,6 +222,30 @@ def test_trajectory_refinement_shares_samples():
     np.testing.assert_allclose(fine.probs[::100], coarse.probs, rtol=0, atol=1e-12)
 
 
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.tuples(unit, unit, unit, unit),
+    log_norm=st.floats(-6.0, 2.0),
+    bloch=st.tuples(unit, unit, unit),
+    log_dt=st.floats(-9.0, -1.0),
+    steps=st.integers(1, 200),
+)
+# sigma_z has |omega| = 2: samples 0 and 1 take the small-angle series, the rest do not
+@example(entries=(1.0, -1.0, 0.0, 0.0), log_norm=0.0, bloch=(1.0, 0.0, 0.0), log_dt=np.log10(4e-5), steps=20)
+def test_trajectory_rows_equal_evolve(entries, log_norm, bloch, log_dt, steps):
+    d1, d2, re, im = (10.0 ** log_norm * e for e in entries)
+    system = build_kinetic(np.array([[d1, re - 1j * im], [re + 1j * im, d2]]), 0.0, validate=False)
+    v = np.array(bloch)
+    norm = float(np.linalg.norm(v))
+    p0 = ProbTriple.from_array(0.5 + (0.5 * v / norm if norm > 1.0 else 0.5 * v))
+    trajectory = sample_trajectory(system, p0, steps * 10.0 ** log_dt, steps)
+    for t, row in zip(trajectory.times, trajectory.probs):
+        np.testing.assert_array_equal(row, evolve(system, p0, float(t)).as_array())
+
+
 def test_trajectory_constant_for_identity_hamiltonian():
     system = build_kinetic(IDENTITY, 0.5)
     trajectory = sample_trajectory(system, P0_X, 5.0, 7)
@@ -236,7 +262,7 @@ def test_trajectory_validation():
         sample_trajectory(system, P0_X, 1.0, 0)
     with pytest.raises(DomainError, match="increasing"):
         Trajectory(times=np.array([0.0, 0.0]), probs=np.full((2, 3), 0.5), x=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^triple violates .* \(ball residual -2\.300e-01\)$"):
         Trajectory(times=np.array([0.0, 1.0]), probs=np.array([[0.5] * 3, [0.9] * 3]), x=0.0)
     with pytest.raises(DomainError, match="times"):
         Trajectory(times=np.array([0.0, 1.0]), probs=np.full((3, 3), 0.5), x=0.0)

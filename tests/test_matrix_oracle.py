@@ -60,6 +60,17 @@ def test_unitarity_guard():
     np.testing.assert_array_equal(require_unitary(phase), phase)
 
 
+def test_guards_reject_non_finite_entries():
+    # a NaN defect (inf - inf is NaN too) must not slip past the tolerance comparison
+    for bad in (np.nan, np.inf):
+        m = np.array([[bad, 0.0], [0.0, -1.0]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DomainError, match="not Hermitian"):
+                require_hermitian(m)
+            with pytest.raises(DomainError, match="not unitary"):
+                require_unitary(m)
+
+
 def test_pauli_components_reconstruct():
     h = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]])
     h0, hvec = pauli_components(h)
@@ -91,6 +102,8 @@ def test_eigenvalues_small_root_precision():
     lo, hi = eigenvalues_hermitian(h)
     assert abs(lo - (-1e-14)) < 1e-20
     assert abs(hi - (1.0 + 1e-14)) < 1e-15
+    # a nearly degenerate pair keeps its gap: tr^2 - 4 det would cancel to 0
+    assert eigenvalues_hermitian(np.diag([1.0, 1.0 + 1e-8])) == (1.0, 1.0 + 1e-8)
 
 
 def test_conjugation_preserves_spectrum(rng):

@@ -10,7 +10,6 @@ from qprob import (
     area_sum,
     encode_observable,
     observable_areas,
-    side_chord_lengths,
     triangle_picture,
 )
 from qprob.matrix_oracle import SIGMA_Z
@@ -71,7 +70,7 @@ def test_area_sum_cyclic_symmetry(rng):
 def test_chord_between_half_probabilities_is_constant():
     # with p1 = p2 = 1/2 the first chord joins two side midpoints: length sqrt(2)/2
     for p3 in (0.0, 0.25, 0.5, 0.75, 1.0):
-        lengths = side_chord_lengths(ProbTriple(0.5, 0.5, p3))
+        lengths = triangle_picture(ProbTriple(0.5, 0.5, p3)).side_lengths
         assert abs(lengths[0] - SQRT2 / 2) < 1e-15
 
 

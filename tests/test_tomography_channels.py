@@ -10,7 +10,6 @@ from qprob import (
     DomainError,
     FormulaMismatchWarning,
     ProbTriple,
-    apply_affine,
     channel_map,
     check_ball,
     density_from_probs,
@@ -236,7 +235,7 @@ def test_channel_matches_matrix_route(rng):
             p = random_physical_triple(rng)
             expected = channel_image_oracle(spec, p)
             np.testing.assert_allclose(
-                apply_affine(mapping, p).as_array(), expected.as_array(), rtol=0, atol=1e-10
+                mapping.apply(p).as_array(), expected.as_array(), rtol=0, atol=1e-10
             )
 
 
