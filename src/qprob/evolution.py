@@ -1,13 +1,14 @@
 """Heisenberg-picture evolution as a linear kinetic equation for triples.
 
-For a Hamiltonian H, the probability triple of any rho(x, t) built from an
-evolving observable obeys dp/dt = L p + C with a constant antisymmetric L, so
-the exact propagator is a rotation plus a drift term, both evaluated in
-closed form (no time stepping) and over a whole time grid at once. In closed
-form L p + C = (p - c) x 2h, for H = h0 I + h . sigma and the ball center c.
-The closed-form L and C are the production route; their oracle is the affine
-fit of central finite differences of the exact matrix evolution at four probe
-states, which takes over when the two disagree.
+For a Hamiltonian H = h0 I + h . sigma, the probability triple of any
+rho(x, t) built from an evolving observable obeys dp/dt = L p + C, where
+L v = v x omega is the cross product with omega = 2h and C = -L c fixes the
+ball center c. The exact solution is the rotation about the center,
+p(t) = c + exp(L t)(p0 - c), with exp(L t) in Rodrigues' closed form (no time
+stepping) over a whole time grid at once. The closed-form L and C are the
+production route; their oracle is the affine fit of central finite
+differences of the exact matrix evolution at four probe states, which takes
+over when the two disagree.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ import numpy as np
 from . import matrix_oracle, observable_map, qubit_core
 from .diagnostics import FormulaCheck, component_checks, failed_checks, fit_affine
 from .errors import DomainError, FormulaMismatchWarning
-from .qubit_core import BALL_CENTER, DEFAULT_TOL, GAMMA, ProbTriple
+from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple
 
 FD_STEP = 1e-6
 FD_TOL = 1e-4
 TRAJECTORY_TOL = 1e-8
-_SMALL_ANGLE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,13 @@ class KineticSystem:
         defect = float(np.max(np.abs(self.L + self.L.T)))
         if defect > 1e-12:
             raise DomainError(f"kinetic generator must be antisymmetric (defect {defect:.3e})")
+        # the propagator rotates about the ball center, so C must keep it fixed
+        drift = float(np.max(np.abs(self.L @ BALL_CENTER + self.C)))
+        if not drift <= 1e-9 * max(1.0, float(np.max(np.abs(self.L)))):
+            raise DomainError(
+                "kinetic drift must fix the ball center (maximally mixed state) "
+                f"(|L c + C| = {drift:.3e})"
+            )
 
 
 @dataclass(frozen=True)
@@ -76,21 +83,11 @@ class Trajectory:
 
 
 def _closed_form_generator(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    h11 = float(m[0, 0].real)
-    h22 = float(m[1, 1].real)
-    re21 = float(m[1, 0].real)
-    im21 = float(m[1, 0].imag)
-    L = np.array([
-        [0.0, h11 - h22, -2.0 * im21],
-        [h22 - h11, 0.0, 2.0 * re21],
-        [2.0 * im21, -2.0 * re21, 0.0],
-    ])
-    C = np.array([
-        im21 + 0.5 * (h22 - h11),
-        -re21 + 0.5 * (h11 - h22),
-        2.0 * float((GAMMA * m[0, 1]).imag),
-    ])
-    return L, C
+    """L v = v x omega with omega = 2h, and C = -L c so the ball center stays fixed."""
+    _, hvec = matrix_oracle.pauli_components(m)
+    w1, w2, w3 = 2.0 * hvec
+    L = np.array([[0.0, w3, -w2], [-w3, 0.0, w1], [w2, -w1, 0.0]])
+    return L, -(L @ BALL_CENTER)
 
 
 def _fd_derivative(m: np.ndarray, p: ProbTriple, dt: float = FD_STEP) -> np.ndarray:
@@ -141,45 +138,32 @@ def build_kinetic(h, x: float, validate: bool = True, fd_tol: float = FD_TOL) ->
     return KineticSystem(L=L, C=C, H=m, x=float(x))
 
 
-def _propagator(L: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form exp(L t) and integral of exp(L s) ds from 0 to t, for antisymmetric L.
+def _rotate_about_center(L: np.ndarray, p0: ProbTriple, times: np.ndarray) -> np.ndarray:
+    """Rows c + exp(L t)(p0 - c), one per time, for antisymmetric L.
 
-    L acts as the cross product with an axis vector omega, so exp(L t) is the
-    rotation about omega by |omega| t; the drift integral has the matching
-    closed form, with series for small angles. Both results have shape
-    (len(times), 3, 3), and each time gets exactly the arithmetic it would
-    get alone.
+    With K = L/|omega| and angle = |omega| t, Rodrigues' formula gives
+    exp(L t) - I = sin(angle) K + 2 sin^2(angle/2) K^2. No term cancels, so
+    the one formula holds at every angle. Rows are formed as
+    p0 + (exp(L t) - I)(p0 - c), which is p0 exactly at t = 0 or omega = 0,
+    and each time gets exactly the arithmetic it would get alone.
     """
-    omega_vec = np.array([L[2, 1], L[0, 2], L[1, 0]])
-    omega = float(np.linalg.norm(omega_vec))
+    start = p0.as_array()
+    omega = float(np.linalg.norm([L[2, 1], L[0, 2], L[1, 0]]))
+    if omega == 0.0:
+        return np.tile(start, (times.size, 1))
+    K = L / omega
     angle = omega * times
-    sin_coeff, cos_coeff, int_coeff = np.empty((3, times.size))
-    small = np.abs(angle) <= _SMALL_ANGLE
-    t, a2 = times[small], angle[small] * angle[small]
-    t2, t3 = t * t, t * t * t
-    sin_coeff[small] = t * (1.0 - a2 / 6.0 + a2 * a2 / 120.0)
-    cos_coeff[small] = 0.5 * t2 * (1.0 - a2 / 12.0 + a2 * a2 / 360.0)
-    int_coeff[small] = t3 / 6.0 * (1.0 - a2 / 20.0 + a2 * a2 / 840.0)
-    angle = angle[~small]
-    sin_angle = np.sin(angle)
-    sin_coeff[~small] = sin_angle / omega
-    cos_coeff[~small] = (1.0 - np.cos(angle)) / (omega * omega)
-    int_coeff[~small] = (angle - sin_angle) / (omega ** 3)
-    sin_coeff, cos_coeff, int_coeff = (c[:, None, None] for c in (sin_coeff, cos_coeff, int_coeff))
-    eye = np.eye(3)
-    L2 = L @ L
-    rotation = eye + sin_coeff * L + cos_coeff * L2
-    integral = times[:, None, None] * eye + cos_coeff * L + int_coeff * L2
-    return rotation, integral
+    half_sin = np.sin(0.5 * angle)
+    offsets = np.sin(angle)[:, None, None] * K + (2.0 * half_sin * half_sin)[:, None, None] * (K @ K)
+    return start + offsets @ (start - BALL_CENTER)
 
 
 def evolve(system: KineticSystem, p0: ProbTriple, t: float, tol: float = DEFAULT_TOL) -> ProbTriple:
-    """Propagate a physical triple for time t with the exact affine propagator."""
+    """Propagate a physical triple for time t: the exact rotation about the ball center."""
     qubit_core.require_physical(p0, tol)
     if not np.isfinite(t):
         raise DomainError(f"time must be finite, got {t!r}")
-    rotation, integral = _propagator(system.L, np.array([float(t)]))
-    return ProbTriple.from_array((rotation @ p0.as_array() + integral @ system.C)[0])
+    return ProbTriple.from_array(_rotate_about_center(system.L, p0, np.array([float(t)]))[0])
 
 
 def evolve_observable(a0, h, x: float, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -212,6 +196,4 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
         raise DomainError(f"steps must be at least 1, got {steps}")
     qubit_core.require_physical(p0, tol)
     times = np.linspace(0.0, float(t_end), steps + 1)
-    rotation, integral = _propagator(system.L, times)
-    probs = rotation @ p0.as_array() + integral @ system.C
-    return Trajectory(times=times, probs=probs, x=system.x)
+    return Trajectory(times=times, probs=_rotate_about_center(system.L, p0, times), x=system.x)

@@ -4,13 +4,14 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from qprob import ProbTriple, encode_observable, sample_trajectory, build_kinetic, state_tomogram, Direction
-from qprob.cli import main, matrix_to_json, parse_matrix, triple_to_json
+from qprob.cli import MAX_STEPS, main, matrix_to_json, parse_matrix, triple_to_json
 from qprob.matrix_oracle import SIGMA_Z
 
 SIGMA_Z_JSON = {"m11": [1.0, 0.0], "m12": [0.0, 0.0], "m21": [0.0, 0.0], "m22": [-1.0, 0.0]}
@@ -112,7 +113,28 @@ def test_encode_rejects_nan_entry(monkeypatch, capsys):
     code, out, err = run_cli(["encode"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 3
     assert out == ""
-    assert "Hermitian" in err
+    assert "m11 is not finite" in err
+
+
+_BALL_POINT = '{"p1":0.5,"p2":0.5,"p3":1.0}'
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("encode", '{"m11":[Infinity,0],"m12":[0,0],"m21":[0,0],"m22":[-1,0]}', "m11"),
+    ("encode", '{"m11":[1,0],"m12":[0,-Infinity],"m21":[0,0],"m22":[-1,0]}', "m12"),
+    ("check", '{"p1":NaN,"p2":0.5,"p3":1.0}', "p1"),
+    ("check", '{"p1":0.5,"p2":1' + "0" * 400 + ',"p3":1.0}', "p2"),
+    ("decode", '{"a":2,"b":NaN,"P_a":%s,"P_b":%s}' % (_BALL_POINT, _BALL_POINT), "b"),
+], ids=["encode-inf", "encode-minus-inf", "check-nan", "check-huge-int", "decode-nan-shift"])
+def test_non_finite_input_exits_3(command, doc, key, monkeypatch, capsys):
+    # any numpy RuntimeWarning on the way to the rejection fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert f"{key} is not finite" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_encode_rejects_inadmissible_shift(monkeypatch, capsys):
@@ -306,6 +328,21 @@ def test_evolve_input_validation(monkeypatch, capsys):
         capsys=capsys,
     )
     assert code == 3 and "steps" in err
+
+
+def test_evolve_caps_steps_before_allocating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trajectory must not be built")
+
+    monkeypatch.setattr("qprob.evolution.sample_trajectory", refuse)
+    code, out, err = run_cli(
+        ["evolve", "--t-end", "1", "--steps", "1000000000"],
+        stdin_text=json.dumps({"H": SIGMA_Z_JSON, "p0": STATE_X_JSON}),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 2 and out == ""
+    assert f"--steps must be at most {MAX_STEPS}" in err
 
 
 def test_check_physical_report(monkeypatch, capsys):

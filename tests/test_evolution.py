@@ -13,9 +13,11 @@ from qprob import (
     Trajectory,
     build_kinetic,
     check_ball,
+    density_from_probs,
     evolve,
     evolve_observable,
     kinetic_formula_checks,
+    pauli_components,
     probs_from_density,
     rho_of_x,
     sample_trajectory,
@@ -69,6 +71,12 @@ def test_kinetic_system_rejects_non_antisymmetric():
         KineticSystem(L=np.eye(3), C=np.zeros(3), H=SIGMA_Z, x=0.0)
 
 
+def test_kinetic_system_rejects_drift_that_moves_the_center():
+    L = build_kinetic(SIGMA_Z, 0.0).L
+    with pytest.raises(DomainError, match=r"fix the ball center \(maximally mixed state\)"):
+        KineticSystem(L=L, C=np.zeros(3), H=SIGMA_Z, x=0.0)
+
+
 def test_generator_formulas_match_finite_differences(rng):
     for _ in range(30):
         checks = kinetic_formula_checks(random_hermitian(rng))
@@ -118,7 +126,7 @@ def test_evolve_matches_rk4(rng):
 
 
 def test_evolve_small_time_series_branch(rng):
-    # exercise the small-angle series against an RK4 reference
+    # a rotation angle below 1e-4 rad against an RK4 reference
     system = build_kinetic(random_hermitian(rng, scale=0.01), 0.0)
     p0 = random_physical_triple(rng)
     t = 1e-3
@@ -225,6 +233,13 @@ def test_trajectory_refinement_shares_samples():
 unit = st.floats(-1.0, 1.0)
 
 
+def ball_triple(bloch) -> ProbTriple:
+    """Triple c + v/2, with v pulled back onto the unit sphere when it lies outside."""
+    v = np.array(bloch)
+    norm = float(np.linalg.norm(v))
+    return ProbTriple.from_array(0.5 + (0.5 * v / norm if norm > 1.0 else 0.5 * v))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     entries=st.tuples(unit, unit, unit, unit),
@@ -233,17 +248,42 @@ unit = st.floats(-1.0, 1.0)
     log_dt=st.floats(-9.0, -1.0),
     steps=st.integers(1, 200),
 )
-# sigma_z has |omega| = 2: samples 0 and 1 take the small-angle series, the rest do not
+# sigma_z has |omega| = 2: samples 0 and 1 turn by less than 1e-4 rad, the rest by more
 @example(entries=(1.0, -1.0, 0.0, 0.0), log_norm=0.0, bloch=(1.0, 0.0, 0.0), log_dt=np.log10(4e-5), steps=20)
 def test_trajectory_rows_equal_evolve(entries, log_norm, bloch, log_dt, steps):
     d1, d2, re, im = (10.0 ** log_norm * e for e in entries)
     system = build_kinetic(np.array([[d1, re - 1j * im], [re + 1j * im, d2]]), 0.0, validate=False)
-    v = np.array(bloch)
-    norm = float(np.linalg.norm(v))
-    p0 = ProbTriple.from_array(0.5 + (0.5 * v / norm if norm > 1.0 else 0.5 * v))
+    p0 = ball_triple(bloch)
     trajectory = sample_trajectory(system, p0, steps * 10.0 ** log_dt, steps)
     for t, row in zip(trajectory.times, trajectory.probs):
         np.testing.assert_array_equal(row, evolve(system, p0, float(t)).as_array())
+
+
+def test_long_trajectory_stays_on_the_sphere():
+    # at t = 1e9 any term that cancels against the rotation would cost about t * eps
+    system = build_kinetic(np.array([[1.0, 0.3], [0.3, -1.0]]), 0.0)
+    trajectory = sample_trajectory(system, ProbTriple(0.5, 0.5, 1.0), 1e9, 10)
+    for p in trajectory.triples():
+        assert check_ball(p) >= -1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.tuples(unit, unit, unit, unit),
+    log_norm=st.floats(-9.0, 9.0),
+    bloch=st.tuples(unit, unit, unit),
+    log_t=st.floats(-3.0, 9.0),
+)
+def test_evolve_holds_at_every_scale(entries, log_norm, bloch, log_t):
+    d1, d2, re, im = (10.0 ** log_norm * e for e in entries)
+    h = np.array([[d1, re - 1j * im], [re + 1j * im, d2]])
+    p0 = ball_triple(bloch)
+    t = 10.0 ** log_t
+    pt = evolve(build_kinetic(h, 0.0, validate=False), p0, t)
+    assert abs(check_ball(pt) - check_ball(p0)) <= 1e-15
+    if 2.0 * np.linalg.norm(pauli_components(h)[1]) * t <= 1e3:
+        exact = probs_from_density(heisenberg_exact(density_from_probs(p0), h, t))
+        np.testing.assert_allclose(pt.as_array(), exact.as_array(), rtol=0, atol=1e-12)
 
 
 def test_trajectory_constant_for_identity_hamiltonian():
