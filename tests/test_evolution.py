@@ -1,5 +1,7 @@
 """Kinetic equation: generator values, exact propagation, and matrix-side agreement."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,9 @@ from qprob import (
     rho_of_x,
     sample_trajectory,
 )
+from qprob import evolution
 from qprob.diagnostics import failed_checks
+from qprob.evolution import FD_TOL, KINETIC_CACHE_SIZE
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z, heisenberg_exact
 from qprob.observable_map import conservative_shift_bound
 
@@ -92,6 +96,63 @@ def test_generator_mismatch_detector_fires(rng):
     reference = build_kinetic(h, 0.0, validate=False)
     np.testing.assert_allclose(system.L, reference.L, rtol=0, atol=1e-6)
     np.testing.assert_allclose(system.C, reference.C, rtol=0, atol=1e-6)
+
+
+@pytest.fixture
+def kinetic_cache():
+    """The validated-generator cache, emptied so the first build is a miss."""
+    evolution._validated_generator.cache_clear()
+    return evolution._validated_generator
+
+
+def test_cached_mismatch_warns_on_every_call(rng, kinetic_cache):
+    h = random_hermitian(rng)
+    for _ in range(2):
+        with pytest.warns(FormulaMismatchWarning, match="finite-difference"):
+            build_kinetic(h, 0.0, fd_tol=-1.0)
+    info = kinetic_cache.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_cache_keys_on_tolerance(rng, kinetic_cache):
+    h = random_hermitian(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_kinetic(h, 0.0)
+    with pytest.warns(FormulaMismatchWarning, match="finite-difference"):
+        build_kinetic(h, 0.0, fd_tol=-1.0)
+    assert kinetic_cache.cache_info().misses == 2
+
+
+def test_mutating_a_result_leaves_the_cache_intact(rng, kinetic_cache):
+    h = random_hermitian(rng)
+    first = build_kinetic(h, 0.0)
+    L, C = first.L.copy(), first.C.copy()
+    first.L[0, 1] = 99.0
+    first.C[:] = -7.0
+    again = build_kinetic(h, 0.0)
+    np.testing.assert_array_equal(again.L, L)
+    np.testing.assert_array_equal(again.C, C)
+    assert kinetic_cache.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("fd_tol", [FD_TOL, -1.0], ids=["closed-form", "fitted-fallback"])
+def test_cache_hit_is_bit_identical_to_miss(rng, kinetic_cache, fd_tol):
+    h = random_hermitian(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FormulaMismatchWarning)
+        miss = build_kinetic(h, 0.5, fd_tol=fd_tol)
+        hit = build_kinetic(h, 0.5, fd_tol=fd_tol)
+    assert (kinetic_cache.cache_info().misses, kinetic_cache.cache_info().hits) == (1, 1)
+    for name in ("L", "C", "H"):
+        assert getattr(hit, name).tobytes() == getattr(miss, name).tobytes()
+    assert hit.x == miss.x
+
+
+def test_cache_stays_bounded(rng, kinetic_cache):
+    for _ in range(KINETIC_CACHE_SIZE + 10):
+        build_kinetic(random_hermitian(rng), 0.0)
+    assert kinetic_cache.cache_info().currsize == KINETIC_CACHE_SIZE
 
 
 def test_precession_quarter_period_frozen():
