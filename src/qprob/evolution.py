@@ -6,31 +6,24 @@ L v = v x omega is the cross product with omega = 2h and C = -L c fixes the
 ball center c. The exact solution is the rotation about the center,
 p(t) = c + exp(L t)(p0 - c), with exp(L t) in Rodrigues' closed form (no time
 stepping) over a whole time grid at once. The closed-form L and C are the
-production route; their oracle is the affine fit of central finite
-differences of the exact matrix evolution at four probe states, which takes
-over when the two disagree. The generator is fixed by H alone, so that check
-runs once per distinct Hamiltonian and tolerance; later calls reuse its
-outcome from a bounded cache and re-emit any mismatch warning.
+production route; their oracle, in diagnostics, is the affine fit of the exact
+derivatives i[H, rho] at four probe states, which takes over when the two
+disagree.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix_oracle, observable_map, qubit_core
-from .diagnostics import FormulaCheck, component_checks, failed_checks, fit_affine
-from .errors import DomainError, FormulaMismatchWarning
+from .diagnostics import FormulaCheck, checked_map, component_checks, kinetic_oracle
+from .errors import DomainError
 from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple
 
-FD_STEP = 1e-6
 FD_TOL = 1e-4
 TRAJECTORY_TOL = 1e-8
-# Distinct (Hamiltonian, fd_tol) pairs whose validated generator is kept.
-KINETIC_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -95,68 +88,25 @@ def _closed_form_generator(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, -(L @ BALL_CENTER)
 
 
-def _fd_derivative(m: np.ndarray, p: ProbTriple, dt: float = FD_STEP) -> np.ndarray:
-    """Central finite difference of the triple under the exact matrix evolution."""
-    rho = qubit_core.density_from_probs(p)
-    ahead = qubit_core.probs_from_density(matrix_oracle.heisenberg_exact(rho, m, dt)).as_array()
-    behind = qubit_core.probs_from_density(matrix_oracle.heisenberg_exact(rho, m, -dt)).as_array()
-    return (ahead - behind) / (2.0 * dt)
-
-
-def _fitted_generator(m: np.ndarray, dt: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: the affine fit of finite-difference derivatives at the probe states."""
-    fit_L, fit_C = fit_affine(lambda p: _fd_derivative(m, p, dt))
-    # the generator is provably antisymmetric; strip finite-difference dust
-    L = 0.5 * (fit_L - fit_L.T)
-    return L, fit_C + (fit_L - L) @ BALL_CENTER
-
-
-def kinetic_formula_checks(h, tol: float = FD_TOL, dt: float = FD_STEP) -> list[FormulaCheck]:
-    """Compare every closed-form generator component against the finite-difference fit."""
+def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
+    """Compare every closed-form generator component against the exact-derivative fit."""
     m = matrix_oracle.require_hermitian(h, name="hamiltonian")
-    return component_checks(*_closed_form_generator(m), *_fitted_generator(m, dt), tol)
-
-
-@functools.lru_cache(maxsize=KINETIC_CACHE_SIZE)
-def _validated_generator(key: bytes, fd_tol: float):
-    """(L, C, worst): the closed form, or the fitted fallback and its worst deviation.
-
-    key is the bytes of a complex128 Hermitian matrix; worst is None when
-    every component passed.
-    """
-    m = np.frombuffer(key, dtype=complex).reshape(2, 2)
-    L, C = _closed_form_generator(m)
-    fit_L, fit_C = _fitted_generator(m)
-    bad = failed_checks(component_checks(L, C, fit_L, fit_C, fd_tol))
-    if bad:
-        return fit_L, fit_C, max(c.deviation for c in bad)
-    return L, C, None
+    return component_checks(_closed_form_generator(m), kinetic_oracle(m), tol)
 
 
 def build_kinetic(h, x: float, validate: bool = True, fd_tol: float = FD_TOL) -> KineticSystem:
     """Kinetic system dp/dt = L p + C for the given Hamiltonian and shift.
 
     L and C come from closed forms (L antisymmetric by construction). With
-    validate=True every component is checked against the fit of central
-    finite differences of the exact matrix evolution at the four probe
-    states; a deviation beyond fd_tol raises a FormulaMismatchWarning and the
-    fitted generator replaces the closed forms. The check runs once per
-    distinct (H, fd_tol); repeated calls reuse its outcome, warn again on a
-    mismatch and get their own copies of L and C.
+    validate=True every component is checked against the affine fit of the
+    exact derivatives i[H, rho] at the four probe states; a deviation beyond
+    fd_tol raises a FormulaMismatchWarning naming it, and the fitted
+    generator replaces the closed forms.
     """
     m = matrix_oracle.require_hermitian(h, name="hamiltonian")
+    L, C = _closed_form_generator(m)
     if validate:
-        L, C, worst = _validated_generator(m.tobytes(), float(fd_tol))
-        if worst is not None:
-            warnings.warn(
-                "closed-form kinetic generator disagrees with the finite-difference "
-                f"oracle (worst deviation {worst:.3e}); using the fitted generator",
-                FormulaMismatchWarning,
-                stacklevel=2,
-            )
-        L, C = L.copy(), C.copy()
-    else:
-        L, C = _closed_form_generator(m)
+        L, C = checked_map((L, C), kinetic_oracle(m), fd_tol, "kinetic generator")
     return KineticSystem(L=L, C=C, H=m, x=float(x))
 
 

@@ -5,20 +5,19 @@ affine map p' = L p + C: L is the SO(3) adjoint rotation
 R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 of the Bloch vector, and C keeps the
 ball center fixed. Convex mixtures of unitaries give contractive affine maps,
 which is the whole channel picture in these coordinates. The closed form is
-the production route; the affine fit through four probe states of the matrix
-route is its oracle.
+the production route; its oracle, the affine fit through the four probe states
+conjugated in one stacked product, lives in diagnostics.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix_oracle, qubit_core
-from .diagnostics import FormulaCheck, component_checks, failed_checks, fit_affine
-from .errors import DomainError, FormulaMismatchWarning
+from .diagnostics import FormulaCheck, checked_map, component_checks, rotation_oracle
+from .errors import DomainError
 from .qubit_core import BALL_CENTER, ProbTriple
 
 TWO_PI = 2.0 * np.pi
@@ -127,19 +126,10 @@ def _adjoint_rotation(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, BALL_CENTER - R @ BALL_CENTER
 
 
-def _probe_fit(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: the affine map through the conjugated images of the probe states."""
-    def image(p: ProbTriple) -> np.ndarray:
-        rho = qubit_core.density_from_probs(p)
-        return qubit_core.probs_from_density(matrix_oracle.conjugate_by_unitary(rho, u)).as_array()
-
-    return fit_affine(image)
-
-
 def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[FormulaCheck]:
     """Compare every closed-form (L, C) component against the probe construction."""
     w = matrix_oracle.require_unitary(u)
-    return component_checks(*_adjoint_rotation(w), *_probe_fit(w), tol)
+    return component_checks(_adjoint_rotation(w), rotation_oracle(w), tol)
 
 
 def rotation_from_unitary(u, formula_tol: float = ROTATION_FORMULA_TOL) -> AffineMap3:
@@ -151,18 +141,7 @@ def rotation_from_unitary(u, formula_tol: float = ROTATION_FORMULA_TOL) -> Affin
     is returned instead.
     """
     w = matrix_oracle.require_unitary(u)
-    L, C = _adjoint_rotation(w)
-    probe_L, probe_C = _probe_fit(w)
-    bad = failed_checks(component_checks(L, C, probe_L, probe_C, formula_tol))
-    if bad:
-        details = ", ".join(f"{c.name} off by {c.deviation:.3e}" for c in bad)
-        warnings.warn(
-            f"closed-form rotation components disagree with the probe construction: {details}",
-            FormulaMismatchWarning,
-            stacklevel=2,
-        )
-        return AffineMap3(probe_L, probe_C)
-    return AffineMap3(L, C)
+    return AffineMap3(*checked_map(_adjoint_rotation(w), rotation_oracle(w), formula_tol, "rotation"))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import pytest
 
 from qprob import ProbTriple, encode_observable, sample_trajectory, build_kinetic, state_tomogram, Direction
 from qprob.cli import MAX_STEPS, main, matrix_to_json, parse_matrix, triple_to_json
-from qprob.matrix_oracle import SIGMA_Z
+from qprob.matrix_oracle import SIGMA_Z, heisenberg_exact
+from qprob.qubit_core import density_from_probs, probs_from_density
 
 SIGMA_Z_JSON = {"m11": [1.0, 0.0], "m12": [0.0, 0.0], "m21": [0.0, 0.0], "m22": [-1.0, 0.0]}
 STATE_X_JSON = {"p1": 1.0, "p2": 0.5, "p3": 0.5}
@@ -268,6 +269,25 @@ def test_evolve_csv_matches_library(monkeypatch, capsys):
         values = [float(v) for v in line.split(",")]
         assert values[0] == t  # 17 significant digits round-trip exactly
         assert values[1:] == list(row)
+
+
+def test_evolve_large_hamiltonian_follows_the_exact_curve():
+    # at this norm a finite-difference oracle reported a false mismatch and
+    # replaced the exact generator by a wrong fit
+    h = 1e6 * np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)
+    p0 = ProbTriple(0.5, 0.5, 1.0)
+    result = subprocess.run(
+        [sys.executable, "-m", "qprob", "evolve", "--t-end", "1e-6", "--steps", "2"],
+        input=json.dumps({"H": matrix_to_json(h), "p0": triple_to_json(p0)}),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    rows = [[float(v) for v in line.split(",")] for line in result.stdout.strip().split("\n")[1:]]
+    assert len(rows) == 3
+    for t, *probs in rows:
+        exact = probs_from_density(heisenberg_exact(density_from_probs(p0), h, t))
+        np.testing.assert_allclose(probs, exact.as_array(), rtol=0, atol=1e-12)
 
 
 def test_evolve_json_format(monkeypatch, capsys):

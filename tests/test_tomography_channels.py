@@ -1,7 +1,11 @@
 """Tomograms, frame unitaries, and the affine action of rotations and channels."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprob import (
     AffineMap3,
@@ -14,6 +18,7 @@ from qprob import (
     check_ball,
     density_from_probs,
     euler_unitary,
+    expm_hermitian_generator,
     is_physical,
     probs_from_density,
     rotation_formula_checks,
@@ -23,6 +28,7 @@ from qprob import (
 from qprob.diagnostics import failed_checks
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, unitarity_defect
 from qprob.qubit_core import BALL_CENTER
+from qprob.tomography_channels import _adjoint_rotation
 
 from conftest import random_direction, random_physical_triple, random_unitary
 
@@ -187,6 +193,23 @@ def test_rotation_component_formulas_match_probe_construction(rng):
         checks = rotation_formula_checks(random_unitary(rng))
         assert len(checks) == 12
         assert failed_checks(checks) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.tuples(*[st.floats(-3.0, 3.0, allow_nan=False)] * 4),
+    phase=st.floats(0.0, 2.0 * np.pi),
+)
+def test_rotation_is_the_adjoint_form_without_warning(entries, phase):
+    d1, d2, re, im = entries
+    g = np.array([[d1, re - 1j * im], [re + 1j * im, d2]])
+    u = np.exp(1j * phase) * expm_hermitian_generator(g, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mapping = rotation_from_unitary(u)
+    L, C = _adjoint_rotation(u)
+    assert mapping.L.tobytes() == L.tobytes()
+    assert mapping.C.tobytes() == C.tobytes()
 
 
 def test_rotation_mismatch_detector_fires(rng):
