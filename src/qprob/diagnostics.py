@@ -67,21 +67,22 @@ def _triple_parts(rho: np.ndarray) -> np.ndarray:
 
 
 def fit_affine(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, C) of the affine map p -> L p + C taking the probe triples to the (4, 3) images.
+    """(L, C) of the affine map p -> L p + C taking the probe triples to the (..., 4, 3) images.
 
     The probes sit half a unit step from the ball center, so column j of L is
     twice the difference between the images of probe j and of the center.
     """
-    L = 2.0 * (images[1:] - images[0]).T
-    return L, images[0] - L @ BALL_CENTER
+    L = 2.0 * (images[..., 1:, :] - images[..., :1, :]).swapaxes(-1, -2)
+    return L, images[..., 0, :] - L @ BALL_CENTER
 
 
 def rotation_oracle(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The affine map through the probe states conjugated by the unitary w.
+    """The affine maps through the probe states conjugated by each unitary of a (..., 2, 2) stack.
 
     A density's triple is (Re rho21 + 1/2, Im rho21 + 1/2, rho11).
     """
-    return fit_affine(_triple_parts(w @ PROBE_DENSITIES @ w.conj().T) + [0.5, 0.5, 0.0])
+    w = w[..., None, :, :]
+    return fit_affine(_triple_parts(w @ PROBE_DENSITIES @ w.conj().swapaxes(-1, -2)) + [0.5, 0.5, 0.0])
 
 
 def kinetic_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,9 +98,9 @@ def kinetic_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _components(closed, oracle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 12 components of both (L, C) pairs and their absolute deviations."""
-    a = np.concatenate([np.ravel(closed[0]), closed[1]])
-    b = np.concatenate([np.ravel(oracle[0]), oracle[1]])
+    """The (..., 12) components of both (L, C) pairs and their absolute deviations."""
+    a = np.concatenate([closed[0].reshape(*closed[1].shape[:-1], 9), closed[1]], axis=-1)
+    b = np.concatenate([oracle[0].reshape(*oracle[1].shape[:-1], 9), oracle[1]], axis=-1)
     return a, b, np.abs(a - b)
 
 
@@ -110,22 +111,31 @@ def component_checks(closed, oracle, tol: float) -> list[FormulaCheck]:
 
 
 def checked_map(closed, oracle, tol: float, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """The closed (L, C), or the oracle's if any component deviates beyond tol.
+    """The closed (L, C), with the oracle's in place of each map that deviates beyond tol.
 
-    A NaN deviation counts as a failure. On a failure a FormulaMismatchWarning
-    names every failing component and its deviation.
+    Works on one map, L (3, 3) and C (3,), or on a stack, L (K, 3, 3) and
+    C (K, 3), checked in one (K, 12) comparison. A NaN deviation counts as a
+    failure. Each failing map gets its own FormulaMismatchWarning naming every
+    failing component and its deviation.
     """
     _, _, deviation = _components(closed, oracle)
     bad = ~(deviation <= tol)
     if not bad.any():
         return closed
-    details = ", ".join(
-        f"{name} off by {dev:.3e}" for name, dev, fails in zip(COMPONENT_NAMES, deviation, bad) if fails
-    )
-    warnings.warn(
-        f"closed-form {label} components disagree with the matrix-route oracle: {details}; "
-        "using the oracle",
-        FormulaMismatchWarning,
-        stacklevel=3,
-    )
-    return oracle
+    for dev_row, bad_row in zip(deviation.reshape(-1, 12), bad.reshape(-1, 12)):
+        if not bad_row.any():
+            continue
+        details = ", ".join(
+            f"{name} off by {dev:.3e}" for name, dev, fails in zip(COMPONENT_NAMES, dev_row, bad_row) if fails
+        )
+        warnings.warn(
+            f"closed-form {label} components disagree with the matrix-route oracle: {details}; "
+            "using the oracle",
+            FormulaMismatchWarning,
+            stacklevel=3,
+        )
+    failed = bad.any(axis=-1)
+    if failed.all():
+        return oracle
+    return (np.where(failed[..., None, None], oracle[0], closed[0]),
+            np.where(failed[..., None], oracle[1], closed[1]))

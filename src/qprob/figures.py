@@ -70,14 +70,14 @@ def render_svg(pics, with_squares: bool = False) -> str:
         cursor += float(points[:, 0].max() - points[:, 0].min()) + _PANEL_GAP
 
     points = np.vstack([shape[1] for shape in all_shapes])
-    xmin, ymin = points.min(axis=0) - _MARGIN
-    xmax, ymax = points.max(axis=0) + _MARGIN
+    xmin, ymin = (points.min(axis=0) - _MARGIN).tolist()
+    xmax, ymax = (points.max(axis=0) + _MARGIN).tolist()
     width = (xmax - xmin) * _SCALE
     height = (ymax - ymin) * _SCALE
 
-    def to_px(pt: np.ndarray) -> tuple[float, float]:
+    def to_px(x: float, y: float) -> tuple[str, str]:
         # SVG y grows downward; flip the geometry's y axis
-        return (float(pt[0]) - xmin) * _SCALE, (ymax - float(pt[1])) * _SCALE
+        return _fmt((x - xmin) * _SCALE), _fmt((ymax - y) * _SCALE)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
@@ -86,11 +86,12 @@ def render_svg(pics, with_squares: bool = False) -> str:
     ]
     for kind, pts, attrs in all_shapes:
         attr_text = " ".join(f'{key}="{value}"' for key, value in attrs.items())
+        rows = pts.tolist()
         if kind == "polygon":
-            coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(pt) for pt in pts))
+            coords = " ".join(",".join(to_px(x, y)) for x, y in rows)
             parts.append(f'<polygon points="{coords}" {attr_text}/>')
         else:
-            cx, cy = to_px(pts[0])
-            parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" {attr_text}/>')
+            cx, cy = to_px(*rows[0])
+            parts.append(f'<circle cx="{cx}" cy="{cy}" {attr_text}/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,6 +7,12 @@ A Hermitian 2x2 matrix H embeds into density matrices through
 for admissible shifts x (positive normalization, nonnegative spectrum).
 Reading the probability triples of rho(a) and rho(b) at two distinct shifts
 encodes H completely, and closed forms recover the matrix from the triples.
+
+Each public function checks that H is Hermitian once, in _accept, which
+also solves the spectrum; the private kernels behind it (_rho_of_x,
+_default_shifts, _admissible_bound) take the accepted matrix and its
+smallest eigenvalue and run no guard of their own. Only the
+matrices they build, the rho(x), are checked again, as density matrices.
 """
 
 from __future__ import annotations
@@ -43,6 +49,16 @@ class ObservableProbRep:
             raise DomainError("encoding shifts must differ (a == b repeats one equation)")
 
 
+def _accept(h, name: str = "matrix") -> tuple[np.ndarray, float]:
+    """The one Hermitian guard of a public call, and the smallest eigenvalue of what it accepted."""
+    m = matrix_oracle.require_hermitian(h, name=name)
+    return m, matrix_oracle._eigenvalues(m)[0]
+
+
+def _admissible_bound(m: np.ndarray, lam_min: float) -> float:
+    return max(-lam_min, -0.5 * float(m[0, 0].real + m[1, 1].real))
+
+
 def admissible_shift_bound(h) -> float:
     """Greatest lower bound of the admissible shifts for a Hermitian matrix.
 
@@ -50,44 +66,39 @@ def admissible_shift_bound(h) -> float:
     is attained unless H is a multiple of the identity, where only strictly
     larger shifts keep the normalization positive.
     """
-    m = matrix_oracle.require_hermitian(h)
-    lam_min, _ = matrix_oracle.eigenvalues_hermitian(m)
-    tr = float(m[0, 0].real + m[1, 1].real)
-    return max(-lam_min, -0.5 * tr)
+    return _admissible_bound(*_accept(h))
 
 
 def conservative_shift_bound(h) -> float:
     """|lambda_min(H)|: every x >= this value is admissible."""
-    m = matrix_oracle.require_hermitian(h)
-    lam_min, _ = matrix_oracle.eigenvalues_hermitian(m)
-    return abs(lam_min)
+    return abs(_accept(h)[1])
+
+
+def _default_shifts(lam_min: float) -> tuple[float, float]:
+    bound = abs(lam_min)
+    return bound + 1.0, bound + 2.0
 
 
 def default_shifts(h) -> tuple[float, float]:
     """Reproducible, well-separated admissible pair (|lambda_min| + 1, |lambda_min| + 2)."""
-    bound = conservative_shift_bound(h)
-    return bound + 1.0, bound + 2.0
+    return _default_shifts(_accept(h)[1])
 
 
-def _require_admissible(m: np.ndarray, x: float) -> float:
-    """Validate the shift and return the normalization tr(H) + 2x."""
-    lam_min, _ = matrix_oracle.eigenvalues_hermitian(m)
+def _rho_of_x(m: np.ndarray, lam_min: float, x: float) -> np.ndarray:
+    """rho(x) for a validated H with smallest eigenvalue lam_min; rejects an inadmissible x."""
     tr = float(m[0, 0].real + m[1, 1].real)
     denom = tr + 2.0 * x
     if denom <= DENOM_GUARD or lam_min + x < -ADMISSIBLE_SLACK:
-        bound = max(-lam_min, -0.5 * tr)
         raise DomainError(
             f"shift x = {x!r} is inadmissible for this matrix; "
-            f"need x >= {bound!r} (strictly above for identity multiples)"
+            f"need x >= {_admissible_bound(m, lam_min)!r} (strictly above for identity multiples)"
         )
-    return denom
+    return (m + x * matrix_oracle.IDENTITY) / denom
 
 
 def rho_of_x(h, x: float) -> np.ndarray:
     """(H + x*I) / (tr H + 2x): a unit-trace PSD matrix for admissible x."""
-    m = matrix_oracle.require_hermitian(h, name="observable")
-    denom = _require_admissible(m, float(x))
-    return (m + float(x) * matrix_oracle.IDENTITY) / denom
+    return _rho_of_x(*_accept(h, "observable"), float(x))
 
 
 def encode_observable(h, a: float | None = None, b: float | None = None,
@@ -97,15 +108,16 @@ def encode_observable(h, a: float | None = None, b: float | None = None,
     The triples are read directly off rho(a) and rho(b); equivalently
     P3(x) = (H11 + x)/(H11 + H22 + 2x) and
     P1(x) - i P2(x) - conj(GAMMA) = H12/(H11 + H22 + 2x),
-    with the same denominator at each shift.
+    with the same denominator at each shift. H is validated and its spectrum
+    solved once; each rho(x) is still checked as a density matrix.
     """
-    m = matrix_oracle.require_hermitian(h, name="observable")
+    m, lam_min = _accept(h, "observable")
     if a is None and b is None:
-        a, b = default_shifts(m)
+        a, b = _default_shifts(lam_min)
     elif a is None or b is None:
         raise DomainError("provide both shifts or neither")
-    p_a = qubit_core.probs_from_density(rho_of_x(m, a), tol)
-    p_b = qubit_core.probs_from_density(rho_of_x(m, b), tol)
+    p_a = qubit_core.probs_from_density(_rho_of_x(m, lam_min, float(a)), tol)
+    p_b = qubit_core.probs_from_density(_rho_of_x(m, lam_min, float(b)), tol)
     return ObservableProbRep(float(a), float(b), p_a, p_b)
 
 

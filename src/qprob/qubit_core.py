@@ -98,7 +98,7 @@ def probs_from_density(rho, tol: float = DEFAULT_TOL) -> ProbTriple:
     trace = float(m[0, 0].real + m[1, 1].real)
     if abs(trace - 1.0) > tol:
         raise DomainError(f"density matrix must have unit trace, got {trace!r}")
-    lam_min, _ = matrix_oracle.eigenvalues_hermitian(m)
+    lam_min, _ = matrix_oracle._eigenvalues(m)
     if lam_min < -tol:
         raise DomainError(f"density matrix is indefinite (lambda_min = {lam_min:.3e})")
     return ProbTriple(

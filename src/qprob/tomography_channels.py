@@ -120,10 +120,21 @@ _PAULI = np.stack([matrix_oracle.SIGMA_X, matrix_oracle.SIGMA_Y, matrix_oracle.S
 
 
 def _adjoint_rotation(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form: R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 and C = (I - R) c."""
-    frames = u @ _PAULI @ u.conj().T
-    R = 0.5 * np.einsum("iab,jba->ij", _PAULI, frames).real
+    """Closed form for a (..., 2, 2) stack: R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 and C = (I - R) c."""
+    u = u[..., None, :, :]
+    frames = u @ _PAULI @ u.conj().swapaxes(-1, -2)
+    R = 0.5 * np.einsum("iab,...jba->...ij", _PAULI, frames).real
     return R, BALL_CENTER - R @ BALL_CENTER
+
+
+def _rotation_maps(w: np.ndarray, formula_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L, C) stacks for a (K, 2, 2) stack of validated unitaries.
+
+    The closed forms and the probe-fit oracles come from one stacked product
+    each and are compared in one pass; a term that fails warns and takes its
+    oracle.
+    """
+    return checked_map(_adjoint_rotation(w), rotation_oracle(w), formula_tol, "rotation")
 
 
 def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[FormulaCheck]:
@@ -138,10 +149,10 @@ def rotation_from_unitary(u, formula_tol: float = ROTATION_FORMULA_TOL) -> Affin
     The map is the closed-form adjoint rotation, checked against the fit
     through four probe states of the matrix route. If any component deviates
     beyond formula_tol, a FormulaMismatchWarning names it and the probe fit
-    is returned instead.
+    is returned instead. This is channel_map's route with one term.
     """
-    w = matrix_oracle.require_unitary(u)
-    return AffineMap3(*checked_map(_adjoint_rotation(w), rotation_oracle(w), formula_tol, "rotation"))
+    L, C = _rotation_maps(matrix_oracle.require_unitary(u)[None], formula_tol)
+    return AffineMap3(L[0], C[0])
 
 
 @dataclass(frozen=True)
@@ -159,7 +170,10 @@ class ChannelSpec:
             w = float(weight)
             if w < -WEIGHT_TOL:
                 raise DomainError(f"channel weight {k} is negative ({w!r})")
-            cleaned.append((w, matrix_oracle.require_unitary(u, name=f"channel unitary {k}")))
+            # a read-only copy, so that channel_map can use it without checking it again
+            unitary = matrix_oracle.require_unitary(u, name=f"channel unitary {k}").copy()
+            unitary.flags.writeable = False
+            cleaned.append((w, unitary))
             total += w
         if abs(total - 1.0) > WEIGHT_TOL:
             raise DomainError(f"channel weights must sum to 1, got {total!r}")
@@ -167,11 +181,15 @@ class ChannelSpec:
 
 
 def channel_map(spec: ChannelSpec, formula_tol: float = ROTATION_FORMULA_TOL) -> AffineMap3:
-    """Weighted sum of the per-unitary affine maps; a contraction on the ball."""
-    L = np.zeros((3, 3))
-    C = np.zeros(3)
-    for weight, u in spec.terms:
-        part = rotation_from_unitary(u, formula_tol)
-        L += weight * part.L
-        C += weight * part.C
-    return AffineMap3(L, C)
+    """Weighted sum of the per-unitary affine maps; a contraction on the ball.
+
+    The unitaries, already validated by ChannelSpec, go through
+    rotation_from_unitary's route as one (K, 2, 2) stack.
+    """
+    weights = np.array([w for w, _ in spec.terms])
+    L, C = _rotation_maps(np.stack([u for _, u in spec.terms]), formula_tol)
+    # term by term from +0.0, as the loop over rotation_from_unitary sums, bit for bit
+    return AffineMap3(
+        np.add.reduce(weights[:, None, None] * L, axis=0, initial=0.0),
+        np.add.reduce(weights[:, None] * C, axis=0, initial=0.0),
+    )

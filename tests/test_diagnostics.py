@@ -41,3 +41,15 @@ def test_component_checks_agree_with_checked_map():
     checks = component_checks(CLOSED, oracle, 1e-9)
     assert [c.name for c in checks] == [f"L{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)] + ["C1", "C2", "C3"]
     assert [c.name for c in failed_checks(checks)] == ["L31"]
+
+
+def test_stacked_maps_fall_back_term_by_term():
+    closed = (np.stack([CLOSED[0]] * 3), np.stack([CLOSED[1]] * 3))
+    oracle = tuple(np.stack(parts) for parts in zip(shifted(0, 0, 1e-12), shifted(0, 2, 0.25), shifted(3, 1, 1e-12)))
+    with pytest.warns(FormulaMismatchWarning, match=r"L13 off by 2\.500e-01") as record:
+        L, C = checked_map(closed, oracle, 1e-9, "test map")
+    assert len(record) == 1
+    # only the failing term takes the oracle's map
+    for k, source in enumerate((closed, oracle, closed)):
+        np.testing.assert_array_equal(L[k], source[0][k])
+        np.testing.assert_array_equal(C[k], source[1][k])

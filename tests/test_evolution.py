@@ -320,6 +320,24 @@ def test_validated_generator_is_the_closed_form_at_every_scale(entries, log_norm
     assert checked.C.tobytes() == closed.C.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(entries=st.tuples(unit, unit, unit, unit), log_norm=st.floats(-9.0, 13.0))
+# at 1e12 the oracle's rounding (about 2.4e-16 |H|) passed the absolute 1e-4
+@example(entries=(0.6265404784005448, 0.8255111545554434, 0.21327155153435973, 0.4589931219679968),
+         log_norm=12.0)
+def test_kinetic_check_is_quiet_at_large_norms(entries, log_norm):
+    d1, d2, re, im = (10.0 ** log_norm * e for e in entries)
+    h = np.array([[d1, re - 1j * im], [re + 1j * im, d2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checked = build_kinetic(h, 0.0)
+        checks = kinetic_formula_checks(h)
+    assert failed_checks(checks) == []
+    closed = build_kinetic(h, 0.0, validate=False)
+    assert checked.L.tobytes() == closed.L.tobytes()
+    assert checked.C.tobytes() == closed.C.tobytes()
+
+
 def test_fallback_at_large_norm_is_a_valid_system(rng):
     h = random_hermitian(rng, scale=1e9)
     with pytest.warns(FormulaMismatchWarning, match="kinetic generator"):

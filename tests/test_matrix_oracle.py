@@ -62,13 +62,19 @@ def test_unitarity_guard():
 
 def test_guards_reject_non_finite_entries():
     # a NaN defect (inf - inf is NaN too) must not slip past the tolerance comparison
-    for bad in (np.nan, np.inf):
-        m = np.array([[bad, 0.0], [0.0, -1.0]])
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(DomainError, match="not Hermitian"):
+    for bad in (np.nan, np.inf, -np.inf):
+        for position in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            m = np.array([[0.0, 0.0], [0.0, -1.0]], dtype=complex)
+            m[position] = bad
+            with np.errstate(invalid="ignore"):
+                elementwise = np.max(np.abs(m - m.conj().T))
+                with pytest.raises(DomainError, match="not unitary"):
+                    require_unitary(m)
+            defect = hermiticity_defect(m)
+            assert not np.isfinite(defect), (bad, position)
+            np.testing.assert_equal(defect, elementwise)
+            with pytest.raises(DomainError, match=f"not Hermitian \\(defect {elementwise:.3e}"):
                 require_hermitian(m)
-            with pytest.raises(DomainError, match="not unitary"):
-                require_unitary(m)
 
 
 def test_pauli_components_reconstruct():

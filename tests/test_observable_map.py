@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprob import (
     DomainError,
@@ -14,8 +16,10 @@ from qprob import (
     default_shifts,
     encode_observable,
     observable_tomogram,
+    probs_from_density,
     rho_of_x,
 )
+from qprob import matrix_oracle
 from qprob.matrix_oracle import IDENTITY, SIGMA_Z
 from qprob.tomography_channels import Direction
 
@@ -218,3 +222,48 @@ def test_observable_tomogram_matches_density_diagonal(rng):
         w_plus, w_minus = observable_tomogram(h, direction, x)
         assert abs(w_plus - rotated[0, 0].real) < 1e-12
         assert w_plus + w_minus == 1.0
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.tuples(unit, unit, unit, unit),
+    log_norm=st.floats(-9.0, 9.0),
+    shifts=st.none() | st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+def test_encode_is_the_triples_of_rho_at_each_shift(entries, log_norm, shifts):
+    # encode validates H and solves its spectrum once; the result, or the error,
+    # must be that of reading each rho(x) through the public calls separately
+    scale = 10.0 ** log_norm
+    d1, d2, re, im = (scale * e for e in entries)
+    h = np.array([[d1, re - 1j * im], [re + 1j * im, d2]])
+    a, b = default_shifts(h) if shifts is None else (scale * shifts[0], scale * shifts[1])
+    try:
+        p_a = probs_from_density(rho_of_x(h, a))
+        p_b = probs_from_density(rho_of_x(h, b))
+        expected = ObservableProbRep(a, b, p_a, p_b)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as caught:
+            encode_observable(h, *(() if shifts is None else (a, b)))
+        assert str(caught.value) == str(exc)
+        return
+    rep = encode_observable(h, *(() if shifts is None else (a, b)))
+    assert (rep.a, rep.b) == (expected.a, expected.b)
+    assert rep.p_a.as_array().tobytes() == expected.p_a.as_array().tobytes()
+    assert rep.p_b.as_array().tobytes() == expected.p_b.as_array().tobytes()
+
+
+def test_encode_checks_each_matrix_once(monkeypatch):
+    names = []
+    original = matrix_oracle.require_hermitian
+
+    def counting(matrix, *args, **kwargs):
+        names.append(kwargs.get("name", "matrix"))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(matrix_oracle, "require_hermitian", counting)
+    encode_observable(H_EXAMPLE)
+    # H once, then each rho(x) it builds once
+    assert names == ["observable", "density matrix", "density matrix"]

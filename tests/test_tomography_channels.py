@@ -248,6 +248,49 @@ def test_channel_depolarizing_frozen():
     np.testing.assert_allclose(mapping.C, BALL_CENTER, rtol=0, atol=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    generators=st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 4), min_size=1, max_size=4),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=4, max_size=4),
+    raw_weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+)
+def test_channel_is_the_weighted_sum_of_rotations(generators, phases, raw_weights):
+    # the stacked route must reproduce the sequential sum of single rotations bit for bit
+    unitaries = [
+        np.exp(1j * phase) * expm_hermitian_generator(np.array([[d1, re - 1j * im], [re + 1j * im, d2]]), 1.0)
+        for (d1, d2, re, im), phase in zip(generators, phases)
+    ]
+    total = sum(raw_weights[: len(unitaries)])
+    weights = [w / total for w in raw_weights[: len(unitaries)]]
+    mapping = channel_map(ChannelSpec(tuple(zip(weights, unitaries))))
+    L, C = np.zeros((3, 3)), np.zeros(3)
+    for weight, u in zip(weights, unitaries):
+        part = rotation_from_unitary(u)
+        L += weight * part.L
+        C += weight * part.C
+    assert mapping.L.tobytes() == L.tobytes()
+    assert mapping.C.tobytes() == C.tobytes()
+
+
+def test_channel_mismatch_warns_once_per_term(rng):
+    spec = ChannelSpec(tuple((1.0 / 3.0, random_unitary(rng)) for _ in range(3)))
+    with pytest.warns(FormulaMismatchWarning) as record:
+        mapping = channel_map(spec, formula_tol=-1.0)
+    # each term warns with the text a single rotation gives and falls back to its own probe fit
+    messages = []
+    L, C = np.zeros((3, 3)), np.zeros(3)
+    for weight, u in spec.terms:
+        with pytest.warns(FormulaMismatchWarning) as single:
+            part = rotation_from_unitary(u, formula_tol=-1.0)
+        messages += [str(w.message) for w in single]
+        L += weight * part.L
+        C += weight * part.C
+    assert len(messages) == 3
+    assert [str(w.message) for w in record] == messages
+    assert mapping.L.tobytes() == L.tobytes()
+    assert mapping.C.tobytes() == C.tobytes()
+
+
 def test_channel_matches_matrix_route(rng):
     for _ in range(30):
         k = int(rng.integers(1, 5))
@@ -287,6 +330,16 @@ def test_channel_spec_validation(rng):
         ChannelSpec(((0.5, IDENTITY), (0.4, SIGMA_X)))
     with pytest.raises(DomainError, match="not unitary"):
         ChannelSpec(((1.0, np.array([[1.0, 1.0], [0.0, 1.0]])),))
+
+
+def test_channel_spec_holds_its_own_unitaries():
+    # channel_map trusts ChannelSpec's check, so a later write must not reach the spec
+    u = SIGMA_X.copy()
+    spec = ChannelSpec(((1.0, u),))
+    u[:] = 2.0 * IDENTITY
+    with pytest.raises(ValueError):
+        spec.terms[0][1][0, 0] = 2.0
+    np.testing.assert_array_equal(channel_map(spec).L, rotation_from_unitary(SIGMA_X).L)
 
 
 def test_affine_map_shapes():
