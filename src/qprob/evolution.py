@@ -160,7 +160,7 @@ def evolve_observable(a0, h, x: float, t: float, tol: float = DEFAULT_TOL) -> np
     A(t) = (tr A0 + 2x) rho(x, t) - x I undoes the embedding; the trace is
     conserved, so the same normalization applies at both ends.
     """
-    m, lam_min = observable_map._accept(a0, "observable")
+    m, lam_min, _ = observable_map._accept(a0, "observable")
     p0 = qubit_core.probs_from_density(observable_map._rho_of_x(m, lam_min, float(x)), tol)
     system = build_kinetic(h, x)
     pt = evolve(system, p0, t, tol)

@@ -6,17 +6,19 @@ A Hermitian 2x2 matrix H embeds into density matrices through
 
 for admissible shifts x (positive normalization, nonnegative spectrum).
 Reading the probability triples of rho(a) and rho(b) at two distinct shifts
-encodes H completely, and closed forms recover the matrix from the triples.
+encodes H completely: with H = (T/2) I + (h/2) . sigma, each triple's Bloch
+vector r(x) = 2 (p(x) - c) = h / (T + 2x), so one ratio and one product decode.
 
 Each public function checks that H is Hermitian once, in _accept, which
 also solves the spectrum; the private kernels behind it (_rho_of_x,
 _default_shifts, _admissible_bound) take the accepted matrix and its
-smallest eigenvalue and run no guard of their own. Only the
+eigenvalues and run no guard of their own. Only the
 matrices they build, the rho(x), are checked again, as density matrices.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,11 +29,11 @@ from .errors import DomainError, NonInvertibleEncodingWarning
 from .qubit_core import DEFAULT_TOL, ProbTriple
 from .tomography_channels import _tomogram
 
-# Absolute guard on denominators before dividing.
+# Relative guard: a Bloch vector, or a normalization against its terms, this small is zero.
 DENOM_GUARD = 1e-12
-# Two reconstructions of the off-diagonal entry must agree this closely.
+# The two Bloch vectors of an encoding must be parallel to within this residual.
 CONSISTENCY_TOL = 1e-8
-# Slack on the spectrum bound so boundary shifts computed in floating point pass.
+# Slack on rho(x)'s smallest eigenvalue, so boundary shifts computed in floating point pass.
 ADMISSIBLE_SLACK = 1e-12
 
 
@@ -49,10 +51,10 @@ class ObservableProbRep:
             raise DomainError("encoding shifts must differ (a == b repeats one equation)")
 
 
-def _accept(h, name: str = "matrix") -> tuple[np.ndarray, float]:
-    """The one Hermitian guard of a public call, and the smallest eigenvalue of what it accepted."""
+def _accept(h, name: str = "matrix") -> tuple[np.ndarray, float, float]:
+    """The one Hermitian guard of a public call, and both eigenvalues of what it accepted."""
     m = matrix_oracle.require_hermitian(h, name=name)
-    return m, matrix_oracle._eigenvalues(m)[0]
+    return (m, *matrix_oracle._eigenvalues(m))
 
 
 def _admissible_bound(m: np.ndarray, lam_min: float) -> float:
@@ -66,7 +68,7 @@ def admissible_shift_bound(h) -> float:
     is attained unless H is a multiple of the identity, where only strictly
     larger shifts keep the normalization positive.
     """
-    return _admissible_bound(*_accept(h))
+    return _admissible_bound(*_accept(h)[:2])
 
 
 def conservative_shift_bound(h) -> float:
@@ -74,21 +76,25 @@ def conservative_shift_bound(h) -> float:
     return abs(_accept(h)[1])
 
 
-def _default_shifts(lam_min: float) -> tuple[float, float]:
+def _default_shifts(lam_min: float, lam_max: float) -> tuple[float, float]:
+    sigma = max(abs(lam_min), abs(lam_max)) or 1.0
     bound = abs(lam_min)
-    return bound + 1.0, bound + 2.0
+    return bound + sigma, bound + 2.0 * sigma
 
 
 def default_shifts(h) -> tuple[float, float]:
-    """Reproducible, well-separated admissible pair (|lambda_min| + 1, |lambda_min| + 2)."""
-    return _default_shifts(_accept(h)[1])
+    """Admissible pair (|lambda_min| + s, |lambda_min| + 2 s) with s = max|lambda| (1 for H = 0).
+
+    Both scale with H, so the encoding is conditioned alike at every ||H||.
+    """
+    return _default_shifts(*_accept(h)[1:])
 
 
 def _rho_of_x(m: np.ndarray, lam_min: float, x: float) -> np.ndarray:
     """rho(x) for a validated H with smallest eigenvalue lam_min; rejects an inadmissible x."""
     tr = float(m[0, 0].real + m[1, 1].real)
     denom = tr + 2.0 * x
-    if denom <= DENOM_GUARD or lam_min + x < -ADMISSIBLE_SLACK:
+    if denom <= DENOM_GUARD * (abs(tr) + 2.0 * abs(x)) or lam_min + x < -ADMISSIBLE_SLACK * denom:
         raise DomainError(
             f"shift x = {x!r} is inadmissible for this matrix; "
             f"need x >= {_admissible_bound(m, lam_min)!r} (strictly above for identity multiples)"
@@ -98,7 +104,7 @@ def _rho_of_x(m: np.ndarray, lam_min: float, x: float) -> np.ndarray:
 
 def rho_of_x(h, x: float) -> np.ndarray:
     """(H + x*I) / (tr H + 2x): a unit-trace PSD matrix for admissible x."""
-    return _rho_of_x(*_accept(h, "observable"), float(x))
+    return _rho_of_x(*_accept(h, "observable")[:2], float(x))
 
 
 def encode_observable(h, a: float | None = None, b: float | None = None,
@@ -111,9 +117,9 @@ def encode_observable(h, a: float | None = None, b: float | None = None,
     with the same denominator at each shift. H is validated and its spectrum
     solved once; each rho(x) is still checked as a density matrix.
     """
-    m, lam_min = _accept(h, "observable")
+    m, lam_min, lam_max = _accept(h, "observable")
     if a is None and b is None:
-        a, b = _default_shifts(lam_min)
+        a, b = _default_shifts(lam_min, lam_max)
     elif a is None or b is None:
         raise DomainError("provide both shifts or neither")
     p_a = qubit_core.probs_from_density(_rho_of_x(m, lam_min, float(a)), tol)
@@ -121,51 +127,30 @@ def encode_observable(h, a: float | None = None, b: float | None = None,
     return ObservableProbRep(float(a), float(b), p_a, p_b)
 
 
-def _off_diagonal(p: ProbTriple) -> complex:
-    # rho12(x) = p1(x) - i p2(x) - (1 - i)/2
-    return complex(p.p1 - 0.5, 0.5 - p.p2)
+def _bloch(p: ProbTriple) -> tuple[float, float, float]:
+    """r = 2 (p - c): the Bloch vector of the triple, dimensionless, |r| <= 1 in the ball."""
+    return 2.0 * p.p1 - 1.0, 2.0 * p.p2 - 1.0, 2.0 * p.p3 - 1.0
+
+
+def _carries_no_trace(rep: ObservableProbRep) -> bool:
+    """Both triples sit at the ball centre: the encoded H was a multiple of the identity."""
+    return max(math.hypot(*_bloch(rep.p_a)), math.hypot(*_bloch(rep.p_b))) <= DENOM_GUARD
 
 
 def decode_observable(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Recover the Hermitian matrix from its two-triple encoding.
 
-    The generic inverse uses the closed forms
-
-        H11  = [a p3(b) (1 - 2 p3(a)) - b p3(a) (1 - 2 p3(b))] / (p3(a) - p3(b))
-        tr H = [a - b + 2 (b p3(b) - a p3(a))] / (p3(a) - p3(b))
-        H12  = (tr H + 2a) rho12(a)
-
-    When p3(a) = p3(b) (equal diagonal entries force p3 = 1/2 at every shift)
-    the trace is recovered from the off-diagonal ratio instead; when the
-    off-diagonals also vanish the observable was a multiple of the identity,
-    its trace is unrecoverable, and the zero matrix is returned under a
-    NonInvertibleEncodingWarning. The two reconstructions of H12 must agree
-    within CONSISTENCY_TOL or the representation is rejected as inconsistent.
+    With H = (T/2) I + (h/2) . sigma, the Bloch vectors r(x) = h / (T + 2x) are parallel, so
+    s = r_a . r_b / |r_b|^2 = (T + 2b) / (T + 2a) gives T = 2 (b - a s) / (s - 1),
+    and h = (T + 2a) r_a. When both triples sit at the ball centre
+    (|r| <= DENOM_GUARD), H was a multiple of the identity: the zero matrix is
+    returned under a NonInvertibleEncodingWarning. Vectors not parallel within
+    CONSISTENCY_TOL, or an s that makes T + 2a or T + 2b nonpositive, fit no
+    admissible Hermitian matrix and raise DomainError.
     """
     qubit_core.require_physical(rep.p_a, tol)
     qubit_core.require_physical(rep.p_b, tol)
-    a, b = rep.a, rep.b
-    p3a, p3b = rep.p_a.p3, rep.p_b.p3
-    r12a, r12b = _off_diagonal(rep.p_a), _off_diagonal(rep.p_b)
-
-    dp3 = p3a - p3b
-    if abs(dp3) > DENOM_GUARD:
-        h11 = (a * p3b * (1.0 - 2.0 * p3a) - b * p3a * (1.0 - 2.0 * p3b)) / dp3
-        trace = (a - b + 2.0 * (b * p3b - a * p3a)) / dp3
-    elif abs(r12a - r12b) > DENOM_GUARD:
-        # Equal diagonal entries: p3 must sit at 1/2, off-diagonals carry the trace.
-        if abs(p3a - 0.5) > CONSISTENCY_TOL or abs(p3b - 0.5) > CONSISTENCY_TOL:
-            raise DomainError(
-                "ill-posed encoding: equal p3 values away from 1/2 fit no Hermitian matrix"
-            )
-        ratio = 2.0 * (b * r12b - a * r12a) / (r12a - r12b)
-        if abs(ratio.imag) > CONSISTENCY_TOL:
-            raise DomainError(
-                f"inconsistent encoding: the trace estimate {ratio!r} is not real"
-            )
-        trace = ratio.real
-        h11 = 0.5 * trace
-    else:
+    if _carries_no_trace(rep):
         warnings.warn(
             "encoding carries no trace information (the observable was a multiple "
             "of the identity); returning the zero-trace representative",
@@ -173,18 +158,23 @@ def decode_observable(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> np.nd
             stacklevel=2,
         )
         return np.zeros((2, 2), dtype=complex)
-
-    h12_a = (trace + 2.0 * a) * r12a
-    h12_b = (trace + 2.0 * b) * r12b
-    if abs(h12_a - h12_b) > CONSISTENCY_TOL:
+    a, b = rep.a, rep.b
+    (ax, ay, az), (bx, by, bz) = _bloch(rep.p_a), _bloch(rep.p_b)
+    bb = bx * bx + by * by + bz * bz
+    s = (ax * bx + ay * by + az * bz) / bb if bb else 0.0
+    residual = math.hypot(ax - s * bx, ay - s * by, az - s * bz)
+    # s > 0 and (s - 1)(b - a) > 0 say T + 2a > 0 and T + 2b > 0
+    if not (residual <= CONSISTENCY_TOL and s > 0.0 and (s - 1.0) * (b - a) > 0.0):
         raise DomainError(
-            "inconsistent encoding: off-diagonal reconstructions disagree "
-            f"({h12_a!r} from shift a, {h12_b!r} from shift b)"
+            "inconsistent and ill-posed encoding: the Bloch vectors must be parallel, with "
+            "ratio (T + 2b)/(T + 2a) of positive normalizations; "
+            f"got {s!r}, residual {residual:.3e}"
         )
-    return np.array(
-        [[h11, h12_a], [np.conj(h12_a), trace - h11]],
-        dtype=complex,
-    )
+    trace = 2.0 * (b - a * s) / (s - 1.0)
+    half = 0.5 * (trace + 2.0 * a)  # h/2 = half r_a
+    h12 = half * complex(ax, -ay)
+    return np.array([[0.5 * trace + half * az, h12], [h12.conjugate(), 0.5 * trace - half * az]],
+                    dtype=complex)
 
 
 def observable_tomogram(h, direction, x: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:

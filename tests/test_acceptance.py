@@ -66,8 +66,8 @@ def test_criterion_2_observable_round_trip(rng):
         h = random_hermitian(rng, scale=5.0)
         recovered = decode_observable(encode_observable(h))
         assert np.max(np.abs(recovered - h)) <= 1e-9
-    # degenerate diagonal: both embedded triples pin p3 = 1/2, forcing the
-    # off-diagonal decoding branch
+    # degenerate diagonal: both embedded triples pin p3 = 1/2, so the trace
+    # comes from the in-plane components of the Bloch vectors alone
     for _ in range(50):
         d = rng.uniform(-5.0, 5.0)
         re = rng.uniform(0.25, 5.0) * rng.choice((-1.0, 1.0))

@@ -100,6 +100,16 @@ def test_decode_identity_rep_reports_warning(monkeypatch, capsys):
     assert any("trace" in note for note in doc["warnings"])
 
 
+def test_encode_small_observable_is_not_identity(monkeypatch, capsys):
+    # the identity note follows decode's scale-free no-trace test on the encoded pair
+    tiny = {"m11": [1e-13, 0], "m12": [0, 0], "m21": [0, 0], "m22": [-1e-13, 0]}
+    code, out, _ = run_cli(
+        ["encode"], stdin_text=json.dumps(tiny), monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 0
+    assert json.loads(out)["warnings"] == []
+
+
 def test_encode_rejects_non_hermitian(monkeypatch, capsys):
     skew = {"m11": [1, 0], "m12": [1, 0], "m21": [0, 0], "m22": [1, 0]}
     code, _, err = run_cli(
@@ -107,6 +117,19 @@ def test_encode_rejects_non_hermitian(monkeypatch, capsys):
     )
     assert code == 3
     assert "Hermitian" in err
+    # a defect of 1e-11 is past the library's one Hermitian check (1e-12)
+    near = {"m11": [1, 0], "m12": [0.5, 1e-11], "m21": [0.5, 0], "m22": [-1, 0]}
+    cases = [
+        (["encode"], near, "observable"),
+        (["evolve", "--t-end", "1", "--steps", "2"], {"H": near, "p0": STATE_X_JSON}, "hamiltonian"),
+        (["evolve", "--x", "2", "--t-end", "1", "--steps", "2"],
+         {"H": SIGMA_Z_JSON, "A0": near}, "observable"),
+    ]
+    for args, doc, name in cases:
+        code, out, err = run_cli(args, stdin_text=json.dumps(doc), monkeypatch=monkeypatch,
+                                 capsys=capsys)
+        assert code == 3 and out == ""
+        assert f"{name} is not Hermitian (defect 1.000e-11" in err
 
 
 def test_encode_rejects_nan_entry(monkeypatch, capsys):

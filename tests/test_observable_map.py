@@ -1,5 +1,7 @@
 """Observable encoding: shifts, the two-triple representation, and its inverse."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,9 @@ def test_rho_of_x_rejects_inadmissible():
         rho_of_x(SIGMA_Z, 0.5)
     with pytest.raises(DomainError, match="inadmissible"):
         rho_of_x(IDENTITY, -1.0)  # normalization would vanish
+    for scale in (1e-13, 3e-12):  # rho(x) would be indefinite at every scale
+        with pytest.raises(DomainError, match="inadmissible"):
+            rho_of_x(scale * SIGMA_Z, scale * (5.0 / 6.0))
     with pytest.raises(DomainError):
         rho_of_x(np.array([[0.0, 1.0], [0.0, 0.0]]), 2.0)  # not Hermitian
 
@@ -193,6 +198,16 @@ def test_decode_rejects_equal_p3_away_from_half():
         decode_observable(rep)
 
 
+def test_decode_rejects_negative_normalization():
+    # parallel Bloch vectors with s = 1/2 although b > a: T + 2a and T + 2b
+    # would both be negative, so no admissible H encodes to this pair
+    rep = ObservableProbRep(
+        1.0, 2.0, ProbTriple(0.5, 0.5, 0.6), ProbTriple(0.5, 0.5, 0.7)
+    )
+    with pytest.raises(DomainError, match="ill-posed"):
+        decode_observable(rep)
+
+
 def test_decode_rejects_unphysical_triples():
     rep = ObservableProbRep(
         1.0, 2.0, ProbTriple(0.9, 0.9, 0.9), ProbTriple(0.5, 0.5, 0.6)
@@ -267,3 +282,56 @@ def test_encode_checks_each_matrix_once(monkeypatch):
     encode_observable(H_EXAMPLE)
     # H once, then each rho(x) it builds once
     assert names == ["observable", "density matrix", "density matrix"]
+
+
+def observable_of(log_norm, log_ratio, sign, direction, diagonal_gap):
+    """H = h0 I + hvec . sigma with ||H|| = 10**log_norm and |hvec|/||H|| = 10**log_ratio.
+
+    diagonal_gap, when given, shrinks the z-component of the direction to that
+    power of ten, so H11 and H22 nearly coincide.
+    """
+    nx, ny, nz = direction
+    if diagonal_gap is not None:
+        nz = np.copysign(10.0 ** diagonal_gap, nz)
+    n = np.array([nx, ny, nz]) / np.linalg.norm([nx, ny, nz])
+    norm, ratio = 10.0 ** log_norm, 10.0 ** log_ratio
+    h0, hx, hy, hz = sign * (1.0 - ratio) * norm, *(ratio * norm * n)
+    return np.array([[h0 + hz, hx - 1j * hy], [hx + 1j * hy, h0 - hz]])
+
+
+unit_direction = st.tuples(unit, unit, unit).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_norm=st.floats(-9.0, 9.0),
+    log_ratio=st.floats(-6.0, 0.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+    direction=unit_direction,
+    diagonal_gap=st.none() | st.floats(-16.0, -3.0),
+)
+def test_round_trip_is_scale_free(log_norm, log_ratio, sign, direction, diagonal_gap):
+    # the error left is the encoding's own conditioning, ||H|| / |hvec| relative
+    h = observable_of(log_norm, log_ratio, sign, direction, diagonal_gap)
+    lam_min, lam_max = np.linalg.eigvalsh(h)
+    norm, hvec = max(abs(lam_min), abs(lam_max)), 0.5 * (lam_max - lam_min)
+    recovered = decode_observable(encode_observable(h))
+    assert np.max(np.abs(recovered - h)) <= 1e-12 * norm * norm / hvec
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_norm=st.floats(-9.0, 9.0),
+    log_ratio=st.floats(-16.0, -10.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+    direction=unit_direction,
+)
+def test_near_identity_decodes_or_warns(log_norm, log_ratio, sign, direction):
+    rep = encode_observable(observable_of(log_norm, log_ratio, sign, direction, None))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        recovered = decode_observable(rep)
+    assert all(w.category is NonInvertibleEncodingWarning for w in caught)
+    assert np.all(np.isfinite(recovered))
+    if caught:
+        np.testing.assert_array_equal(recovered, np.zeros((2, 2), dtype=complex))
