@@ -1,8 +1,9 @@
 """Command-line interface over the probability representation.
 
-Thin adapter: parse JSON, call the library, serialize results. All numeric
-logic lives in the library modules. Exit codes: 0 success, 2 parse error,
-3 domain or precondition error, 4 input/output error.
+Thin adapter: main reads the JSON document and QPROB_TOL, a handler parses
+the document and calls the library, and main writes the text it returns. All
+numeric logic lives in the library modules. Exit codes, mapped in main alone:
+0 success, 2 parse error, 3 domain or precondition error, 4 input/output error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import (
     suprematism_geometry,
     tomography_channels,
 )
-from .errors import DomainError, FormulaMismatchWarning
+from .errors import DomainError
 from .observable_map import ObservableProbRep
 from .qubit_core import ProbTriple
 
@@ -60,12 +61,14 @@ def _as_number(value, key: str) -> float:
     return number
 
 
-def _check_float_flags(args) -> None:
-    """Reject NaN and infinite flag values, naming the flag, before any work."""
+def _check_flags(args) -> None:
+    """Reject non-finite float flags, naming the flag, and --steps over MAX_STEPS, before any read."""
     for dest in _FLOAT_FLAGS:
         value = getattr(args, dest, None)
         if value is not None:
             _as_number(value, "--" + dest.replace("_", "-"))
+    if getattr(args, "steps", 0) > MAX_STEPS:
+        raise ParseError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
 
 
 def _as_complex(pair, key: str) -> complex:
@@ -121,13 +124,6 @@ def parse_rep(obj) -> ObservableProbRep:
     )
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -137,8 +133,13 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_json(path: str):
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
@@ -164,178 +165,161 @@ def _is_triple_doc(doc) -> bool:
     return isinstance(doc, dict) and all(key in doc for key in _TRIPLE_KEYS)
 
 
-def cmd_encode(args) -> int:
-    h = parse_matrix(_load_json(args.infile))
+def _states(doc, command: str) -> ObservableProbRep | ProbTriple:
+    """The encoding or the single triple that figures and check take."""
+    if isinstance(doc, dict) and "P_a" in doc:
+        return parse_rep(doc)
+    if _is_triple_doc(doc):
+        return parse_triple(doc)
+    raise ParseError(f"{command} input must be an encoding or a probability triple")
+
+
+def _triples(states: ObservableProbRep | ProbTriple) -> tuple[ProbTriple, ...]:
+    return (states.p_a, states.p_b) if isinstance(states, ObservableProbRep) else (states,)
+
+
+def _physical_states(doc, args, tol: float) -> ObservableProbRep | ProbTriple:
+    """_states, with every triple required physical unless --allow-unphysical."""
+    states = _states(doc, args.command)
+    if not args.allow_unphysical:
+        for p in _triples(states):
+            qubit_core.require_physical(p, tol)
+    return states
+
+
+def cmd_encode(doc, args, tol: float) -> str:
+    h = parse_matrix(doc)
     if (args.a is None) != (args.b is None):
         raise ParseError("--a and --b must be given together")
-    tol = _tolerance()
+    m, lam_min, lam_max = observable_map._accept(h, "observable")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rep = observable_map.encode_observable(h, args.a, args.b, tol=tol)
-    notes = [str(w.message) for w in caught if issubclass(w.category, FormulaMismatchWarning)]
-    warns = [str(w.message) for w in caught if not issubclass(w.category, FormulaMismatchWarning)]
+        rep = observable_map._encode(m, lam_min, lam_max, args.a, args.b, tol)
+    warns = [str(w.message) for w in caught]
     if observable_map._carries_no_trace(rep):
         warns.append(
             "matrix is a multiple of the identity: the encoding does not determine "
             "its trace, and decoding returns the zero-trace representative"
         )
-    out = {
+    return _dump_json({
         "a": rep.a,
         "b": rep.b,
         "P_a": triple_to_json(rep.p_a),
         "P_b": triple_to_json(rep.p_b),
-        "admissible_bound": observable_map.admissible_shift_bound(h),
-        "errata_notes": notes,
+        "admissible_bound": observable_map._admissible_bound(m, lam_min),
+        "errata_notes": [],
         "warnings": warns,
-    }
-    _write_text(args.outfile, _dump_json(out))
-    return EXIT_OK
+    })
 
 
-def cmd_decode(args) -> int:
-    rep = parse_rep(_load_json(args.infile))
+def cmd_decode(doc, args, tol: float) -> str:
+    rep = parse_rep(doc)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        h = observable_map.decode_observable(rep, tol=_tolerance())
+        h = observable_map.decode_observable(rep, tol=tol)
     out = matrix_to_json(h)
-    messages = [str(w.message) for w in caught]
-    if messages:
-        out["warnings"] = messages
-    _write_text(args.outfile, _dump_json(out))
-    return EXIT_OK
+    if caught:
+        out["warnings"] = [str(w.message) for w in caught]
+    return _dump_json(out)
 
 
-def cmd_tomogram(args) -> int:
-    doc = _load_json(args.infile)
+def cmd_tomogram(doc, args, tol: float) -> str:
     direction = tomography_channels.Direction(args.theta, args.phi, args.psi)
-    tol = _tolerance()
     if _is_triple_doc(doc):
         w_plus, w_minus = tomography_channels.state_tomogram(parse_triple(doc), direction, tol)
     else:
         if args.x is None:
             raise ParseError("an observable tomogram needs --x")
         w_plus, w_minus = observable_map.observable_tomogram(parse_matrix(doc), direction, args.x, tol)
-    _write_text(args.outfile, _dump_json({"w_plus": w_plus, "w_minus": w_minus}))
-    return EXIT_OK
+    return _dump_json({"w_plus": w_plus, "w_minus": w_minus})
 
 
-def cmd_evolve(args) -> int:
-    if args.steps > MAX_STEPS:
-        raise ParseError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
-    doc = _load_json(args.infile)
+def cmd_evolve(doc, args, tol: float) -> str:
     if not isinstance(doc, dict) or "H" not in doc:
         raise ParseError('evolve input needs an "H" matrix')
     h = parse_matrix(doc["H"])
-    tol = _tolerance()
     if "p0" in doc:
         p0 = parse_triple(doc["p0"])
         x = 0.0 if args.x is None else args.x
     elif "A0" in doc:
         if args.x is None:
             raise ParseError('evolve with "A0" needs --x')
-        a0 = parse_matrix(doc["A0"])
         x = args.x
-        p0 = qubit_core.probs_from_density(observable_map.rho_of_x(a0, x), tol)
+        p0 = qubit_core.probs_from_density(observable_map.rho_of_x(parse_matrix(doc["A0"]), x), tol)
     else:
         raise ParseError('evolve input needs "p0" or "A0"')
     system = evolution.build_kinetic(h, x)
     trajectory = evolution.sample_trajectory(system, p0, args.t_end, args.steps, tol)
     if args.format == "json":
-        out = {
+        return _dump_json({
             "x": trajectory.x,
             "times": [float(t) for t in trajectory.times],
             "probs": [[float(v) for v in row] for row in trajectory.probs],
-        }
-        _write_text(args.outfile, _dump_json(out))
-    else:
-        lines = ["t,p1,p2,p3"]
-        for t, row in zip(trajectory.times, trajectory.probs):
-            lines.append(",".join(f"{value:.17g}" for value in (t, row[0], row[1], row[2])))
-        _write_text(args.outfile, "\n".join(lines) + "\n")
-    return EXIT_OK
+        })
+    lines = ["t,p1,p2,p3"]
+    for t, row in zip(trajectory.times, trajectory.probs):
+        lines.append(",".join(f"{value:.17g}" for value in (t, row[0], row[1], row[2])))
+    return "\n".join(lines) + "\n"
 
 
-def cmd_figures(args) -> int:
-    doc = _load_json(args.infile)
-    if args.outfile == "-":
+def cmd_figures(doc, args, tol: float) -> str:
+    """Write the SVG files into --out and return their listing."""
+    if args.outdir == "-":
         raise ParseError("figures needs --out DIRECTORY")
-    tol = _tolerance()
-    if isinstance(doc, dict) and "P_a" in doc:
-        rep = parse_rep(doc)
-        if not args.allow_unphysical:
-            qubit_core.require_physical(rep.p_a, tol)
-            qubit_core.require_physical(rep.p_b, tol)
-        pic_a = suprematism_geometry.triangle_picture(rep.p_a)
-        pic_b = suprematism_geometry.triangle_picture(rep.p_b)
+    states = _physical_states(doc, args, tol)
+    pics = [suprematism_geometry.triangle_picture(p) for p in _triples(states)]
+    if isinstance(states, ObservableProbRep):
+        pic_a, pic_b = pics
         files = {
             "fig1.svg": figures.render_svg([pic_a]),
             "fig2.svg": figures.render_svg([pic_b]),
             "fig3.svg": figures.render_svg([pic_a], with_squares=True),
             "fig4.svg": figures.render_svg([pic_b], with_squares=True),
-            "fig5.svg": figures.render_svg([pic_a, pic_b]),
-        }
-    elif _is_triple_doc(doc):
-        p = parse_triple(doc)
-        if not args.allow_unphysical:
-            qubit_core.require_physical(p, tol)
-        pic = suprematism_geometry.triangle_picture(p)
-        files = {
-            "triangle.svg": figures.render_svg([pic]),
-            "squares.svg": figures.render_svg([pic], with_squares=True),
+            "fig5.svg": figures.render_svg(pics),
         }
     else:
-        raise ParseError("figures input must be an encoding or a probability triple")
-    os.makedirs(args.outfile, exist_ok=True)
+        files = {
+            "triangle.svg": figures.render_svg(pics),
+            "squares.svg": figures.render_svg(pics, with_squares=True),
+        }
+    os.makedirs(args.outdir, exist_ok=True)
     written = []
     for name, text in files.items():
-        path = os.path.join(args.outfile, name)
+        path = os.path.join(args.outdir, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         written.append(path)
-    sys.stdout.write(_dump_json({"written": written}))
-    return EXIT_OK
+    return _dump_json({"written": written})
 
 
-def _triple_report(p: ProbTriple, tol: float, allow_unphysical: bool) -> dict:
-    residual = qubit_core.check_ball(p)
+def _triple_report(p: ProbTriple, tol: float) -> dict:
     physical = qubit_core.is_physical(p, tol)
-    if not physical and not allow_unphysical:
-        qubit_core.require_physical(p, tol)  # raises with the precise reason
     report = {
         "p1": p.p1,
         "p2": p.p2,
         "p3": p.p3,
-        "ball_residual": residual,
+        "ball_residual": qubit_core.check_ball(p),
         "physical": physical,
     }
     if physical:
         rho = qubit_core.density_from_probs(p, tol)
-        lam_min, lam_max = matrix_oracle.eigenvalues_hermitian(rho)
-        report["density_eigenvalues"] = [lam_min, lam_max]
-    in_cube = bool(np.all(p.as_array() >= -1e-12) and np.all(p.as_array() <= 1.0 + 1e-12))
-    if in_cube:
+        report["density_eigenvalues"] = list(matrix_oracle.eigenvalues_hermitian(rho))
+    if qubit_core._violation(p, suprematism_geometry.CUBE_SLACK, ball=False) is None:
         report["area_sum"] = suprematism_geometry.area_sum(p)
         report["chord_lengths"] = list(suprematism_geometry.triangle_picture(p).side_lengths)
     return report
 
 
-def cmd_check(args) -> int:
-    doc = _load_json(args.infile)
-    tol = _tolerance()
-    if isinstance(doc, dict) and "P_a" in doc:
-        rep = parse_rep(doc)
-        report = {
-            "a": rep.a,
-            "b": rep.b,
-            "P_a": _triple_report(rep.p_a, tol, args.allow_unphysical),
-            "P_b": _triple_report(rep.p_b, tol, args.allow_unphysical),
-        }
-    elif _is_triple_doc(doc):
-        report = _triple_report(parse_triple(doc), tol, args.allow_unphysical)
-    else:
-        raise ParseError("check input must be an encoding or a probability triple")
-    _write_text(args.outfile, _dump_json(report))
-    return EXIT_OK
+def cmd_check(doc, args, tol: float) -> str:
+    states = _physical_states(doc, args, tol)
+    if isinstance(states, ObservableProbRep):
+        return _dump_json({
+            "a": states.a,
+            "b": states.b,
+            "P_a": _triple_report(states.p_a, tol),
+            "P_b": _triple_report(states.p_b, tol),
+        })
+    return _dump_json(_triple_report(states, tol))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, out_help: str = "output file (default stdout)"):
+    def add_io(p: argparse.ArgumentParser, dest: str = "outfile", metavar: str = "FILE",
+               out_help: str = "output file (default stdout)"):
         p.add_argument("--in", dest="infile", default="-", metavar="FILE",
                        help="input file (default stdin)")
-        p.add_argument("--out", dest="outfile", default="-", metavar="FILE", help=out_help)
+        p.add_argument("--out", dest=dest, default="-", metavar=metavar, help=out_help)
 
     encode = sub.add_parser("encode", help="Hermitian matrix to probability-triple encoding")
     add_io(encode)
@@ -375,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--format", choices=("csv", "json"), default="csv")
 
     figs = sub.add_parser("figures", help="SVG triangle and square figures")
-    figs.add_argument("--in", dest="infile", default="-", metavar="FILE",
-                      help="input file (default stdin)")
-    figs.add_argument("--out", dest="outfile", default="-", metavar="DIR", help="output directory")
+    add_io(figs, "outdir", "DIR", "output directory")
     figs.add_argument("--allow-unphysical", action="store_true",
                       help="draw triples outside the physical ball")
 
@@ -400,10 +383,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Read, check QPROB_TOL, run the handler, write its text to --out (figures: to stdout)."""
     args = build_parser().parse_args(argv)
     try:
-        _check_float_flags(args)
-        return _HANDLERS[args.command](args)
+        _check_flags(args)
+        doc = _load_json(args.infile)
+        text = _HANDLERS[args.command](doc, args, _tolerance())
+        _write_text(getattr(args, "outfile", "-"), text)
+        return EXIT_OK
     except ParseError as exc:
         print(f"qprob: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

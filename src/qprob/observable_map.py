@@ -10,7 +10,7 @@ encodes H completely: with H = (T/2) I + (h/2) . sigma, each triple's Bloch
 vector r(x) = 2 (p(x) - c) = h / (T + 2x), so one ratio and one product decode.
 
 Each public function checks that H is Hermitian once, in _accept, which
-also solves the spectrum; the private kernels behind it (_rho_of_x,
+also solves the spectrum; the private kernels behind it (_encode, _rho_of_x,
 _default_shifts, _admissible_bound) take the accepted matrix and its
 eigenvalues and run no guard of their own. Only the
 matrices they build, the rho(x), are checked again, as density matrices.
@@ -47,6 +47,8 @@ class ObservableProbRep:
     p_b: ProbTriple
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError(f"encoding shifts must be finite, got a = {self.a!r}, b = {self.b!r}")
         if float(self.a) == float(self.b):
             raise DomainError("encoding shifts must differ (a == b repeats one equation)")
 
@@ -94,7 +96,8 @@ def _rho_of_x(m: np.ndarray, lam_min: float, x: float) -> np.ndarray:
     """rho(x) for a validated H with smallest eigenvalue lam_min; rejects an inadmissible x."""
     tr = float(m[0, 0].real + m[1, 1].real)
     denom = tr + 2.0 * x
-    if denom <= DENOM_GUARD * (abs(tr) + 2.0 * abs(x)) or lam_min + x < -ADMISSIBLE_SLACK * denom:
+    # a NaN shift fails both comparisons, so it is inadmissible too
+    if not (denom > DENOM_GUARD * (abs(tr) + 2.0 * abs(x)) and lam_min + x >= -ADMISSIBLE_SLACK * denom):
         raise DomainError(
             f"shift x = {x!r} is inadmissible for this matrix; "
             f"need x >= {_admissible_bound(m, lam_min)!r} (strictly above for identity multiples)"
@@ -107,6 +110,18 @@ def rho_of_x(h, x: float) -> np.ndarray:
     return _rho_of_x(*_accept(h, "observable")[:2], float(x))
 
 
+def _encode(m: np.ndarray, lam_min: float, lam_max: float, a: float | None, b: float | None,
+            tol: float) -> ObservableProbRep:
+    """encode_observable for an accepted H and its eigenvalues."""
+    if a is None and b is None:
+        a, b = _default_shifts(lam_min, lam_max)
+    elif a is None or b is None:
+        raise DomainError("provide both shifts or neither")
+    p_a = qubit_core.probs_from_density(_rho_of_x(m, lam_min, float(a)), tol)
+    p_b = qubit_core.probs_from_density(_rho_of_x(m, lam_min, float(b)), tol)
+    return ObservableProbRep(float(a), float(b), p_a, p_b)
+
+
 def encode_observable(h, a: float | None = None, b: float | None = None,
                       tol: float = DEFAULT_TOL) -> ObservableProbRep:
     """Encode a Hermitian matrix as probability triples at two shifts.
@@ -117,14 +132,7 @@ def encode_observable(h, a: float | None = None, b: float | None = None,
     with the same denominator at each shift. H is validated and its spectrum
     solved once; each rho(x) is still checked as a density matrix.
     """
-    m, lam_min, lam_max = _accept(h, "observable")
-    if a is None and b is None:
-        a, b = _default_shifts(lam_min, lam_max)
-    elif a is None or b is None:
-        raise DomainError("provide both shifts or neither")
-    p_a = qubit_core.probs_from_density(_rho_of_x(m, lam_min, float(a)), tol)
-    p_b = qubit_core.probs_from_density(_rho_of_x(m, lam_min, float(b)), tol)
-    return ObservableProbRep(float(a), float(b), p_a, p_b)
+    return _encode(*_accept(h, "observable"), a, b, tol)
 
 
 def _bloch(p: ProbTriple) -> tuple[float, float, float]:

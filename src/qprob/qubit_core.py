@@ -54,28 +54,33 @@ def check_ball(p: ProbTriple) -> float:
     Nonnegative exactly for physical triples, zero on the pure-state sphere,
     and equal to det(rho) of the corresponding density matrix.
     """
-    d = p.as_array() - BALL_CENTER
+    d = np.array([p.p1 - 0.5, p.p2 - 0.5, p.p3 - 0.5])
     return 0.25 - float(d @ d)
 
 
+def _violation(p: ProbTriple, tol: float, ball: bool = True) -> str | None:
+    """Why p lies outside the physical region at slack tol, or None; ball=False tests the cube alone."""
+    for k, v in enumerate((p.p1, p.p2, p.p3), start=1):
+        if not -tol <= v <= 1.0 + tol:  # NaN is outside
+            return f"p{k} = {float(v)!r} violates 0 <= p{k} <= 1"
+    if not ball:
+        return None
+    residual = check_ball(p)  # p and tol are finite past the cube test, so < is NaN-safe
+    if residual < -tol:
+        return ("triple violates (p1-1/2)^2 + (p2-1/2)^2 + (p3-1/2)^2 <= 1/4 "
+                f"(ball residual {residual:.3e})")
+    return None
+
+
 def is_physical(p: ProbTriple, tol: float = DEFAULT_TOL) -> bool:
-    arr = p.as_array()
-    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
-        return False
-    return check_ball(p) >= -tol
+    return _violation(p, tol) is None
 
 
 def require_physical(p: ProbTriple, tol: float = DEFAULT_TOL) -> None:
     """Raise DomainError naming the violated inequality for unphysical triples."""
-    for k, v in enumerate(p.as_array(), start=1):
-        if not -tol <= v <= 1.0 + tol:
-            raise DomainError(f"p{k} = {float(v)!r} violates 0 <= p{k} <= 1")
-    residual = check_ball(p)
-    if residual < -tol:
-        raise DomainError(
-            "triple violates (p1-1/2)^2 + (p2-1/2)^2 + (p3-1/2)^2 <= 1/4 "
-            f"(ball residual {residual:.3e})"
-        )
+    reason = _violation(p, tol)
+    if reason is not None:
+        raise DomainError(reason)
 
 
 def density_from_probs(p: ProbTriple, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -40,12 +40,10 @@ class TrianglePicture:
     total_area: float
 
 
-def _require_cube(p: ProbTriple) -> np.ndarray:
-    arr = p.as_array()
-    for k, v in enumerate(arr, start=1):
-        if not -CUBE_SLACK <= v <= 1.0 + CUBE_SLACK:
-            raise DomainError(f"p{k} = {v!r} outside [0, 1]")
-    return arr
+def _require_cube(p: ProbTriple) -> None:
+    reason = qubit_core._violation(p, CUBE_SLACK, ball=False)
+    if reason is not None:
+        raise DomainError(reason)
 
 
 def triangle_picture(p: ProbTriple) -> TrianglePicture:
@@ -54,7 +52,8 @@ def triangle_picture(p: ProbTriple) -> TrianglePicture:
     Vertex k sits on the side from reference corner k to corner k+1 (cyclic)
     at fraction p_k along it; chord k joins vertex k to vertex k+1.
     """
-    arr = _require_cube(p)
+    _require_cube(p)
+    arr = p.as_array()
     corners = REFERENCE_CORNERS
     vertices = np.array([
         corners[k] + arr[k] * (corners[(k + 1) % 3] - corners[k])

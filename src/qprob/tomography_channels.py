@@ -60,7 +60,7 @@ def direction_vector(direction) -> np.ndarray:
     if v.shape != (3,):
         raise DomainError(f"direction must be a Direction or a length-3 vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > DIRECTION_NORM_TOL:
+    if not abs(norm - 1.0) <= DIRECTION_NORM_TOL:
         raise DomainError(f"direction vector must have unit length, got |n| = {norm!r}")
     return v
 
@@ -168,14 +168,14 @@ class ChannelSpec:
         total = 0.0
         for k, (weight, u) in enumerate(self.terms):
             w = float(weight)
-            if w < -WEIGHT_TOL:
-                raise DomainError(f"channel weight {k} is negative ({w!r})")
+            if not w >= -WEIGHT_TOL:
+                raise DomainError(f"channel weight {k} is negative or NaN ({w!r})")
             # a read-only copy, so that channel_map can use it without checking it again
             unitary = matrix_oracle.require_unitary(u, name=f"channel unitary {k}").copy()
             unitary.flags.writeable = False
             cleaned.append((w, unitary))
             total += w
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise DomainError(f"channel weights must sum to 1, got {total!r}")
         object.__setattr__(self, "terms", tuple(cleaned))
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 from qprob import ProbTriple, encode_observable, sample_trajectory, build_kinetic, state_tomogram, Direction
+from qprob import matrix_oracle
 from qprob.cli import MAX_STEPS, main, matrix_to_json, parse_matrix, triple_to_json
 from qprob.matrix_oracle import SIGMA_Z, heisenberg_exact
 from qprob.qubit_core import density_from_probs, probs_from_density
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 SIGMA_Z_JSON = {"m11": [1.0, 0.0], "m12": [0.0, 0.0], "m21": [0.0, 0.0], "m22": [-1.0, 0.0]}
 STATE_X_JSON = {"p1": 1.0, "p2": 0.5, "p3": 0.5}
 
@@ -47,6 +50,29 @@ def test_encode_document_fields(monkeypatch, capsys):
     assert doc["admissible_bound"] == 1.0
     assert doc["errata_notes"] == []
     assert doc["warnings"] == []
+
+
+def test_encode_validates_h_once(monkeypatch, capsys):
+    # one Hermitian guard and one eigenvalue solve on H, then one each per rho(x)
+    guarded, solved = [], []
+    require_hermitian, eigenvalues = matrix_oracle.require_hermitian, matrix_oracle._eigenvalues
+
+    def counting_guard(matrix, *args, **kwargs):
+        guarded.append(kwargs.get("name"))
+        return require_hermitian(matrix, *args, **kwargs)
+
+    def counting_solve(m):
+        solved.append(m)
+        return eigenvalues(m)
+
+    monkeypatch.setattr(matrix_oracle, "require_hermitian", counting_guard)
+    monkeypatch.setattr(matrix_oracle, "_eigenvalues", counting_solve)
+    code, out, _ = run_cli(
+        ["encode"], stdin_text=json.dumps(SIGMA_Z_JSON), monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 0 and json.loads(out)["admissible_bound"] == 1.0
+    assert guarded == ["observable", "density matrix", "density matrix"]
+    assert len(solved) == 3
 
 
 def test_encode_default_shifts(monkeypatch, capsys):
@@ -401,6 +427,23 @@ def test_evolve_caps_steps_before_allocating(monkeypatch, capsys):
     assert f"--steps must be at most {MAX_STEPS}" in err
 
 
+def test_evolve_caps_steps_before_reading(monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["evolve", "--t-end", "1", "--steps", str(MAX_STEPS + 1)],
+        stdin_text="not json",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 2 and out == ""
+    assert "--steps" in err and "invalid JSON" not in err
+
+
+def test_check_golden_report(capsys):
+    code, out, err = run_cli(["check", "--in", str(GOLDEN / "sigma_z_rep.json")], capsys=capsys)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "check_out.json").read_text()
+
+
 def test_check_physical_report(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["check"],
@@ -534,11 +577,11 @@ def test_figures_unphysical_gating(tmp_path, monkeypatch, capsys):
 
 
 def test_figures_needs_directory(monkeypatch, capsys):
-    code, _, err = run_cli(
-        ["figures"], stdin_text=json.dumps(STATE_X_JSON), monkeypatch=monkeypatch, capsys=capsys
-    )
-    assert code == 2
-    assert "--out" in err
+    # checked before the document is parsed, so a NaN entry does not mask it
+    for doc in (json.dumps(STATE_X_JSON), '{"p1":NaN,"p2":0.5,"p3":0.5}'):
+        code, out, err = run_cli(["figures"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2 and out == ""
+        assert "needs --out" in err
 
 
 def test_figures_unwritable_directory(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qprob import (
+    ChannelSpec,
     DomainError,
     NonInvertibleEncodingWarning,
     ObservableProbRep,
@@ -17,12 +18,14 @@ from qprob import (
     decode_observable,
     default_shifts,
     encode_observable,
+    evolve_observable,
     observable_tomogram,
     probs_from_density,
     rho_of_x,
+    state_tomogram,
 )
 from qprob import matrix_oracle
-from qprob.matrix_oracle import IDENTITY, SIGMA_Z
+from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z
 from qprob.tomography_channels import Direction
 
 from conftest import random_hermitian
@@ -335,3 +338,25 @@ def test_near_identity_decodes_or_warns(log_norm, log_ratio, sign, direction):
     assert np.all(np.isfinite(recovered))
     if caught:
         np.testing.assert_array_equal(recovered, np.zeros((2, 2), dtype=complex))
+
+
+_SIGMA_Z_PAIR = (ProbTriple(0.5, 0.5, 0.75), ProbTriple(0.5, 0.5, 2.0 / 3.0))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: rho_of_x(SIGMA_Z, np.nan), "x = nan is inadmissible"),
+    (lambda: encode_observable(SIGMA_Z, np.nan, 3.0), "x = nan is inadmissible"),
+    (lambda: observable_tomogram(SIGMA_Z, Direction(1.0, 1.0), np.nan), "x = nan is inadmissible"),
+    (lambda: evolve_observable(SIGMA_Z, SIGMA_X, np.nan, 1.0), "x = nan is inadmissible"),
+    (lambda: decode_observable(ObservableProbRep(2.0, np.inf, *_SIGMA_Z_PAIR)), "b = inf"),
+    (lambda: decode_observable(ObservableProbRep(-np.inf, 3.0, *_SIGMA_Z_PAIR)), "a = -inf"),
+    (lambda: ChannelSpec(((np.nan, IDENTITY),)), "weight 0 .*nan"),
+    (lambda: state_tomogram(ProbTriple(0.5, 0.5, 1.0), [np.nan, 0.0, 0.0]), "unit length.*nan"),
+], ids=["rho-of-x", "encode", "observable-tomogram", "evolve-observable", "decode-inf-b",
+        "decode-minus-inf-a", "channel-weight", "state-tomogram-direction"])
+def test_non_finite_library_input_is_rejected_by_name(call, match):
+    # no numpy RuntimeWarning on the way, and no NaN result in place of the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            call()
