@@ -192,10 +192,8 @@ def cmd_encode(doc, args, tol: float) -> str:
     if (args.a is None) != (args.b is None):
         raise ParseError("--a and --b must be given together")
     m, lam_min, lam_max = observable_map._accept(h, "observable")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = observable_map._encode(m, lam_min, lam_max, args.a, args.b, tol)
-    warns = [str(w.message) for w in caught]
+    rep = observable_map._encode(m, lam_min, lam_max, args.a, args.b)
+    warns = []
     if observable_map._carries_no_trace(rep):
         warns.append(
             "matrix is a multiple of the identity: the encoding does not determine "
@@ -230,7 +228,7 @@ def cmd_tomogram(doc, args, tol: float) -> str:
     else:
         if args.x is None:
             raise ParseError("an observable tomogram needs --x")
-        w_plus, w_minus = observable_map.observable_tomogram(parse_matrix(doc), direction, args.x, tol)
+        w_plus, w_minus = observable_map.observable_tomogram(parse_matrix(doc), direction, args.x)
     return _dump_json({"w_plus": w_plus, "w_minus": w_minus})
 
 
@@ -245,7 +243,9 @@ def cmd_evolve(doc, args, tol: float) -> str:
         if args.x is None:
             raise ParseError('evolve with "A0" needs --x')
         x = args.x
-        p0 = qubit_core.probs_from_density(observable_map.rho_of_x(parse_matrix(doc["A0"]), x), tol)
+        m, lam_min, _ = observable_map._accept(parse_matrix(doc["A0"]), "observable")
+        p0 = observable_map._triple(m, lam_min, x)
+        tol = qubit_core.DEFAULT_TOL  # QPROB_TOL is the slack on supplied triples; this one is computed
     else:
         raise ParseError('evolve input needs "p0" or "A0"')
     system = evolution.build_kinetic(h, x)

@@ -50,10 +50,6 @@ class FormulaCheck:
     def ok(self) -> bool:
         return self.deviation <= self.tolerance
 
-    def describe(self) -> str:
-        status = "ok" if self.ok else "MISMATCH"
-        return f"{self.name}: {status} (closed form {self.closed_form!r}, oracle {self.oracle!r})"
-
 
 def failed_checks(checks) -> list[FormulaCheck]:
     """The subset of checks whose deviation exceeds their tolerance."""

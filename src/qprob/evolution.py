@@ -153,19 +153,19 @@ def evolve(system: KineticSystem, p0: ProbTriple, t: float, tol: float = DEFAULT
     return ProbTriple.from_array(_rotate_about_center(system.L, p0, np.array([float(t)]))[0])
 
 
-def evolve_observable(a0, h, x: float, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
     """Evolve an observable through the kinetic equation at shift x.
 
-    rho(x, 0) is built from the observable, its triple is propagated, and
-    A(t) = (tr A0 + 2x) rho(x, t) - x I undoes the embedding; the trace is
-    conserved, so the same normalization applies at both ends.
+    The triple of rho(x, 0) is read off the observable in closed form, it is
+    propagated, and A(t) = (tr A0 + 2x) rho(x, t) - x I undoes the embedding;
+    the trace is conserved, so the same normalization applies at both ends.
     """
     m, lam_min, _ = observable_map._accept(a0, "observable")
-    p0 = qubit_core.probs_from_density(observable_map._rho_of_x(m, lam_min, float(x)), tol)
+    p0 = observable_map._triple(m, lam_min, float(x))
     system = build_kinetic(h, x)
-    pt = evolve(system, p0, t, tol)
+    pt = evolve(system, p0, t)
     denom = float(m[0, 0].real + m[1, 1].real) + 2.0 * float(x)
-    return denom * qubit_core.density_from_probs(pt, tol) - float(x) * matrix_oracle.IDENTITY
+    return denom * qubit_core.density_from_probs(pt) - float(x) * matrix_oracle.IDENTITY
 
 
 def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps: int,

@@ -29,16 +29,12 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _matrix2(matrix) -> np.ndarray:
+def as_matrix2(matrix) -> np.ndarray:
+    """Coerce to a complex 2x2 ndarray, rejecting anything of another shape."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
     return m
-
-
-def as_matrix2(matrix) -> np.ndarray:
-    """Coerce to a complex 2x2 ndarray, rejecting anything of another shape."""
-    return _matrix2(matrix)
 
 
 def _modulus(z: complex) -> float:
@@ -62,7 +58,7 @@ def _hermiticity_defect(m: np.ndarray) -> float:
 
 
 def hermiticity_defect(matrix) -> float:
-    return _hermiticity_defect(_matrix2(matrix))
+    return _hermiticity_defect(as_matrix2(matrix))
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
@@ -70,11 +66,11 @@ def _unitarity_defect(m: np.ndarray) -> float:
 
 
 def unitarity_defect(matrix) -> float:
-    return _unitarity_defect(_matrix2(matrix))
+    return _unitarity_defect(as_matrix2(matrix))
 
 
 def require_hermitian(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    m = _matrix2(matrix)
+    m = as_matrix2(matrix)
     defect = _hermiticity_defect(m)
     if not defect <= tol:
         raise DomainError(f"{name} is not Hermitian (defect {defect:.3e} exceeds {tol:.1e})")
@@ -82,7 +78,7 @@ def require_hermitian(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") 
 
 
 def require_unitary(matrix, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
-    m = _matrix2(matrix)
+    m = as_matrix2(matrix)
     defect = _unitarity_defect(m)
     if not defect <= tol:
         raise DomainError(f"{name} is not unitary (defect {defect:.3e} exceeds {tol:.1e})")
@@ -123,7 +119,7 @@ def _eigenvalues(m: np.ndarray) -> tuple[float, float]:
 
 def conjugate_by_unitary(rho, u, tol: float = UNITARY_TOL) -> np.ndarray:
     """u @ rho @ u^dagger, with a unitarity guard on u."""
-    m = _matrix2(rho)
+    m = as_matrix2(rho)
     w = require_unitary(u, tol, name="conjugating matrix")
     return w @ m @ w.conj().T
 

@@ -10,10 +10,11 @@ encodes H completely: with H = (T/2) I + (h/2) . sigma, each triple's Bloch
 vector r(x) = 2 (p(x) - c) = h / (T + 2x), so one ratio and one product decode.
 
 Each public function checks that H is Hermitian once, in _accept, which
-also solves the spectrum; the private kernels behind it (_encode, _rho_of_x,
+also solves the spectrum; the private kernels behind it (_encode, _triple,
 _default_shifts, _admissible_bound) take the accepted matrix and its
-eigenvalues and run no guard of their own. Only the
-matrices they build, the rho(x), are checked again, as density matrices.
+eigenvalues and check only that each shift is admissible. _triple reads the
+triple of rho(x) straight off H, (Re H21/d + 1/2, Im H21/d + 1/2, (H11 + x)/d)
+with d = tr H + 2x, so no rho(x) is built and no computed value checked again.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def default_shifts(h) -> tuple[float, float]:
     return _default_shifts(*_accept(h)[1:])
 
 
-def _rho_of_x(m: np.ndarray, lam_min: float, x: float) -> np.ndarray:
-    """rho(x) for a validated H with smallest eigenvalue lam_min; rejects an inadmissible x."""
+def _normalization(m: np.ndarray, lam_min: float, x: float) -> float:
+    """d = tr H + 2x for a validated H with smallest eigenvalue lam_min; rejects an inadmissible x."""
     tr = float(m[0, 0].real + m[1, 1].real)
     denom = tr + 2.0 * x
     # a NaN shift fails both comparisons, so it is inadmissible too
@@ -102,37 +103,44 @@ def _rho_of_x(m: np.ndarray, lam_min: float, x: float) -> np.ndarray:
             f"shift x = {x!r} is inadmissible for this matrix; "
             f"need x >= {_admissible_bound(m, lam_min)!r} (strictly above for identity multiples)"
         )
-    return (m + x * matrix_oracle.IDENTITY) / denom
+    return denom
+
+
+def _triple(m: np.ndarray, lam_min: float, x: float) -> ProbTriple:
+    """The triple of rho(x), read off H: (Re H21/d + 1/2, Im H21/d + 1/2, (H11 + x)/d)."""
+    d = _normalization(m, lam_min, x)
+    lower = complex(m[1, 0])
+    return ProbTriple(lower.real / d + 0.5, lower.imag / d + 0.5, (float(m[0, 0].real) + x) / d)
 
 
 def rho_of_x(h, x: float) -> np.ndarray:
     """(H + x*I) / (tr H + 2x): a unit-trace PSD matrix for admissible x."""
-    return _rho_of_x(*_accept(h, "observable")[:2], float(x))
+    m, lam_min, _ = _accept(h, "observable")
+    x = float(x)
+    # real and imaginary parts divided apart: numpy's complex / real multiplies by 1/d,
+    # which overflows when d is subnormal
+    return ((m + x * matrix_oracle.IDENTITY).view(float) / _normalization(m, lam_min, x)).view(complex)
 
 
-def _encode(m: np.ndarray, lam_min: float, lam_max: float, a: float | None, b: float | None,
-            tol: float) -> ObservableProbRep:
+def _encode(m: np.ndarray, lam_min: float, lam_max: float, a: float | None,
+            b: float | None) -> ObservableProbRep:
     """encode_observable for an accepted H and its eigenvalues."""
     if a is None and b is None:
         a, b = _default_shifts(lam_min, lam_max)
     elif a is None or b is None:
         raise DomainError("provide both shifts or neither")
-    p_a = qubit_core.probs_from_density(_rho_of_x(m, lam_min, float(a)), tol)
-    p_b = qubit_core.probs_from_density(_rho_of_x(m, lam_min, float(b)), tol)
-    return ObservableProbRep(float(a), float(b), p_a, p_b)
+    a, b = float(a), float(b)
+    return ObservableProbRep(a, b, _triple(m, lam_min, a), _triple(m, lam_min, b))
 
 
-def encode_observable(h, a: float | None = None, b: float | None = None,
-                      tol: float = DEFAULT_TOL) -> ObservableProbRep:
+def encode_observable(h, a: float | None = None, b: float | None = None) -> ObservableProbRep:
     """Encode a Hermitian matrix as probability triples at two shifts.
 
-    The triples are read directly off rho(a) and rho(b); equivalently
-    P3(x) = (H11 + x)/(H11 + H22 + 2x) and
-    P1(x) - i P2(x) - conj(GAMMA) = H12/(H11 + H22 + 2x),
-    with the same denominator at each shift. H is validated and its spectrum
-    solved once; each rho(x) is still checked as a density matrix.
+    At each shift x, with d = H11 + H22 + 2x, the paper's closed form
+    P3(x) = (H11 + x)/d and P1(x) - i P2(x) - conj(GAMMA) = H12/d gives the
+    triple of rho(x) without building rho(x). H is validated and its spectrum solved once.
     """
-    return _encode(*_accept(h, "observable"), a, b, tol)
+    return _encode(*_accept(h, "observable"), a, b)
 
 
 def _bloch(p: ProbTriple) -> tuple[float, float, float]:
@@ -185,6 +193,6 @@ def decode_observable(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> np.nd
                     dtype=complex)
 
 
-def observable_tomogram(h, direction, x: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def observable_tomogram(h, direction, x: float) -> tuple[float, float]:
     """Spin tomogram of rho(x): probabilities of projection +1/2 and -1/2 along the direction."""
-    return _tomogram(qubit_core.probs_from_density(rho_of_x(h, x), tol), direction)
+    return _tomogram(_triple(*_accept(h, "observable")[:2], float(x)), direction)

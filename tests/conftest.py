@@ -5,8 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qprob import ProbTriple, Direction, expm_hermitian_generator
+from qprob import ProbTriple, Direction, expm_hermitian_generator, matrix_oracle
 from qprob.qubit_core import BALL_CENTER
+
+
+@pytest.fixture
+def guard_counts(monkeypatch):
+    """Lists that fill with the name of each Hermitian guard and each eigenvalue solve."""
+    names, solved = [], []
+    require_hermitian, eigenvalues = matrix_oracle.require_hermitian, matrix_oracle._eigenvalues
+
+    def counting_guard(matrix, *args, **kwargs):
+        names.append(kwargs.get("name", "matrix"))
+        return require_hermitian(matrix, *args, **kwargs)
+
+    def counting_solve(m):
+        solved.append(m)
+        return eigenvalues(m)
+
+    monkeypatch.setattr(matrix_oracle, "require_hermitian", counting_guard)
+    monkeypatch.setattr(matrix_oracle, "_eigenvalues", counting_solve)
+    return names, solved
 
 
 def random_hermitian(rng, scale: float = 5.0) -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qprob import ProbTriple, encode_observable, sample_trajectory, build_kinetic, state_tomogram, Direction
-from qprob import matrix_oracle
 from qprob.cli import MAX_STEPS, main, matrix_to_json, parse_matrix, triple_to_json
 from qprob.matrix_oracle import SIGMA_Z, heisenberg_exact
 from qprob.qubit_core import density_from_probs, probs_from_density
@@ -52,27 +51,15 @@ def test_encode_document_fields(monkeypatch, capsys):
     assert doc["warnings"] == []
 
 
-def test_encode_validates_h_once(monkeypatch, capsys):
-    # one Hermitian guard and one eigenvalue solve on H, then one each per rho(x)
-    guarded, solved = [], []
-    require_hermitian, eigenvalues = matrix_oracle.require_hermitian, matrix_oracle._eigenvalues
-
-    def counting_guard(matrix, *args, **kwargs):
-        guarded.append(kwargs.get("name"))
-        return require_hermitian(matrix, *args, **kwargs)
-
-    def counting_solve(m):
-        solved.append(m)
-        return eigenvalues(m)
-
-    monkeypatch.setattr(matrix_oracle, "require_hermitian", counting_guard)
-    monkeypatch.setattr(matrix_oracle, "_eigenvalues", counting_solve)
+def test_encode_validates_h_once(guard_counts, monkeypatch, capsys):
+    # one Hermitian guard and one eigenvalue solve on H; the triples are read off it
+    guarded, solved = guard_counts
     code, out, _ = run_cli(
         ["encode"], stdin_text=json.dumps(SIGMA_Z_JSON), monkeypatch=monkeypatch, capsys=capsys
     )
     assert code == 0 and json.loads(out)["admissible_bound"] == 1.0
-    assert guarded == ["observable", "density matrix", "density matrix"]
-    assert len(solved) == 3
+    assert guarded == ["observable"]
+    assert len(solved) == 1
 
 
 def test_encode_default_shifts(monkeypatch, capsys):
@@ -504,6 +491,28 @@ def test_check_tolerance_env_override(monkeypatch, capsys):
         code, _, err = run_cli(["check"], stdin_text=slightly_off, monkeypatch=monkeypatch, capsys=capsys)
         assert code == 2
         assert "QPROB_TOL" in err
+
+
+# the trace of rho(x) rounds to 1 - 2 ulp here; at the admissible bound the A0 state is pure
+_TRACE_ROUNDS_LOW = {"m11": [1.2297538109392712, 0], "m12": [-0.03760595472262429, 0.3150058533714415],
+                     "m21": [-0.03760595472262429, -0.3150058533714415], "m22": [0.17681246373052467, 0]}
+_PURE_AT_BOUND = {"m11": [0.345584192064786, 0.0], "m12": [0.5760276098422727, 0.4916639038621482],
+                  "m21": [0.5760276098422727, -0.4916639038621482], "m22": [-1.303157231604361, 0.0]}
+
+
+@pytest.mark.parametrize("args, doc", [
+    (["encode"], _TRACE_ROUNDS_LOW),
+    (["tomogram", "--theta", "1", "--phi", "2", "--x", "1"], _TRACE_ROUNDS_LOW),
+    (["evolve", "--x", "1", "--t-end", "1", "--steps", "2"], {"H": SIGMA_Z_JSON, "A0": _TRACE_ROUNDS_LOW}),
+    (["evolve", "--x", "1.5982186401737941", "--t-end", "1", "--steps", "2"],
+     {"H": SIGMA_Z_JSON, "A0": _PURE_AT_BOUND}),
+], ids=["encode", "tomogram", "evolve", "evolve-boundary-shift"])
+def test_zero_tolerance_leaves_computed_triples_alone(args, doc, monkeypatch, capsys):
+    # QPROB_TOL is the slack on triples the user supplies, not on those read off a matrix
+    expected = run_cli(args, stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys)
+    assert expected[0] == 0
+    monkeypatch.setenv("QPROB_TOL", "0")
+    assert run_cli(args, stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys) == expected
 
 
 def test_figures_rep_writes_five_files(tmp_path, monkeypatch, capsys):
