@@ -1,12 +1,12 @@
 """The oracle side of the closed-form cross-checks.
 
 Production code evaluates every affine map on probability triples in closed
-form. The independent route works on the matrix side: it conjugates, or
-differentiates, the density matrices of four probe states in one stacked
-product, reads their triples off the stack, and fits the affine map through
-those images. checked_map compares the twelve components of the two routes
-and returns the oracle, with a FormulaMismatchWarning naming each failing
-component, whenever they disagree.
+form. The independent route runs for tests, the *_formula_checks reports and a
+map builder given a tolerance. It conjugates, or differentiates, the density
+matrices of four probe states in one stacked product, reads their triples off
+the stack, and fits the affine map through those images. checked_map compares
+the twelve components of the two routes and returns the oracle, with a
+FormulaMismatchWarning naming each failing component, whenever they disagree.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ rho(x, t) built from an evolving observable obeys dp/dt = L p + C, where
 L v = v x omega is the cross product with omega = 2h and C = -L c fixes the
 ball center c. The exact solution is the rotation about the center,
 p(t) = c + exp(L t)(p0 - c), with exp(L t) in Rodrigues' closed form (no time
-stepping) over a whole time grid at once. The closed-form L and C are the
+stepping) over a whole time grid at once. The closed-form L and C are the one
 production route; their oracle, in diagnostics, is the affine fit of the exact
-derivatives i[H, rho] at four probe states, which takes over when the two
-disagree.
+derivatives i[H, rho] at four probe states, which runs when a caller passes
+fd_tol and takes over when the two disagree.
 """
 
 from __future__ import annotations
@@ -103,18 +103,18 @@ def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
     return component_checks(closed, kinetic_oracle(m), _scaled_tol(closed[0], tol))
 
 
-def build_kinetic(h, x: float, validate: bool = True, fd_tol: float = FD_TOL) -> KineticSystem:
+def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     """Kinetic system dp/dt = L p + C for the given Hamiltonian and shift.
 
-    L and C come from closed forms (L antisymmetric by construction). With
-    validate=True every component is checked against the affine fit of the
+    L and C come from closed forms (L antisymmetric by construction). Given
+    fd_tol, every component is also checked against the affine fit of the
     exact derivatives i[H, rho] at the four probe states; a deviation beyond
     fd_tol * max(1, max|L|) raises a FormulaMismatchWarning naming it, and the
     fitted generator replaces the closed forms.
     """
     m = matrix_oracle.require_hermitian(h, name="hamiltonian")
     L, C = _closed_form_generator(m)
-    if validate:
+    if fd_tol is not None:
         L, C = checked_map((L, C), kinetic_oracle(m), _scaled_tol(L, fd_tol), "kinetic generator")
     return KineticSystem(L=L, C=C, H=m, x=float(x))
 

@@ -46,22 +46,28 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     """max |m_ij - conj(m_ji)| over the entries, read once as Python complex numbers.
 
     A non-finite entry gives NaN (inf - inf on the diagonal) or inf, as the
-    elementwise numpy form does; max() alone would drop a NaN.
+    elementwise numpy form does; max() alone may drop a NaN, which their sum keeps.
     """
     (a, b), (c, d) = m.tolist()
-    diag_a = _modulus(a - a.conjugate())
-    off = _modulus(b - c.conjugate())
-    diag_d = _modulus(d - d.conjugate())
-    if diag_a != diag_a or off != off or diag_d != diag_d:
-        return math.nan
-    return max(diag_a, off, diag_d)
+    defects = (_modulus(a - a.conjugate()), _modulus(b - c.conjugate()), _modulus(d - d.conjugate()))
+    return sum(defects) if math.isnan(sum(defects)) else max(defects)
 
 
 def hermiticity_defect(matrix) -> float:
     return _hermiticity_defect(as_matrix2(matrix))
 
 
-def _unitarity_defect(m: np.ndarray) -> float:
+def _largest_part(m: np.ndarray) -> float:
+    """max |Re m_ij|, |Im m_ij| over the entries; NaN if one is NaN, as in _hermiticity_defect."""
+    (a, b), (c, d) = m.tolist()
+    parts = tuple(map(abs, (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)))
+    return sum(parts) if math.isnan(sum(parts)) else max(parts)
+
+
+def _unitarity_defect(m: np.ndarray, name: str = "matrix") -> float:
+    size = _largest_part(m)
+    if not size <= 2.0 ** 510:  # past this m m^dagger can overflow; NaN fails too
+        raise DomainError(f"{name} is not unitary (entries up to {size:.3e}; a unitary's are at most 1)")
     return float(np.max(np.abs(m @ m.conj().T - IDENTITY)))
 
 
@@ -73,22 +79,27 @@ def require_hermitian(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") 
     m = as_matrix2(matrix)
     defect = _hermiticity_defect(m)
     if not defect <= tol:
-        raise DomainError(f"{name} is not Hermitian (defect {defect:.3e} exceeds {tol:.1e})")
+        # the bound grows with the entries past 1, as their rounding does; a non-finite
+        # entry leaves it at tol, and its NaN or infinite defect fails
+        size = _largest_part(m)
+        limit = tol * size if 1.0 < size < math.inf else tol
+        if not defect <= limit:
+            raise DomainError(f"{name} is not Hermitian (defect {defect:.3e} exceeds {limit:.1e})")
     return m
 
 
 def require_unitary(matrix, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
     m = as_matrix2(matrix)
-    defect = _unitarity_defect(m)
+    defect = _unitarity_defect(m, name)
     if not defect <= tol:
         raise DomainError(f"{name} is not unitary (defect {defect:.3e} exceeds {tol:.1e})")
     return m
 
 
 def _pauli(m: np.ndarray) -> tuple[float, np.ndarray]:
-    h0 = 0.5 * float(m[0, 0].real + m[1, 1].real)
-    hvec = np.array([m[1, 0].real, m[1, 0].imag, 0.5 * float(m[0, 0].real - m[1, 1].real)])
-    return h0, hvec
+    # halved before they are added: h11 +- h22 itself can overflow
+    h11, h22 = 0.5 * float(m[0, 0].real), 0.5 * float(m[1, 1].real)
+    return h11 + h22, np.array([m[1, 0].real, m[1, 0].imag, h11 - h22])
 
 
 def pauli_components(matrix) -> tuple[float, np.ndarray]:
@@ -107,14 +118,25 @@ def _eigenvalues(m: np.ndarray) -> tuple[float, float]:
     Uses the quadratic formula with the numerically stable branch: the root of
     larger magnitude comes from the formula, the other from the determinant.
     The gap sqrt(tr^2 - 4 det) is formed as hypot(h11 - h22, 2 |h21|), which
-    does not cancel when the eigenvalues nearly coincide.
+    does not cancel when the eigenvalues nearly coincide. As in LAPACK's
+    DLAEV2, the entries are first scaled by the power of two that brings the
+    largest into [1/2, 1), so det neither underflows nor overflows; exact
+    scaling changes no bit of a normal-range result.
     """
-    tr = float(m[0, 0].real + m[1, 1].real)
-    det = float(m[0, 0].real * m[1, 1].real - (m[0, 1] * m[1, 0]).real)
-    root = float(np.hypot(m[0, 0].real - m[1, 1].real, 2.0 * abs(m[1, 0])))
+    (a, b), (c, d) = m.tolist()
+    parts = (a.real, d.real, b.real, b.imag, c.real, c.imag)
+    k = math.frexp(max(map(abs, parts)))[1]
+    h11, h22, b_re, b_im, c_re, c_im = map(math.ldexp, parts, (-k,) * 6)
+    tr = h11 + h22
+    det = h11 * h22 - (b_re * c_re - b_im * c_im)
+    # abs of a complex number is C's hypot, as np.hypot is, without a numpy call
+    root = abs(complex(h11 - h22, 2.0 * abs(complex(c_re, c_im))))
     big = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
     small = det / big if big != 0.0 else 0.0
-    return (small, big) if small <= big else (big, small)
+    lo, hi = (small, big) if small <= big else (big, small)
+    # scaled back in two exact steps, which give inf past the float range where ldexp raises
+    up, rest = 2.0 ** (k // 2), 2.0 ** (k - k // 2)
+    return lo * up * rest, hi * up * rest
 
 
 def conjugate_by_unitary(rho, u, tol: float = UNITARY_TOL) -> np.ndarray:

@@ -61,7 +61,7 @@ def _accept(h, name: str = "matrix") -> tuple[np.ndarray, float, float]:
 
 
 def _admissible_bound(m: np.ndarray, lam_min: float) -> float:
-    return max(-lam_min, -0.5 * float(m[0, 0].real + m[1, 1].real))
+    return max(-lam_min, -0.5 * float(m[0, 0].real) - 0.5 * float(m[1, 1].real))
 
 
 def admissible_shift_bound(h) -> float:
@@ -82,6 +82,8 @@ def conservative_shift_bound(h) -> float:
 def _default_shifts(lam_min: float, lam_max: float) -> tuple[float, float]:
     sigma = max(abs(lam_min), abs(lam_max)) or 1.0
     bound = abs(lam_min)
+    if not bound + 2.0 * sigma < math.inf:
+        raise DomainError(f"default shifts overflow for max|lambda| = {sigma!r}; give the shifts")
     return bound + sigma, bound + 2.0 * sigma
 
 
@@ -95,8 +97,10 @@ def default_shifts(h) -> tuple[float, float]:
 
 def _normalization(m: np.ndarray, lam_min: float, x: float) -> float:
     """d = tr H + 2x for a validated H with smallest eigenvalue lam_min; rejects an inadmissible x."""
-    tr = float(m[0, 0].real + m[1, 1].real)
+    tr = float(m[0, 0].real) + float(m[1, 1].real)
     denom = tr + 2.0 * x
+    if math.isinf(denom) and math.isfinite(x):
+        raise DomainError(f"normalization tr H + 2x overflows at x = {x!r}")
     # a NaN shift fails both comparisons, so it is inadmissible too
     if not (denom > DENOM_GUARD * (abs(tr) + 2.0 * abs(x)) and lam_min + x >= -ADMISSIBLE_SLACK * denom):
         raise DomainError(
@@ -117,9 +121,10 @@ def rho_of_x(h, x: float) -> np.ndarray:
     """(H + x*I) / (tr H + 2x): a unit-trace PSD matrix for admissible x."""
     m, lam_min, _ = _accept(h, "observable")
     x = float(x)
+    d = _normalization(m, lam_min, x)  # first: an admissible d bounds H + x I
     # real and imaginary parts divided apart: numpy's complex / real multiplies by 1/d,
     # which overflows when d is subnormal
-    return ((m + x * matrix_oracle.IDENTITY).view(float) / _normalization(m, lam_min, x)).view(complex)
+    return ((m + x * matrix_oracle.IDENTITY).view(float) / d).view(complex)
 
 
 def _encode(m: np.ndarray, lam_min: float, lam_max: float, a: float | None,

@@ -5,8 +5,8 @@ affine map p' = L p + C: L is the SO(3) adjoint rotation
 R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 of the Bloch vector, and C keeps the
 ball center fixed. Convex mixtures of unitaries give contractive affine maps,
 which is the whole channel picture in these coordinates. The closed form is
-the production route; its oracle, the affine fit through the four probe states
-conjugated in one stacked product, lives in diagnostics.
+the one production route; its oracle, the probe-state fit in diagnostics, runs
+only when a caller passes formula_tol.
 """
 
 from __future__ import annotations
@@ -127,14 +127,11 @@ def _adjoint_rotation(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, BALL_CENTER - R @ BALL_CENTER
 
 
-def _rotation_maps(w: np.ndarray, formula_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(L, C) stacks for a (K, 2, 2) stack of validated unitaries.
-
-    The closed forms and the probe-fit oracles come from one stacked product
-    each and are compared in one pass; a term that fails warns and takes its
-    oracle.
-    """
-    return checked_map(_adjoint_rotation(w), rotation_oracle(w), formula_tol, "rotation")
+def _rotation_maps(w: np.ndarray, formula_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (L, C) stacks for a (K, 2, 2) stack of validated unitaries."""
+    closed = _adjoint_rotation(w)
+    # given formula_tol, a term that fails against its probe-fit oracle warns and takes it
+    return closed if formula_tol is None else checked_map(closed, rotation_oracle(w), formula_tol, "rotation")
 
 
 def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[FormulaCheck]:
@@ -143,13 +140,13 @@ def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[Formul
     return component_checks(_adjoint_rotation(w), rotation_oracle(w), tol)
 
 
-def rotation_from_unitary(u, formula_tol: float = ROTATION_FORMULA_TOL) -> AffineMap3:
+def rotation_from_unitary(u, formula_tol: float | None = None) -> AffineMap3:
     """Affine action of conjugation by a single unitary on probability triples.
 
-    The map is the closed-form adjoint rotation, checked against the fit
-    through four probe states of the matrix route. If any component deviates
-    beyond formula_tol, a FormulaMismatchWarning names it and the probe fit
-    is returned instead. This is channel_map's route with one term.
+    The map is the closed-form adjoint rotation. Given formula_tol, it is also
+    checked against the fit through four probe states of the matrix route: a
+    component off by more names itself in a FormulaMismatchWarning, and the
+    probe fit is returned instead. This is channel_map's route with one term.
     """
     L, C = _rotation_maps(matrix_oracle.require_unitary(u)[None], formula_tol)
     return AffineMap3(L[0], C[0])
@@ -180,11 +177,11 @@ class ChannelSpec:
         object.__setattr__(self, "terms", tuple(cleaned))
 
 
-def channel_map(spec: ChannelSpec, formula_tol: float = ROTATION_FORMULA_TOL) -> AffineMap3:
+def channel_map(spec: ChannelSpec, formula_tol: float | None = None) -> AffineMap3:
     """Weighted sum of the per-unitary affine maps; a contraction on the ball.
 
     The unitaries, already validated by ChannelSpec, go through
-    rotation_from_unitary's route as one (K, 2, 2) stack.
+    rotation_from_unitary's route as one (K, 2, 2) stack, formula_tol and all.
     """
     weights = np.array([w for w, _ in spec.terms])
     L, C = _rotation_maps(np.stack([u for _, u in spec.terms]), formula_tol)

@@ -431,6 +431,18 @@ def test_check_golden_report(capsys):
     assert out == (GOLDEN / "check_out.json").read_text()
 
 
+@pytest.mark.parametrize("args, golden", [
+    (["encode"], "sigma_z_default_rep.json"),
+    (["tomogram", "--theta", "1.0471975511965976", "--phi", "0.7853981633974483", "--x", "2"],
+     "observable_tomogram_out.json"),
+], ids=["encode-default-shifts", "observable-tomogram"])
+def test_observable_golden_bytes(args, golden, capsys):
+    # both run the eigenvalue solve on sigma_z: default shifts, and the admissibility of x
+    code, out, err = run_cli([*args, "--in", str(GOLDEN / "sigma_z.json")], capsys=capsys)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_check_physical_report(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["check"],

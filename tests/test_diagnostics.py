@@ -1,10 +1,25 @@
 """checked_map: the one place a closed form is compared with its oracle and replaced."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
-from qprob import FormulaMismatchWarning
+from qprob import (
+    ChannelSpec,
+    FormulaMismatchWarning,
+    build_kinetic,
+    channel_map,
+    cli,
+    evolution,
+    evolve_observable,
+    rotation_from_unitary,
+    tomography_channels,
+)
 from qprob.diagnostics import checked_map, component_checks, failed_checks
+from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z
+
+EVOLVE_IN = pathlib.Path(__file__).parent / "golden" / "evolve_in.json"
 
 CLOSED = (np.arange(9.0).reshape(3, 3), np.array([0.5, 1.5, 2.5]))
 
@@ -53,3 +68,35 @@ def test_stacked_maps_fall_back_term_by_term():
     for k, source in enumerate((closed, oracle, closed)):
         np.testing.assert_array_equal(L[k], source[0][k])
         np.testing.assert_array_equal(C[k], source[1][k])
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """A list that fills with the name of each oracle the map builders run."""
+    calls = []
+    for module, name in ((tomography_channels, "rotation_oracle"), (evolution, "kinetic_oracle")):
+        def counting(m, oracle=getattr(module, name), name=name):
+            calls.append(name)
+            return oracle(m)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_production_calls_run_no_oracle(oracle_calls, capsys):
+    spec = ChannelSpec(((0.5, IDENTITY), (0.5, SIGMA_X)))
+    rotation_from_unitary(SIGMA_X)
+    channel_map(spec)
+    build_kinetic(SIGMA_Z, 0.0)
+    evolve_observable(SIGMA_X, SIGMA_Z, 2.0, 0.5)
+    assert cli.main(["evolve", "--t-end", "1.5", "--steps", "6", "--in", str(EVOLVE_IN)]) == 0
+    capsys.readouterr()
+    assert oracle_calls == []
+
+
+def test_a_tolerance_runs_each_oracle_once(oracle_calls):
+    rotation_from_unitary(SIGMA_X, formula_tol=1e-9)
+    assert oracle_calls == ["rotation_oracle"]
+    channel_map(ChannelSpec(((0.5, IDENTITY), (0.5, SIGMA_X))), formula_tol=1e-9)
+    assert oracle_calls == ["rotation_oracle"] * 2
+    build_kinetic(SIGMA_Z, 0.0, fd_tol=1e-4)
+    assert oracle_calls == ["rotation_oracle"] * 2 + ["kinetic_oracle"]

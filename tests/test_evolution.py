@@ -25,6 +25,7 @@ from qprob import (
     sample_trajectory,
 )
 from qprob.diagnostics import failed_checks
+from qprob.evolution import FD_TOL
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z, heisenberg_exact
 from qprob.observable_map import conservative_shift_bound
 
@@ -79,7 +80,7 @@ def test_kinetic_system_rejects_drift_that_moves_the_center():
         KineticSystem(L=L, C=np.zeros(3), H=SIGMA_Z, x=0.0)
 
 
-def test_generator_formulas_match_finite_differences(rng):
+def test_generator_formulas_match_the_exact_derivative_fit(rng):
     for _ in range(30):
         checks = kinetic_formula_checks(random_hermitian(rng))
         assert len(checks) == 12
@@ -91,19 +92,19 @@ def test_generator_mismatch_detector_fires(rng):
     with pytest.warns(FormulaMismatchWarning, match="kinetic generator"):
         system = build_kinetic(h, 0.0, fd_tol=-1.0)
     # the fitted generator stays numerically close to the closed forms
-    reference = build_kinetic(h, 0.0, validate=False)
+    reference = build_kinetic(h, 0.0)
     np.testing.assert_allclose(system.L, reference.L, rtol=0, atol=1e-6)
     np.testing.assert_allclose(system.C, reference.C, rtol=0, atol=1e-6)
 
 
-def test_cached_mismatch_warns_on_every_call(rng):
+def test_mismatch_warns_on_every_call(rng):
     h = random_hermitian(rng)
     for _ in range(2):
         with pytest.warns(FormulaMismatchWarning, match="kinetic generator"):
             build_kinetic(h, 0.0, fd_tol=-1.0)
 
 
-def test_mutating_a_result_leaves_the_cache_intact(rng):
+def test_mutating_a_result_leaves_the_next_build_intact(rng):
     h = random_hermitian(rng)
     first = build_kinetic(h, 0.0)
     L, C = first.L.copy(), first.C.copy()
@@ -272,7 +273,7 @@ def ball_triple(bloch) -> ProbTriple:
 @example(entries=(1.0, -1.0, 0.0, 0.0), log_norm=0.0, bloch=(1.0, 0.0, 0.0), log_dt=np.log10(4e-5), steps=20)
 def test_trajectory_rows_equal_evolve(entries, log_norm, bloch, log_dt, steps):
     d1, d2, re, im = (10.0 ** log_norm * e for e in entries)
-    system = build_kinetic(np.array([[d1, re - 1j * im], [re + 1j * im, d2]]), 0.0, validate=False)
+    system = build_kinetic(np.array([[d1, re - 1j * im], [re + 1j * im, d2]]), 0.0)
     p0 = ball_triple(bloch)
     trajectory = sample_trajectory(system, p0, steps * 10.0 ** log_dt, steps)
     for t, row in zip(trajectory.times, trajectory.probs):
@@ -299,7 +300,7 @@ def test_evolve_holds_at_every_scale(entries, log_norm, bloch, log_t):
     h = np.array([[d1, re - 1j * im], [re + 1j * im, d2]])
     p0 = ball_triple(bloch)
     t = 10.0 ** log_t
-    pt = evolve(build_kinetic(h, 0.0, validate=False), p0, t)
+    pt = evolve(build_kinetic(h, 0.0), p0, t)
     assert abs(check_ball(pt) - check_ball(p0)) <= 1e-15
     if 2.0 * np.linalg.norm(pauli_components(h)[1]) * t <= 1e3:
         exact = probs_from_density(heisenberg_exact(density_from_probs(p0), h, t))
@@ -314,8 +315,8 @@ def test_validated_generator_is_the_closed_form_at_every_scale(entries, log_norm
     h = np.array([[d1, re - 1j * im], [re + 1j * im, d2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        checked = build_kinetic(h, 0.0)
-    closed = build_kinetic(h, 0.0, validate=False)
+        checked = build_kinetic(h, 0.0, fd_tol=FD_TOL)
+    closed = build_kinetic(h, 0.0)
     assert checked.L.tobytes() == closed.L.tobytes()
     assert checked.C.tobytes() == closed.C.tobytes()
 
@@ -330,10 +331,10 @@ def test_kinetic_check_is_quiet_at_large_norms(entries, log_norm):
     h = np.array([[d1, re - 1j * im], [re + 1j * im, d2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        checked = build_kinetic(h, 0.0)
+        checked = build_kinetic(h, 0.0, fd_tol=FD_TOL)
         checks = kinetic_formula_checks(h)
     assert failed_checks(checks) == []
-    closed = build_kinetic(h, 0.0, validate=False)
+    closed = build_kinetic(h, 0.0)
     assert checked.L.tobytes() == closed.L.tobytes()
     assert checked.C.tobytes() == closed.C.tobytes()
 
@@ -343,7 +344,7 @@ def test_fallback_at_large_norm_is_a_valid_system(rng):
     with pytest.warns(FormulaMismatchWarning, match="kinetic generator"):
         system = build_kinetic(h, 0.0, fd_tol=-1.0)
     assert isinstance(system, KineticSystem)
-    reference = build_kinetic(h, 0.0, validate=False)
+    reference = build_kinetic(h, 0.0)
     np.testing.assert_allclose(system.L, reference.L, rtol=0, atol=1e-12 * 1e9)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qprob import DomainError
 from qprob.matrix_oracle import (
@@ -52,6 +54,34 @@ def test_hermiticity_defect_and_guard():
     np.testing.assert_array_equal(require_hermitian(nearly, tol=1e-12), nearly)
 
 
+def test_hermitian_guard_scales_with_the_entries():
+    # the bound is 1e-12 of the largest entry past 1, and 1e-12 itself up to there
+    big = 1e6 * SIGMA_X + np.array([[0.0, 5e-7], [0.0, 0.0]])
+    np.testing.assert_array_equal(require_hermitian(big), big)
+    with pytest.raises(DomainError, match=r"defect 5\.000e-06 exceeds 1\.0e-06"):
+        require_hermitian(1e6 * SIGMA_X + np.array([[0.0, 5e-6], [0.0, 0.0]]))
+    with pytest.raises(DomainError, match=r"defect 2\.000e-12 exceeds 1\.0e-12"):
+        require_hermitian(SIGMA_X + np.array([[0.0, 2e-12], [0.0, 0.0]]))
+
+
+def test_hermitian_guard_rejects_an_infinite_entry_at_any_scale():
+    # inf <= tol * inf would pass a naively scaled bound
+    with pytest.raises(DomainError, match=r"defect inf exceeds 1\.0e-12"):
+        require_hermitian(np.array([[1.0, np.inf], [1.0, 1.0]]))
+
+
+def test_pauli_components_do_not_overflow():
+    h0, hvec = pauli_components([[1.7e308, 0.0], [0.0, -1.7e308]])
+    assert h0 == 0.0
+    np.testing.assert_array_equal(hvec, [0.0, 0.0, 1.7e308])
+
+
+def test_unitarity_defect_names_entries_too_large_to_square():
+    with pytest.raises(DomainError, match=r"not unitary \(entries up to 1\.000e\+200"):
+        unitarity_defect(1e200 * IDENTITY)
+    assert unitarity_defect(1e100 * IDENTITY) == 1e200
+
+
 def test_unitarity_guard():
     assert unitarity_defect(SIGMA_Y) == 0.0
     with pytest.raises(DomainError, match="not unitary"):
@@ -100,6 +130,23 @@ def test_eigenvalues_match_numpy(rng):
         expected = np.linalg.eigvalsh(h)
         assert abs(lo - expected[0]) < 1e-12
         assert abs(hi - expected[1]) < 1e-12
+
+
+entry = st.tuples(st.floats(-1.0, 1.0), st.integers(-300, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d1=entry, d2=entry, re=entry, im=entry)
+# t [[0, 1], [1, 1]]: det underflowed to 0 at t = 1e-200 and overflowed to -inf at t = 1e160
+@example(d1=(0.0, 0), d2=(1.0, -200), re=(1.0, -200), im=(0.0, 0))
+@example(d1=(0.0, 0), d2=(1.0, 160), re=(1.0, 160), im=(0.0, 0))
+def test_eigenvalues_hold_over_the_float_range(d1, d2, re, im):
+    # each entry mantissa * 10^exponent; no RuntimeWarning (pytest makes it an error)
+    v11, v22, vre, vim = (m * 10.0 ** e for m, e in (d1, d2, re, im))
+    h = np.array([[v11, vre - 1j * vim], [vre + 1j * vim, v22]])
+    expected = np.linalg.eigvalsh(h)
+    got = eigenvalues_hermitian(h)
+    assert np.max(np.abs(np.array(got) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_eigenvalues_small_root_precision():

@@ -24,7 +24,7 @@ from qprob import (
     rho_of_x,
     state_tomogram,
 )
-from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z
+from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z, heisenberg_exact
 from qprob.tomography_channels import Direction
 
 from conftest import random_hermitian
@@ -252,6 +252,8 @@ unit = st.floats(-1.0, 1.0)
 )
 # subnormal H21 and d: dividing by d through its reciprocal 1/d would overflow
 @example(entries=(0.0, 0.0, 0.0, 2.225073858507e-311), log_norm=0.0, shifts=None)
+# det H underflows unless the entries are scaled first: shift 0 was taken as admissible
+@example(entries=(0.0, 2.2250738585072014e-308, 2.2250738585072014e-308, 0.0), log_norm=0.0, shifts=(0.0, 1.0))
 def test_encode_is_the_triples_of_rho_at_each_shift(entries, log_norm, shifts):
     # encode validates H and solves its spectrum once; the result, or the error,
     # must be that of reading each rho(x) through the public calls separately
@@ -362,3 +364,29 @@ def test_non_finite_library_input_is_rejected_by_name(call, match):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
             call()
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e300])
+def test_round_trip_at_the_ends_of_the_float_range(t):
+    h = t * np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
+    recovered = decode_observable(encode_observable(h))
+    assert np.max(np.abs(recovered - h)) <= 1e-15 * t
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e9])
+def test_encode_accepts_heisenberg_exact_at_large_norms(scale):
+    # the exact evolution rounds at about eps * ||h||; the Hermitian guard scales with it
+    a = np.random.default_rng(7).standard_normal((2, 2)) * scale
+    h = (a + a.T) / 2.0
+    g = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
+    evolved = heisenberg_exact(h, g, 0.7)
+    rep = encode_observable(evolved)
+    np.testing.assert_allclose(decode_observable(rep), evolved, rtol=0, atol=1e-12 * scale)
+
+
+def test_huge_identity_multiple_names_the_overflow():
+    # tr H and the default shifts of 1e308 I leave the float range
+    with pytest.raises(DomainError, match="default shifts overflow"):
+        encode_observable(1e308 * IDENTITY)
+    with pytest.raises(DomainError, match="tr H \\+ 2x overflows"):
+        encode_observable(1e308 * IDENTITY, 1.0, 2.0)

@@ -28,7 +28,7 @@ from qprob import (
 from qprob.diagnostics import failed_checks
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, unitarity_defect
 from qprob.qubit_core import BALL_CENTER
-from qprob.tomography_channels import _adjoint_rotation
+from qprob.tomography_channels import ROTATION_FORMULA_TOL, _adjoint_rotation
 
 from conftest import random_direction, random_physical_triple, random_unitary
 
@@ -206,7 +206,7 @@ def test_rotation_is_the_adjoint_form_without_warning(entries, phase):
     u = np.exp(1j * phase) * expm_hermitian_generator(g, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mapping = rotation_from_unitary(u)
+        mapping = rotation_from_unitary(u, formula_tol=ROTATION_FORMULA_TOL)
     L, C = _adjoint_rotation(u)
     assert mapping.L.tobytes() == L.tobytes()
     assert mapping.C.tobytes() == C.tobytes()
@@ -255,17 +255,18 @@ def test_channel_depolarizing_frozen():
     raw_weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
 )
 def test_channel_is_the_weighted_sum_of_rotations(generators, phases, raw_weights):
-    # the stacked route must reproduce the sequential sum of single rotations bit for bit
+    # the stacked route, checked against its oracles, must reproduce the sequential sum
+    # of checked single rotations bit for bit
     unitaries = [
         np.exp(1j * phase) * expm_hermitian_generator(np.array([[d1, re - 1j * im], [re + 1j * im, d2]]), 1.0)
         for (d1, d2, re, im), phase in zip(generators, phases)
     ]
     total = sum(raw_weights[: len(unitaries)])
     weights = [w / total for w in raw_weights[: len(unitaries)]]
-    mapping = channel_map(ChannelSpec(tuple(zip(weights, unitaries))))
+    mapping = channel_map(ChannelSpec(tuple(zip(weights, unitaries))), formula_tol=ROTATION_FORMULA_TOL)
     L, C = np.zeros((3, 3)), np.zeros(3)
     for weight, u in zip(weights, unitaries):
-        part = rotation_from_unitary(u)
+        part = rotation_from_unitary(u, formula_tol=ROTATION_FORMULA_TOL)
         L += weight * part.L
         C += weight * part.C
     assert mapping.L.tobytes() == L.tobytes()
