@@ -13,6 +13,7 @@ fd_tol and takes over when the two disagree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,17 @@ from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple
 
 FD_TOL = 1e-4
 TRAJECTORY_TOL = 1e-8
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # L + L^T is symmetric
 
 
 @dataclass(frozen=True)
 class KineticSystem:
-    """Constant-coefficient system dp/dt = L p + C for a fixed Hamiltonian and shift."""
+    """Constant-coefficient system dp/dt = L p + C for a fixed Hamiltonian and shift.
+
+    L must be antisymmetric to 1e-12 and C must fix the ball center to
+    1e-9 * max(1, max|L|). Both tests run on the entries as Python floats, and
+    a NaN fails them.
+    """
 
     L: np.ndarray
     C: np.ndarray
@@ -36,15 +43,20 @@ class KineticSystem:
     x: float
 
     def __post_init__(self):
-        object.__setattr__(self, "L", np.asarray(self.L, dtype=float).reshape(3, 3))
-        object.__setattr__(self, "C", np.asarray(self.C, dtype=float).reshape(3))
+        L = np.asarray(self.L, dtype=float).reshape(3, 3)
+        C = np.asarray(self.C, dtype=float).reshape(3)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "C", C)
         object.__setattr__(self, "H", np.asarray(self.H, dtype=complex).reshape(2, 2))
-        defect = float(np.max(np.abs(self.L + self.L.T)))
-        if defect > 1e-12:
+        rows = L.tolist()
+        defect = matrix_oracle._nan_max([abs(rows[i][j] + rows[j][i]) for i, j in _UPPER])
+        if not defect <= 1e-12:
             raise DomainError(f"kinetic generator must be antisymmetric (defect {defect:.3e})")
-        # the propagator rotates about the ball center, so C must keep it fixed
-        drift = float(np.max(np.abs(self.L @ BALL_CENTER + self.C)))
-        if not drift <= 1e-9 * max(1.0, float(np.max(np.abs(self.L)))):
+        # the propagator rotates about the ball center, so C must keep it fixed;
+        # summed left to right, each row is L @ BALL_CENTER + C bit for bit
+        drift = matrix_oracle._nan_max([abs(0.5 * a + 0.5 * b + 0.5 * c + k)
+                                        for (a, b, c), k in zip(rows, C.tolist())])
+        if not drift <= 1e-9 * max(1.0, max(abs(v) for row in rows for v in row)):
             raise DomainError(
                 "kinetic drift must fix the ball center (maximally mixed state) "
                 f"(|L c + C| = {drift:.3e})"
@@ -66,15 +78,26 @@ class Trajectory:
         object.__setattr__(self, "probs", probs)
         if times.ndim != 1 or probs.shape != (times.size, 3):
             raise DomainError("trajectory needs times (n,) and probs (n, 3)")
-        if times.size < 2 or np.any(np.diff(times) <= 0.0):
+        if times.size < 2:
             raise DomainError("trajectory times must be strictly increasing")
-        # One array pass with check_ball's arithmetic (a stacked matmul sums each
-        # row as d @ d does); flagged rows go through require_physical for its message.
+        for name, t in (("first", times[0]), ("last", times[-1])):
+            if not math.isfinite(t):
+                raise DomainError(f"trajectory times must be finite, got {float(t)!r} as the {name} time")
+        # a NaN fails every comparison, so finite ends and one increasing test bound every time
+        if not (times[1:] > times[:-1]).all():
+            raise DomainError("trajectory times must be strictly increasing")
+        # Three whole-array reductions accept a physical trajectory; a NaN fails all
+        # three. The residuals use check_ball's arithmetic (a stacked matmul sums each
+        # row as d @ d does). Only on failure are the rows masked, and the flagged
+        # rows go through require_physical for its message.
         d = (probs - BALL_CENTER)[:, None, :]
-        inside = np.all((probs >= -TRAJECTORY_TOL) & (probs <= 1.0 + TRAJECTORY_TOL), axis=1)
-        inside &= 0.25 - (d @ d.transpose(0, 2, 1))[:, 0, 0] >= -TRAJECTORY_TOL
-        for row in probs[~inside]:
-            qubit_core.require_physical(ProbTriple.from_array(row), TRAJECTORY_TOL)
+        residual = 0.25 - (d @ d.transpose(0, 2, 1))[:, 0, 0]
+        if not (probs.min() >= -TRAJECTORY_TOL and probs.max() <= 1.0 + TRAJECTORY_TOL
+                and residual.min() >= -TRAJECTORY_TOL):
+            inside = np.all((probs >= -TRAJECTORY_TOL) & (probs <= 1.0 + TRAJECTORY_TOL), axis=1)
+            inside &= residual >= -TRAJECTORY_TOL
+            for row in probs[~inside]:
+                qubit_core.require_physical(ProbTriple.from_array(row), TRAJECTORY_TOL)
 
     def triples(self) -> list[ProbTriple]:
         return [ProbTriple.from_array(row) for row in self.probs]
@@ -83,7 +106,10 @@ class Trajectory:
 def _closed_form_generator(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L v = v x omega with omega = 2h, and C = -L c so the ball center stays fixed."""
     _, hvec = matrix_oracle._pauli(m)
-    w1, w2, w3 = 2.0 * hvec
+    h1, h2, h3 = hvec.tolist()
+    w1, w2, w3 = 2.0 * h1, 2.0 * h2, 2.0 * h3
+    if not max(abs(w1), abs(w2), abs(w3)) < math.inf:
+        raise DomainError(f"kinetic generator omega = 2h overflows (h = ({h1:.3e}, {h2:.3e}, {h3:.3e}))")
     L = np.array([[0.0, w3, -w2], [-w3, 0.0, w1], [w2, -w1, 0.0]])
     return L, -(L @ BALL_CENTER)
 
@@ -131,7 +157,12 @@ def _rotate_about_center(L: np.ndarray, p0: ProbTriple, times: np.ndarray) -> np
     alone.
     """
     start = p0.as_array()
-    omega = float(np.linalg.norm([L[2, 1], L[0, 2], L[1, 0]]))
+    omega = matrix_oracle._norm3((L[2, 1], L[0, 2], L[1, 0]))
+    # the largest |t| is at an end of the grid
+    if not math.isfinite(omega * max(abs(float(times[0])), abs(float(times[-1])))):
+        raise DomainError(
+            f"rotation angle |omega| t overflows (|omega| = {omega:.3e}, t up to {times[-1]:.3e})"
+        )
     if omega == 0.0:
         return np.tile(start, (times.size, 1))
     K = L / omega

@@ -42,15 +42,20 @@ def _modulus(z: complex) -> float:
     return math.hypot(z.real, z.imag)
 
 
+def _nan_max(parts) -> float:
+    """max of non-negative floats, NaN if one is NaN: max() alone may drop a NaN, which their sum keeps."""
+    total = sum(parts)
+    return total if math.isnan(total) else max(parts)
+
+
 def _hermiticity_defect(m: np.ndarray) -> float:
     """max |m_ij - conj(m_ji)| over the entries, read once as Python complex numbers.
 
     A non-finite entry gives NaN (inf - inf on the diagonal) or inf, as the
-    elementwise numpy form does; max() alone may drop a NaN, which their sum keeps.
+    elementwise numpy form does.
     """
     (a, b), (c, d) = m.tolist()
-    defects = (_modulus(a - a.conjugate()), _modulus(b - c.conjugate()), _modulus(d - d.conjugate()))
-    return sum(defects) if math.isnan(sum(defects)) else max(defects)
+    return _nan_max((_modulus(a - a.conjugate()), _modulus(b - c.conjugate()), _modulus(d - d.conjugate())))
 
 
 def hermiticity_defect(matrix) -> float:
@@ -60,8 +65,7 @@ def hermiticity_defect(matrix) -> float:
 def _largest_part(m: np.ndarray) -> float:
     """max |Re m_ij|, |Im m_ij| over the entries; NaN if one is NaN, as in _hermiticity_defect."""
     (a, b), (c, d) = m.tolist()
-    parts = tuple(map(abs, (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)))
-    return sum(parts) if math.isnan(sum(parts)) else max(parts)
+    return _nan_max(tuple(map(abs, (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag))))
 
 
 def _unitarity_defect(m: np.ndarray, name: str = "matrix") -> float:
@@ -100,6 +104,18 @@ def _pauli(m: np.ndarray) -> tuple[float, np.ndarray]:
     # halved before they are added: h11 +- h22 itself can overflow
     h11, h22 = 0.5 * float(m[0, 0].real), 0.5 * float(m[1, 1].real)
     return h11 + h22, np.array([m[1, 0].real, m[1, 0].imag, h11 - h22])
+
+
+def _norm3(v) -> float:
+    """|v| of a real 3-vector with no overflow in the squares.
+
+    Past 2^510 a square can overflow, so v is scaled by the exact power of two
+    2^-600 first. Where np.linalg.norm does not overflow, the two agree bit for
+    bit; the result is inf only where |v| itself is.
+    """
+    if max(map(abs, v)) <= 2.0 ** 510:
+        return float(np.linalg.norm(v))
+    return float(np.linalg.norm(np.multiply(v, 2.0 ** -600))) * 2.0 ** 600
 
 
 def pauli_components(matrix) -> tuple[float, np.ndarray]:
@@ -151,14 +167,19 @@ def expm_hermitian_generator(h, t: float) -> np.ndarray:
 
     With H = h0*I + hvec . sigma the exponential factors exactly into
     exp(i h0 t) (cos(|hvec| t) I + i sin(|hvec| t) (hvec/|hvec|) . sigma),
-    so no series truncation or scaling-and-squaring is involved.
+    so no series truncation or scaling-and-squaring is involved. Both angles,
+    |hvec| t and h0 t, must be finite.
     """
     h0, hvec = _pauli(require_hermitian(h))
-    norm = float(np.linalg.norm(hvec))
+    norm, t = _norm3(hvec), float(t)
+    angle = norm * t
+    if not (math.isfinite(angle) and math.isfinite(h0 * t)):
+        raise DomainError(
+            f"exp(iHt) needs finite |h| t and h0 t (|h| = {norm:.3e}, h0 = {h0:.3e}, t = {t!r})"
+        )
     phase = np.exp(1j * h0 * t)
     if norm == 0.0:
         return phase * IDENTITY
-    angle = norm * t
     axis = hvec / norm
     sigma_axis = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
     return phase * (np.cos(angle) * IDENTITY + 1j * np.sin(angle) * sigma_axis)

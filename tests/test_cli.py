@@ -443,6 +443,18 @@ def test_observable_golden_bytes(args, golden, capsys):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("fmt, golden", [("csv", "evolve_generic_out.csv"), ("json", "evolve_generic_out.json")])
+def test_evolve_generic_golden_bytes(fmt, golden, capsys):
+    # all three components of h are nonzero and p0 is mixed, so every axis of the rotation shows
+    code, out, err = run_cli(
+        ["evolve", "--t-end", "2.5", "--steps", "10", "--format", fmt,
+         "--in", str(GOLDEN / "evolve_generic_in.json")],
+        capsys=capsys,
+    )
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_check_physical_report(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["check"],

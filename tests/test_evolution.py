@@ -1,5 +1,6 @@
 """Kinetic equation: generator values, exact propagation, and matrix-side agreement."""
 
+import re
 import warnings
 
 import numpy as np
@@ -78,6 +79,37 @@ def test_kinetic_system_rejects_drift_that_moves_the_center():
     L = build_kinetic(SIGMA_Z, 0.0).L
     with pytest.raises(DomainError, match=r"fix the ball center \(maximally mixed state\)"):
         KineticSystem(L=L, C=np.zeros(3), H=SIGMA_Z, x=0.0)
+
+
+def test_kinetic_system_rejects_a_nan_generator_as_not_antisymmetric():
+    L = build_kinetic(SIGMA_Z, 0.0).L.copy()
+    L[0, 2] = np.nan
+    with pytest.raises(DomainError, match=r"^kinetic generator must be antisymmetric \(defect nan\)$"):
+        KineticSystem(L=L, C=np.zeros(3), H=SIGMA_Z, x=0.0)
+
+
+def test_kinetic_system_rejects_a_nan_drift():
+    system = build_kinetic(SIGMA_Z, 0.0)
+    with pytest.raises(DomainError, match=r"\(\|L c \+ C\| = nan\)$"):
+        KineticSystem(L=system.L, C=[np.nan, 1.0, 0.0], H=SIGMA_Z, x=0.0)
+
+
+def test_build_kinetic_names_an_overflowing_omega():
+    # h3 = 1.7e308 is finite, omega3 = 2 h3 is not; no RuntimeWarning on the way
+    with pytest.raises(DomainError, match=r"^kinetic generator omega = 2h overflows \(h = \(0\.000e\+00, 0\.000e\+00, 1\.700e\+308\)\)$"):
+        build_kinetic([[1.7e308, 0.0], [0.0, -1.7e308]], 0.0)
+
+
+def test_evolution_past_the_square_overflow():
+    # |omega|^2 overflows past about 1.3e154: the rotation still runs, and an overflowing angle is named
+    system = build_kinetic(np.diag([1e200, -1e200]), 0.0)
+    reference = sample_trajectory(build_kinetic(SIGMA_Z, 0.0), P0_X, 1.0, 8)
+    scaled = sample_trajectory(system, P0_X, 1e-200, 8)
+    np.testing.assert_allclose(scaled.probs, reference.probs, rtol=0, atol=1e-15)
+    with pytest.raises(DomainError, match=r"^rotation angle \|omega\| t overflows \(\|omega\| = 2\.000e\+200, t up to 1\.000e\+200\)$"):
+        sample_trajectory(system, P0_X, 1e200, 8)
+    with pytest.raises(DomainError, match="rotation angle"):
+        evolve(build_kinetic(np.diag([8e307, -8e307]), 0.0), P0_X, -2.0)
 
 
 def test_generator_formulas_match_the_exact_derivative_fit(rng):
@@ -364,7 +396,31 @@ def test_trajectory_validation():
         sample_trajectory(system, P0_X, 1.0, 0)
     with pytest.raises(DomainError, match="increasing"):
         Trajectory(times=np.array([0.0, 0.0]), probs=np.full((2, 3), 0.5), x=0.0)
+    # NaN fails the increasing test; an infinite end time passes it, so the ends are named
+    with pytest.raises(DomainError, match="^trajectory times must be strictly increasing$"):
+        Trajectory(times=[0.0, np.nan, 1.0], probs=np.full((3, 3), 0.5), x=0.0)
+    with pytest.raises(DomainError, match="^trajectory times must be finite, got inf as the last time$"):
+        Trajectory(times=[0.0, np.inf], probs=np.full((2, 3), 0.5), x=0.0)
+    with pytest.raises(DomainError, match="^trajectory times must be finite, got -inf as the first time$"):
+        Trajectory(times=[-np.inf, 0.0], probs=np.full((2, 3), 0.5), x=0.0)
     with pytest.raises(DomainError, match=r"^triple violates .* \(ball residual -2\.300e-01\)$"):
         Trajectory(times=np.array([0.0, 1.0]), probs=np.array([[0.5] * 3, [0.9] * 3]), x=0.0)
     with pytest.raises(DomainError, match="times"):
         Trajectory(times=np.array([0.0, 1.0]), probs=np.full((3, 3), 0.5), x=0.0)
+    # each rejected row raises require_physical's own message, the first bad row's
+    outside_ball = 0.5 + np.sqrt(0.25 + 2e-8) / np.sqrt(3.0)
+    long_probs = np.full((10_000, 3), 0.5)
+    long_probs[5_000] = 0.9
+    long_probs[7_000, 0] = np.nan
+    for probs, message in [
+        ([[0.5] * 3, [outside_ball] * 3],
+         "triple violates (p1-1/2)^2 + (p2-1/2)^2 + (p3-1/2)^2 <= 1/4 (ball residual -2.000e-08)"),
+        ([[0.5] * 3, [1.0 + 2e-8, 0.5, 0.5]], "p1 = 1.00000002 violates 0 <= p1 <= 1"),
+        ([[0.5] * 3, [np.nan, 0.5, 0.5]], "p1 = nan violates 0 <= p1 <= 1"),
+        ([[0.5] * 3, [np.inf, 0.5, 0.5]], "p1 = inf violates 0 <= p1 <= 1"),
+        ([[0.5] * 3, [0.5, -np.inf, 0.5]], "p2 = -inf violates 0 <= p2 <= 1"),
+        (long_probs, "triple violates (p1-1/2)^2 + (p2-1/2)^2 + (p3-1/2)^2 <= 1/4 (ball residual -2.300e-01)"),
+    ]:
+        probs = np.array(probs)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Trajectory(times=np.arange(len(probs), dtype=float), probs=probs, x=0.0)

@@ -197,6 +197,26 @@ def test_expm_identity_generator_is_phase():
     np.testing.assert_allclose(u, np.exp(0.5j) * IDENTITY, rtol=0, atol=1e-15)
 
 
+def test_expm_rejects_a_non_finite_angle():
+    # |h| = 1e308 is finite, |h| t = 1e309 is not; h0 t overflows the same way
+    with pytest.raises(DomainError, match=r"finite \|h\| t and h0 t \(\|h\| = 1\.000e\+308, h0 = 0\.000e\+00"):
+        expm_hermitian_generator(np.diag([1e308, -1e308]), 10.0)
+    with pytest.raises(DomainError, match=r"h0 = 1\.000e\+308, t = 10\.0\)"):
+        heisenberg_exact(SIGMA_X, 1e308 * IDENTITY, 10.0)
+    for t in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            heisenberg_exact(SIGMA_X, SIGMA_Z, t)
+
+
+def test_expm_norm_does_not_overflow_near_the_float_maximum():
+    # |h|^2 overflows past about 1.3e154; the exponential stays unitary and exact up to 1.7e308
+    u = expm_hermitian_generator(np.diag([1.7e308, -1.7e308]), 1.0)
+    assert unitarity_defect(u) < 1e-15
+    np.testing.assert_array_equal(u, np.diag([np.exp(1.7e308j), np.exp(-1.7e308j)]))
+    a = heisenberg_exact(SIGMA_Z, np.diag([1e200, -1e200]), 2e-200)
+    np.testing.assert_allclose(a, heisenberg_exact(SIGMA_Z, SIGMA_Z, 2.0), rtol=0, atol=1e-15)
+
+
 def test_heisenberg_frozen_quarter_turn():
     # exp(i sigma_z t) sigma_x exp(-i sigma_z t) at t = pi/4 lands on -sigma_y
     a = heisenberg_exact(SIGMA_X, SIGMA_Z, np.pi / 4.0)
