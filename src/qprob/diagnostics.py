@@ -85,8 +85,8 @@ def kinetic_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The affine map through the exact derivatives i[H, rho] at the probe states.
 
     The generator is provably antisymmetric; the fit is projected onto the
-    antisymmetric part, and C corrected to match, so that it can stand in for
-    the closed form.
+    antisymmetric part, and C corrected to match. Only this L stands in for
+    the closed form: build_kinetic reads omega off it, and C follows as -L c.
     """
     fit_L, fit_C = fit_affine(_triple_parts(1j * (m @ PROBE_DENSITIES - PROBE_DENSITIES @ m)))
     L = 0.5 * (fit_L - fit_L.T)

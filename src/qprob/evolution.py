@@ -1,14 +1,12 @@
 """Heisenberg-picture evolution as a linear kinetic equation for triples.
 
-For a Hamiltonian H = h0 I + h . sigma, the probability triple of any
-rho(x, t) built from an evolving observable obeys dp/dt = L p + C, where
-L v = v x omega is the cross product with omega = 2h and C = -L c fixes the
-ball center c. The exact solution is the rotation about the center,
-p(t) = c + exp(L t)(p0 - c), with exp(L t) in Rodrigues' closed form (no time
-stepping) over a whole time grid at once. The closed-form L and C are the one
-production route; their oracle, in diagnostics, is the affine fit of the exact
-derivatives i[H, rho] at four probe states, which runs when a caller passes
-fd_tol and takes over when the two disagree.
+For a Hamiltonian H = h0 I + h . sigma, the triple of any rho(x, t) built from
+an evolving observable obeys dp/dt = L p + C, where L v = v x omega with
+omega = 2h and C = -L c fixes the ball center c; a KineticSystem holds omega
+and derives L and C. The exact solution p(t) = c + exp(L t)(p0 - c) is a
+rotation, in Rodrigues' closed form over a whole time grid at once. The oracle
+of omega, in diagnostics, fits the exact derivatives i[H, rho] at four probe
+states; it runs given fd_tol, and on a mismatch only its L stands in.
 """
 
 from __future__ import annotations
@@ -25,42 +23,40 @@ from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple
 
 FD_TOL = 1e-4
 TRAJECTORY_TOL = 1e-8
-_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # L + L^T is symmetric
+
+
+def _cross(w) -> np.ndarray:
+    """The matrix of v -> v x w."""
+    w1, w2, w3 = w
+    return np.array([[0.0, w3, -w2], [-w3, 0.0, w1], [w2, -w1, 0.0]])
 
 
 @dataclass(frozen=True)
 class KineticSystem:
     """Constant-coefficient system dp/dt = L p + C for a fixed Hamiltonian and shift.
 
-    L must be antisymmetric to 1e-12 and C must fix the ball center to
-    1e-9 * max(1, max|L|). Both tests run on the entries as Python floats, and
-    a NaN fails them.
+    Held as its angular velocity omega = 2h, three finite numbers: L v = v x omega
+    and C = -L c, which keeps the ball center c fixed, are fresh arrays on each access.
     """
 
-    L: np.ndarray
-    C: np.ndarray
-    H: np.ndarray
+    omega: tuple[float, float, float]
     x: float
 
     def __post_init__(self):
-        L = np.asarray(self.L, dtype=float).reshape(3, 3)
-        C = np.asarray(self.C, dtype=float).reshape(3)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "H", np.asarray(self.H, dtype=complex).reshape(2, 2))
-        rows = L.tolist()
-        defect = matrix_oracle._nan_max([abs(rows[i][j] + rows[j][i]) for i, j in _UPPER])
-        if not defect <= 1e-12:
-            raise DomainError(f"kinetic generator must be antisymmetric (defect {defect:.3e})")
-        # the propagator rotates about the ball center, so C must keep it fixed;
-        # summed left to right, each row is L @ BALL_CENTER + C bit for bit
-        drift = matrix_oracle._nan_max([abs(0.5 * a + 0.5 * b + 0.5 * c + k)
-                                        for (a, b, c), k in zip(rows, C.tolist())])
-        if not drift <= 1e-9 * max(1.0, max(abs(v) for row in rows for v in row)):
-            raise DomainError(
-                "kinetic drift must fix the ball center (maximally mixed state) "
-                f"(|L c + C| = {drift:.3e})"
-            )
+        omega = tuple(map(float, self.omega))
+        if len(omega) != 3:
+            raise DomainError(f"kinetic angular velocity omega needs 3 components, got {len(omega)}")
+        if not all(map(math.isfinite, omega)):
+            raise DomainError(f"kinetic angular velocity omega must be finite, got {omega!r}")
+        object.__setattr__(self, "omega", omega)
+
+    @property
+    def L(self) -> np.ndarray:
+        return _cross(self.omega)
+
+    @property
+    def C(self) -> np.ndarray:
+        return -(self.L @ BALL_CENTER)
 
 
 @dataclass(frozen=True)
@@ -86,37 +82,32 @@ class Trajectory:
         # a NaN fails every comparison, so finite ends and one increasing test bound every time
         if not (times[1:] > times[:-1]).all():
             raise DomainError("trajectory times must be strictly increasing")
-        # Three whole-array reductions accept a physical trajectory; a NaN fails all
-        # three. The residuals use check_ball's arithmetic (a stacked matmul sums each
-        # row as d @ d does). Only on failure are the rows masked, and the flagged
-        # rows go through require_physical for its message.
+        # The ball lies inside the unit cube, so one reduction of the ball residuals (check_ball's
+        # arithmetic: a stacked matmul sums each row as d @ d does) accepts; a NaN fails it.
+        # Only on failure are rows masked, and each flagged row raises require_physical's message.
         d = (probs - BALL_CENTER)[:, None, :]
         residual = 0.25 - (d @ d.transpose(0, 2, 1))[:, 0, 0]
-        if not (probs.min() >= -TRAJECTORY_TOL and probs.max() <= 1.0 + TRAJECTORY_TOL
-                and residual.min() >= -TRAJECTORY_TOL):
-            inside = np.all((probs >= -TRAJECTORY_TOL) & (probs <= 1.0 + TRAJECTORY_TOL), axis=1)
-            inside &= residual >= -TRAJECTORY_TOL
-            for row in probs[~inside]:
+        if not residual.min() >= -TRAJECTORY_TOL:
+            for row in probs[~(residual >= -TRAJECTORY_TOL)]:
                 qubit_core.require_physical(ProbTriple.from_array(row), TRAJECTORY_TOL)
 
     def triples(self) -> list[ProbTriple]:
         return [ProbTriple.from_array(row) for row in self.probs]
 
 
-def _closed_form_generator(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L v = v x omega with omega = 2h, and C = -L c so the ball center stays fixed."""
+def _omega(m: np.ndarray) -> tuple[float, float, float]:
+    """omega = 2h for the validated Hamiltonian m = h0 I + h . sigma."""
     _, hvec = matrix_oracle._pauli(m)
     h1, h2, h3 = hvec.tolist()
-    w1, w2, w3 = 2.0 * h1, 2.0 * h2, 2.0 * h3
-    if not max(abs(w1), abs(w2), abs(w3)) < math.inf:
+    omega = (2.0 * h1, 2.0 * h2, 2.0 * h3)
+    if not max(map(abs, omega)) < math.inf:
         raise DomainError(f"kinetic generator omega = 2h overflows (h = ({h1:.3e}, {h2:.3e}, {h3:.3e}))")
-    L = np.array([[0.0, w3, -w2], [-w3, 0.0, w1], [w2, -w1, 0.0]])
-    return L, -(L @ BALL_CENTER)
+    return omega
 
 
-def _scaled_tol(L: np.ndarray, tol: float) -> float:
-    # the oracle rounds at about 2.4e-16 * |H|, so the tolerance grows with max|L| past 1
-    return tol * max(1.0, float(np.max(np.abs(L))))
+def _scaled_tol(omega, tol: float) -> float:
+    # the oracle rounds at about 2.4e-16 * |H|, so the tolerance grows with max|L| = max|omega_k| past 1
+    return tol * max(1.0, *map(abs, omega))
 
 
 def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
@@ -125,28 +116,31 @@ def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
     Each check's tolerance is tol * max(1, max|L|), as in build_kinetic.
     """
     m = matrix_oracle.require_hermitian(h, name="hamiltonian")
-    closed = _closed_form_generator(m)
-    return component_checks(closed, kinetic_oracle(m), _scaled_tol(closed[0], tol))
+    system = KineticSystem(_omega(m), 0.0)  # L and C do not depend on the shift
+    return component_checks((system.L, system.C), kinetic_oracle(m), _scaled_tol(system.omega, tol))
 
 
 def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     """Kinetic system dp/dt = L p + C for the given Hamiltonian and shift.
 
-    L and C come from closed forms (L antisymmetric by construction). Given
+    The system is omega = 2h, from which L and C follow in closed form. Given
     fd_tol, every component is also checked against the affine fit of the
     exact derivatives i[H, rho] at the four probe states; a deviation beyond
-    fd_tol * max(1, max|L|) raises a FormulaMismatchWarning naming it, and the
-    fitted generator replaces the closed forms.
+    fd_tol * max(1, max|L|) raises a FormulaMismatchWarning naming it, and
+    omega is read off the oracle's antisymmetric L instead.
     """
     m = matrix_oracle.require_hermitian(h, name="hamiltonian")
-    L, C = _closed_form_generator(m)
+    system = KineticSystem(_omega(m), float(x))
     if fd_tol is not None:
-        L, C = checked_map((L, C), kinetic_oracle(m), _scaled_tol(L, fd_tol), "kinetic generator")
-    return KineticSystem(L=L, C=C, H=m, x=float(x))
+        closed = (system.L, system.C)
+        L, _ = checked_map(closed, kinetic_oracle(m), _scaled_tol(system.omega, fd_tol), "kinetic generator")
+        if L is not closed[0]:
+            system = KineticSystem((L[1, 2], L[2, 0], L[0, 1]), system.x)
+    return system
 
 
-def _rotate_about_center(L: np.ndarray, p0: ProbTriple, times: np.ndarray) -> np.ndarray:
-    """Rows c + exp(L t)(p0 - c), one per time, for antisymmetric L.
+def _rotate_about_center(omega, p0: ProbTriple, times: np.ndarray) -> np.ndarray:
+    """Rows c + exp(L t)(p0 - c), one per time, for L v = v x omega (2h, or off the oracle's L).
 
     With K = L/|omega| and angle = |omega| t, Rodrigues' formula gives
     exp(L t) - I = sin(angle) K + 2 sin^2(angle/2) K^2. No term cancels, so
@@ -157,18 +151,18 @@ def _rotate_about_center(L: np.ndarray, p0: ProbTriple, times: np.ndarray) -> np
     alone.
     """
     start = p0.as_array()
-    omega = matrix_oracle._norm3((L[2, 1], L[0, 2], L[1, 0]))
+    norm = matrix_oracle._norm3(omega)
     # the largest |t| is at an end of the grid
-    if not math.isfinite(omega * max(abs(float(times[0])), abs(float(times[-1])))):
+    if not math.isfinite(norm * max(abs(float(times[0])), abs(float(times[-1])))):
         raise DomainError(
-            f"rotation angle |omega| t overflows (|omega| = {omega:.3e}, t up to {times[-1]:.3e})"
+            f"rotation angle |omega| t overflows (|omega| = {norm:.3e}, t up to {times[-1]:.3e})"
         )
-    if omega == 0.0:
+    if norm == 0.0:
         return np.tile(start, (times.size, 1))
-    K = L / omega
+    K = _cross(omega) / norm
     k1 = K @ (start - BALL_CENTER)
     k2 = K @ k1
-    angle = omega * times
+    angle = norm * times
     half_sin = np.sin(0.5 * angle)
     rows = np.sin(angle)[:, None] * k1
     rows += (2.0 * half_sin * half_sin)[:, None] * k2
@@ -181,22 +175,25 @@ def evolve(system: KineticSystem, p0: ProbTriple, t: float, tol: float = DEFAULT
     qubit_core.require_physical(p0, tol)
     if not np.isfinite(t):
         raise DomainError(f"time must be finite, got {t!r}")
-    return ProbTriple.from_array(_rotate_about_center(system.L, p0, np.array([float(t)]))[0])
+    return ProbTriple.from_array(_rotate_about_center(system.omega, p0, np.array([float(t)]))[0])
 
 
 def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
     """Evolve an observable through the kinetic equation at shift x.
 
-    The triple of rho(x, 0) is read off the observable in closed form, it is
-    propagated, and A(t) = (tr A0 + 2x) rho(x, t) - x I undoes the embedding;
-    the trace is conserved, so the same normalization applies at both ends.
+    The triple of rho(x, 0), physical at an admissible x, is read off the
+    observable in closed form and propagated, and A(t) = (tr A0 + 2x) rho(x, t)
+    - x I undoes the embedding; the trace is conserved, so the same
+    normalization applies at both ends.
     """
     m, lam_min, _ = observable_map._accept(a0, "observable")
     p0 = observable_map._triple(m, lam_min, float(x))
     system = build_kinetic(h, x)
-    pt = evolve(system, p0, t)
+    if not np.isfinite(t):
+        raise DomainError(f"time must be finite, got {t!r}")
+    pt = ProbTriple.from_array(_rotate_about_center(system.omega, p0, np.array([float(t)]))[0])
     denom = float(m[0, 0].real + m[1, 1].real) + 2.0 * float(x)
-    return denom * qubit_core.density_from_probs(pt) - float(x) * matrix_oracle.IDENTITY
+    return denom * qubit_core._density(pt) - float(x) * matrix_oracle.IDENTITY
 
 
 def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps: int,
@@ -214,4 +211,4 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
         raise DomainError(f"steps must be at least 1, got {steps}")
     qubit_core.require_physical(p0, tol)
     times = np.linspace(0.0, float(t_end), steps + 1)
-    return Trajectory(times=times, probs=_rotate_about_center(system.L, p0, times), x=system.x)
+    return Trajectory(times=times, probs=_rotate_about_center(system.omega, p0, times), x=system.x)

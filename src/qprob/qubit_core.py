@@ -83,14 +83,15 @@ def require_physical(p: ProbTriple, tol: float = DEFAULT_TOL) -> None:
         raise DomainError(reason)
 
 
+def _density(p: ProbTriple) -> np.ndarray:
+    lower = complex(p.p1 - 0.5, p.p2 - 0.5)
+    return np.array([[p.p3, lower.conjugate()], [lower, 1.0 - p.p3]], dtype=complex)
+
+
 def density_from_probs(p: ProbTriple, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Density matrix with rho11 = p3 and rho21 = (p1 + i p2) - GAMMA."""
     require_physical(p, tol)
-    lower = complex(p.p1 - 0.5, p.p2 - 0.5)
-    return np.array(
-        [[p.p3, lower.conjugate()], [lower, 1.0 - p.p3]],
-        dtype=complex,
-    )
+    return _density(p)
 
 
 def probs_from_density(rho, tol: float = DEFAULT_TOL) -> ProbTriple:

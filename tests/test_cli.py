@@ -443,14 +443,15 @@ def test_observable_golden_bytes(args, golden, capsys):
     assert out == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("fmt, golden", [("csv", "evolve_generic_out.csv"), ("json", "evolve_generic_out.json")])
-def test_evolve_generic_golden_bytes(fmt, golden, capsys):
-    # all three components of h are nonzero and p0 is mixed, so every axis of the rotation shows
-    code, out, err = run_cli(
-        ["evolve", "--t-end", "2.5", "--steps", "10", "--format", fmt,
-         "--in", str(GOLDEN / "evolve_generic_in.json")],
-        capsys=capsys,
-    )
+@pytest.mark.parametrize("args, golden", [
+    (["--format", "csv", "--in", str(GOLDEN / "evolve_generic_in.json")], "evolve_generic_out.csv"),
+    (["--format", "json", "--in", str(GOLDEN / "evolve_generic_in.json")], "evolve_generic_out.json"),
+    (["--x", "2", "--in", str(GOLDEN / "evolve_a0_in.json")], "evolve_a0_out.csv"),
+], ids=["csv-evolve_generic_out.csv", "json-evolve_generic_out.json", "a0-evolve_a0_out.csv"])
+def test_evolve_generic_golden_bytes(args, golden, capsys):
+    # all three components of h are nonzero and each start is mixed, so every axis of the rotation
+    # shows; the A0 start is the triple of rho(x) read off the observable at --x
+    code, out, err = run_cli(["evolve", "--t-end", "2.5", "--steps", "10", *args], capsys=capsys)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
 

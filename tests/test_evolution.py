@@ -25,10 +25,11 @@ from qprob import (
     rho_of_x,
     sample_trajectory,
 )
-from qprob.diagnostics import failed_checks
+from qprob.diagnostics import failed_checks, kinetic_oracle
 from qprob.evolution import FD_TOL
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z, heisenberg_exact
 from qprob.observable_map import conservative_shift_bound
+from qprob.qubit_core import BALL_CENTER
 
 from conftest import (
     random_hermitian,
@@ -70,28 +71,19 @@ def test_generator_antisymmetric(rng):
         np.testing.assert_array_equal(system.L, -system.L.T)
 
 
-def test_kinetic_system_rejects_non_antisymmetric():
-    with pytest.raises(DomainError, match="antisymmetric"):
-        KineticSystem(L=np.eye(3), C=np.zeros(3), H=SIGMA_Z, x=0.0)
+def test_kinetic_system_rejects_a_non_finite_or_wrong_length_omega():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match=r"^kinetic angular velocity omega must be finite, got \("):
+            KineticSystem(omega=(0.0, bad, 1.0), x=0.0)
+    with pytest.raises(DomainError, match=r"^kinetic angular velocity omega needs 3 components, got 2$"):
+        KineticSystem(omega=(1.0, 2.0), x=0.0)
 
 
-def test_kinetic_system_rejects_drift_that_moves_the_center():
-    L = build_kinetic(SIGMA_Z, 0.0).L
-    with pytest.raises(DomainError, match=r"fix the ball center \(maximally mixed state\)"):
-        KineticSystem(L=L, C=np.zeros(3), H=SIGMA_Z, x=0.0)
-
-
-def test_kinetic_system_rejects_a_nan_generator_as_not_antisymmetric():
-    L = build_kinetic(SIGMA_Z, 0.0).L.copy()
-    L[0, 2] = np.nan
-    with pytest.raises(DomainError, match=r"^kinetic generator must be antisymmetric \(defect nan\)$"):
-        KineticSystem(L=L, C=np.zeros(3), H=SIGMA_Z, x=0.0)
-
-
-def test_kinetic_system_rejects_a_nan_drift():
-    system = build_kinetic(SIGMA_Z, 0.0)
-    with pytest.raises(DomainError, match=r"\(\|L c \+ C\| = nan\)$"):
-        KineticSystem(L=system.L, C=[np.nan, 1.0, 0.0], H=SIGMA_Z, x=0.0)
+def test_build_kinetic_omega_is_twice_the_pauli_vector(rng):
+    for _ in range(50):
+        h = random_hermitian(rng, scale=float(10.0 ** rng.uniform(-6.0, 6.0)))
+        omega = build_kinetic(h, 0.0).omega
+        assert np.array(omega).tobytes() == (2.0 * pauli_components(h)[1]).tobytes()
 
 
 def test_build_kinetic_names_an_overflowing_omega():
@@ -129,6 +121,16 @@ def test_generator_mismatch_detector_fires(rng):
     np.testing.assert_allclose(system.C, reference.C, rtol=0, atol=1e-6)
 
 
+def test_fallback_generator_is_the_oracle_L_and_its_center_fixing_C(rng):
+    for _ in range(20):
+        h = random_hermitian(rng)
+        with pytest.warns(FormulaMismatchWarning, match="kinetic generator"):
+            system = build_kinetic(h, 0.0, fd_tol=-1.0)
+        L = system.L
+        assert L.tobytes() == kinetic_oracle(np.asarray(h, dtype=complex))[0].tobytes()
+        assert system.C.tobytes() == (-(L @ BALL_CENTER)).tobytes()
+
+
 def test_mismatch_warns_on_every_call(rng):
     h = random_hermitian(rng)
     for _ in range(2):
@@ -142,6 +144,9 @@ def test_mutating_a_result_leaves_the_next_build_intact(rng):
     L, C = first.L.copy(), first.C.copy()
     first.L[0, 1] = 99.0
     first.C[:] = -7.0
+    # L and C are derived afresh on each access, so the system itself is intact too
+    np.testing.assert_array_equal(first.L, L)
+    np.testing.assert_array_equal(first.C, C)
     again = build_kinetic(h, 0.0)
     np.testing.assert_array_equal(again.L, L)
     np.testing.assert_array_equal(again.C, C)
