@@ -35,8 +35,7 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 # Largest evolve grid: sample_trajectory peaks at 86.7 B per sample (tracemalloc,
-# 20 000 samples; validating the rows adds no peak), so the trajectory itself
-# stays under 0.1 GB.
+# 20 000 samples), so the trajectory itself stays under 0.1 GB.
 MAX_STEPS = 1_000_000
 
 _MATRIX_KEYS = ("m11", "m12", "m21", "m22")
@@ -287,8 +286,7 @@ def cmd_figures(doc, args, tol: float) -> str:
     written = []
     for name, text in files.items():
         path = os.path.join(args.outdir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(path, text)
         written.append(path)
     return _dump_json({"written": written})
 
@@ -302,9 +300,8 @@ def _triple_report(p: ProbTriple, tol: float) -> dict:
         "ball_residual": qubit_core.check_ball(p),
         "physical": physical,
     }
-    if physical:
-        rho = qubit_core.density_from_probs(p, tol)
-        report["density_eigenvalues"] = list(matrix_oracle.eigenvalues_hermitian(rho))
+    if physical:  # the density of a triple is Hermitian by construction, so no guard runs
+        report["density_eigenvalues"] = list(matrix_oracle._eigenvalues(qubit_core._density(p)))
     if qubit_core._violation(p, suprematism_geometry.CUBE_SLACK, ball=False) is None:
         report["area_sum"] = suprematism_geometry.area_sum(p)
         report["chord_lengths"] = list(suprematism_geometry.triangle_picture(p).side_lengths)

@@ -22,7 +22,6 @@ from .errors import DomainError
 from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple
 
 FD_TOL = 1e-4
-TRAJECTORY_TOL = 1e-8
 
 
 def _cross(w) -> np.ndarray:
@@ -66,30 +65,6 @@ class Trajectory:
     times: np.ndarray
     probs: np.ndarray
     x: float
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "probs", probs)
-        if times.ndim != 1 or probs.shape != (times.size, 3):
-            raise DomainError("trajectory needs times (n,) and probs (n, 3)")
-        if times.size < 2:
-            raise DomainError("trajectory times must be strictly increasing")
-        for name, t in (("first", times[0]), ("last", times[-1])):
-            if not math.isfinite(t):
-                raise DomainError(f"trajectory times must be finite, got {float(t)!r} as the {name} time")
-        # a NaN fails every comparison, so finite ends and one increasing test bound every time
-        if not (times[1:] > times[:-1]).all():
-            raise DomainError("trajectory times must be strictly increasing")
-        # The ball lies inside the unit cube, so one reduction of the ball residuals (check_ball's
-        # arithmetic: a stacked matmul sums each row as d @ d does) accepts; a NaN fails it.
-        # Only on failure are rows masked, and each flagged row raises require_physical's message.
-        d = (probs - BALL_CENTER)[:, None, :]
-        residual = 0.25 - (d @ d.transpose(0, 2, 1))[:, 0, 0]
-        if not residual.min() >= -TRAJECTORY_TOL:
-            for row in probs[~(residual >= -TRAJECTORY_TOL)]:
-                qubit_core.require_physical(ProbTriple.from_array(row), TRAJECTORY_TOL)
 
     def triples(self) -> list[ProbTriple]:
         return [ProbTriple.from_array(row) for row in self.probs]
@@ -202,7 +177,9 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
 
     Every sample is propagated directly from t = 0, so there is no
     accumulation of step error; refining the grid never moves shared times.
-    Each row equals evolve() at its time, bit for bit.
+    Each row equals evolve() at its time, bit for bit. Only the inputs and the
+    grid's times are checked: each row is a rotation of the accepted p0 about
+    the ball center and keeps its ball residual.
     """
     if not np.isfinite(t_end) or t_end <= 0.0:
         raise DomainError(f"t_end must be finite and positive, got {t_end!r}")
@@ -211,4 +188,7 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
         raise DomainError(f"steps must be at least 1, got {steps}")
     qubit_core.require_physical(p0, tol)
     times = np.linspace(0.0, float(t_end), steps + 1)
+    # rounding can collapse a tiny grid (t_end = 5e-324, steps = 3)
+    if not (times[1:] > times[:-1]).all():
+        raise DomainError("trajectory times must be strictly increasing")
     return Trajectory(times=times, probs=_rotate_about_center(system.omega, p0, times), x=system.x)

@@ -62,6 +62,17 @@ def test_encode_validates_h_once(guard_counts, monkeypatch, capsys):
     assert len(solved) == 1
 
 
+def test_check_validates_each_triple_once(guard_counts, monkeypatch, capsys):
+    # the accepted triple's density is Hermitian by construction: no guard, one eigenvalue solve
+    guarded, solved = guard_counts
+    code, out, _ = run_cli(
+        ["check"], stdin_text=json.dumps(STATE_X_JSON), monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 0 and json.loads(out)["density_eigenvalues"] == [0.0, 1.0]
+    assert guarded == []
+    assert len(solved) == 1
+
+
 def test_encode_default_shifts(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["encode"], stdin_text=json.dumps(SIGMA_Z_JSON), monkeypatch=monkeypatch, capsys=capsys
@@ -443,14 +454,19 @@ def test_observable_golden_bytes(args, golden, capsys):
     assert out == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("args, golden", [
-    (["--format", "csv", "--in", str(GOLDEN / "evolve_generic_in.json")], "evolve_generic_out.csv"),
-    (["--format", "json", "--in", str(GOLDEN / "evolve_generic_in.json")], "evolve_generic_out.json"),
-    (["--x", "2", "--in", str(GOLDEN / "evolve_a0_in.json")], "evolve_a0_out.csv"),
-], ids=["csv-evolve_generic_out.csv", "json-evolve_generic_out.json", "a0-evolve_a0_out.csv"])
-def test_evolve_generic_golden_bytes(args, golden, capsys):
+@pytest.mark.parametrize("args, golden, tol", [
+    (["--format", "csv", "--in", str(GOLDEN / "evolve_generic_in.json")], "evolve_generic_out.csv", None),
+    (["--format", "json", "--in", str(GOLDEN / "evolve_generic_in.json")], "evolve_generic_out.json", None),
+    (["--x", "2", "--in", str(GOLDEN / "evolve_a0_in.json")], "evolve_a0_out.csv", None),
+    (["--in", str(GOLDEN / "evolve_tol_in.json")], "evolve_tol_out.csv", "1e-2"),
+], ids=["csv-evolve_generic_out.csv", "json-evolve_generic_out.json", "a0-evolve_a0_out.csv",
+        "tol-evolve_tol_out.csv"])
+def test_evolve_generic_golden_bytes(args, golden, tol, monkeypatch, capsys):
     # all three components of h are nonzero and each start is mixed, so every axis of the rotation
-    # shows; the A0 start is the triple of rho(x) read off the observable at --x
+    # shows; the A0 start is the triple of rho(x) read off the observable at --x, and the tol start
+    # lies 1e-3 outside the cube, accepted only under QPROB_TOL
+    if tol is not None:
+        monkeypatch.setenv("QPROB_TOL", tol)
     code, out, err = run_cli(["evolve", "--t-end", "2.5", "--steps", "10", *args], capsys=capsys)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
@@ -516,6 +532,26 @@ def test_check_tolerance_env_override(monkeypatch, capsys):
         code, _, err = run_cli(["check"], stdin_text=slightly_off, monkeypatch=monkeypatch, capsys=capsys)
         assert code == 2
         assert "QPROB_TOL" in err
+
+
+_OFF_CUBE = {"p1": 1.0000005, "p2": 0.5, "p3": 0.5}
+_OFF_CUBE_MESSAGE = "p1 = 1.0000005 violates 0 <= p1 <= 1"
+
+
+@pytest.mark.parametrize("args, doc, tol, message", [
+    (["check"], _OFF_CUBE, "1e-6", _OFF_CUBE_MESSAGE),
+    (["tomogram", "--theta", "1", "--phi", "2"], _OFF_CUBE, "1e-6", _OFF_CUBE_MESSAGE),
+    (["evolve", "--t-end", "1", "--steps", "2"], {"H": SIGMA_Z_JSON, "p0": _OFF_CUBE}, "1e-6", _OFF_CUBE_MESSAGE),
+    (["evolve", "--t-end", "2.5", "--steps", "10"], json.loads((GOLDEN / "evolve_tol_in.json").read_text()),
+     "1e-2", "p3 = 1.001 violates 0 <= p3 <= 1"),
+], ids=["check", "tomogram", "evolve", "evolve-golden"])
+def test_tolerance_env_governs_every_user_triple(args, doc, tol, message, monkeypatch, capsys):
+    # a supplied triple outside the cube is rejected by default and accepted within QPROB_TOL
+    code, out, err = run_cli(args, stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (3, "", f"qprob: {message}\n")
+    monkeypatch.setenv("QPROB_TOL", tol)
+    code, out, err = run_cli(args, stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and out != "" and err == ""
 
 
 # the trace of rho(x) rounds to 1 - 2 ulp here; at the admissible bound the A0 state is pure
