@@ -8,7 +8,7 @@ the triple, integrates the kinetic equation in probability coordinates, and
 draws the triangle-and-square pictures that visualize a triple.
 """
 
-from .diagnostics import FormulaCheck, failed_checks
+from .diagnostics import FormulaCheck, expm_hermitian_generator, failed_checks, heisenberg_exact
 from .errors import DomainError, FormulaMismatchWarning, NonInvertibleEncodingWarning
 from .evolution import (
     KineticSystem,
@@ -26,8 +26,6 @@ from .matrix_oracle import (
     SIGMA_Y,
     SIGMA_Z,
     eigenvalues_hermitian,
-    expm_hermitian_generator,
-    heisenberg_exact,
     hermiticity_defect,
     pauli_components,
     require_hermitian,

@@ -1,22 +1,27 @@
-"""The oracle side of the closed-form cross-checks.
+"""The independent routes behind the closed-form maps: test oracles and opt-in checks.
 
 Production code evaluates every affine map on probability triples in closed
-form. The independent route runs for tests, the *_formula_checks reports and a
-map builder given a tolerance. It conjugates, or differentiates, the density
-matrices of four probe states in one stacked product, reads their triples off
-the stack, and fits the affine map through those images. checked_map compares
-the twelve components of the two routes and returns the oracle, with a
-FormulaMismatchWarning naming each failing component, whenever they disagree.
+form, and nothing here ever stands in for it. The oracles conjugate, or
+differentiate, the density matrices of four probe states in one stacked
+product, read their triples off the stack, and fit the affine map through
+those images. They run for tests, the *_formula_checks reports and a map
+builder given a tolerance, where checked_map compares the twelve components
+of the two routes and warns, naming each failing component, when they
+disagree. The matrix-route references (conjugation, exp(iHt) and the exact
+Heisenberg solution) live here too: only tests and oracles use them.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormulaMismatchWarning
+from . import matrix_oracle
+from .errors import DomainError, FormulaMismatchWarning
+from .matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, UNITARY_TOL
 from .qubit_core import BALL_CENTER, ProbTriple, density_from_probs
 
 # Four probe triples fixing any affine map in three dimensions: the ball
@@ -29,7 +34,7 @@ PROBE_TRIPLES = (
 )
 PROBE_DENSITIES = np.stack([density_from_probs(p) for p in PROBE_TRIPLES])
 
-# Components in the order of the deviation arrays: L row by row, then C.
+# Component names in check order: L row by row, then C.
 COMPONENT_NAMES = tuple(f"L{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ("C1", "C2", "C3")
 
 
@@ -82,56 +87,73 @@ def rotation_oracle(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kinetic_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The affine map through the exact derivatives i[H, rho] at the probe states.
-
-    The generator is provably antisymmetric; the fit is projected onto the
-    antisymmetric part, and C corrected to match. Only this L stands in for
-    the closed form: build_kinetic reads omega off it, and C follows as -L c.
-    """
-    fit_L, fit_C = fit_affine(_triple_parts(1j * (m @ PROBE_DENSITIES - PROBE_DENSITIES @ m)))
-    L = 0.5 * (fit_L - fit_L.T)
-    return L, fit_C + (fit_L - L) @ BALL_CENTER
+    """The affine map through the exact derivatives i[H, rho] at the probe states."""
+    return fit_affine(_triple_parts(1j * (m @ PROBE_DENSITIES - PROBE_DENSITIES @ m)))
 
 
-def _components(closed, oracle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (..., 12) components of both (L, C) pairs and their absolute deviations."""
-    a = np.concatenate([closed[0].reshape(*closed[1].shape[:-1], 9), closed[1]], axis=-1)
-    b = np.concatenate([oracle[0].reshape(*oracle[1].shape[:-1], 9), oracle[1]], axis=-1)
-    return a, b, np.abs(a - b)
+def _terms(pair):
+    """(L, C) of each map in a pair holding one map, L (3, 3) and C (3,), or a stack, L (K, 3, 3) and C (K, 3)."""
+    L, C = pair
+    return zip(np.reshape(L, (-1, 3, 3)), np.reshape(C, (-1, 3)))
 
 
 def component_checks(closed, oracle, tol: float) -> list[FormulaCheck]:
-    """One check per component: L11 .. L33 row by row, then C1 .. C3."""
-    a, b, _ = _components(closed, oracle)
-    return [FormulaCheck(name, float(x), float(y), tol) for name, x, y in zip(COMPONENT_NAMES, a, b)]
+    """One check per component of one map: L11 .. L33 row by row, then C1 .. C3."""
+    a, b = (np.concatenate([np.ravel(L), C]).tolist() for L, C in (closed, oracle))
+    return [FormulaCheck(name, x, y, tol) for name, x, y in zip(COMPONENT_NAMES, a, b)]
 
 
-def checked_map(closed, oracle, tol: float, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """The closed (L, C), with the oracle's in place of each map that deviates beyond tol.
+def checked_map(closed, oracle, tol: float, label: str) -> None:
+    """Warn for each closed-form map whose components deviate from the oracle's beyond tol.
 
-    Works on one map, L (3, 3) and C (3,), or on a stack, L (K, 3, 3) and
-    C (K, 3), checked in one (K, 12) comparison. A NaN deviation counts as a
-    failure. Each failing map gets its own FormulaMismatchWarning naming every
-    failing component and its deviation.
+    Works on one map or on a stack, as _terms reads them. Each failing map gets
+    its own FormulaMismatchWarning naming every failing component and its
+    deviation; a NaN deviation fails. The caller's result is the closed form
+    either way.
     """
-    _, _, deviation = _components(closed, oracle)
-    bad = ~(deviation <= tol)
-    if not bad.any():
-        return closed
-    for dev_row, bad_row in zip(deviation.reshape(-1, 12), bad.reshape(-1, 12)):
-        if not bad_row.any():
-            continue
-        details = ", ".join(
-            f"{name} off by {dev:.3e}" for name, dev, fails in zip(COMPONENT_NAMES, dev_row, bad_row) if fails
+    for term, fit in zip(_terms(closed), _terms(oracle)):
+        failed = failed_checks(component_checks(term, fit, tol))
+        if failed:
+            details = ", ".join(f"{check.name} off by {check.deviation:.3e}" for check in failed)
+            warnings.warn(
+                f"closed-form {label} components disagree with the matrix-route oracle: {details}",
+                FormulaMismatchWarning,
+                stacklevel=3,
+            )
+
+
+def conjugate_by_unitary(rho, u, tol: float = UNITARY_TOL) -> np.ndarray:
+    """u @ rho @ u^dagger, with a unitarity guard on u."""
+    m = matrix_oracle.as_matrix2(rho)
+    w = matrix_oracle.require_unitary(u, tol, name="conjugating matrix")
+    return w @ m @ w.conj().T
+
+
+def expm_hermitian_generator(h, t: float) -> np.ndarray:
+    """exp(i*H*t) for Hermitian H, evaluated in closed form.
+
+    With H = h0*I + hvec . sigma the exponential factors exactly into
+    exp(i h0 t) (cos(|hvec| t) I + i sin(|hvec| t) (hvec/|hvec|) . sigma),
+    so no series truncation or scaling-and-squaring is involved. Both angles,
+    |hvec| t and h0 t, must be finite.
+    """
+    h0, hvec = matrix_oracle._pauli(matrix_oracle.require_hermitian(h))
+    norm, t = matrix_oracle._norm3(hvec), float(t)
+    angle = norm * t
+    if not (math.isfinite(angle) and math.isfinite(h0 * t)):
+        raise DomainError(
+            f"exp(iHt) needs finite |h| t and h0 t (|h| = {norm:.3e}, h0 = {h0:.3e}, t = {t!r})"
         )
-        warnings.warn(
-            f"closed-form {label} components disagree with the matrix-route oracle: {details}; "
-            "using the oracle",
-            FormulaMismatchWarning,
-            stacklevel=3,
-        )
-    failed = bad.any(axis=-1)
-    if failed.all():
-        return oracle
-    return (np.where(failed[..., None, None], oracle[0], closed[0]),
-            np.where(failed[..., None], oracle[1], closed[1]))
+    phase = np.exp(1j * h0 * t)
+    if norm == 0.0:
+        return phase * IDENTITY
+    axis = hvec / norm
+    sigma_axis = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
+    return phase * (np.cos(angle) * IDENTITY + 1j * np.sin(angle) * sigma_axis)
+
+
+def heisenberg_exact(a0, h, t: float) -> np.ndarray:
+    """Exact solution A(t) = exp(iHt) A(0) exp(-iHt) of dA/dt = i[H, A]."""
+    a = matrix_oracle.require_hermitian(a0, name="observable")
+    u = expm_hermitian_generator(h, t)
+    return u @ a @ u.conj().T

@@ -4,9 +4,9 @@ For a Hamiltonian H = h0 I + h . sigma, the triple of any rho(x, t) built from
 an evolving observable obeys dp/dt = L p + C, where L v = v x omega with
 omega = 2h and C = -L c fixes the ball center c; a KineticSystem holds omega
 and derives L and C. The exact solution p(t) = c + exp(L t)(p0 - c) is a
-rotation, in Rodrigues' closed form over a whole time grid at once. The oracle
-of omega, in diagnostics, fits the exact derivatives i[H, rho] at four probe
-states; it runs given fd_tol, and on a mismatch only its L stands in.
+rotation, in Rodrigues' closed form over a whole time grid at once. The oracle,
+in diagnostics, fits the exact derivatives i[H, rho] at four probe states; it
+runs given fd_tol, and a mismatch warns, while omega stays 2h.
 """
 
 from __future__ import annotations
@@ -101,21 +101,18 @@ def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     The system is omega = 2h, from which L and C follow in closed form. Given
     fd_tol, every component is also checked against the affine fit of the
     exact derivatives i[H, rho] at the four probe states; a deviation beyond
-    fd_tol * max(1, max|L|) raises a FormulaMismatchWarning naming it, and
-    omega is read off the oracle's antisymmetric L instead.
+    fd_tol * max(1, max|L|) raises a FormulaMismatchWarning naming it. The
+    system returned is the closed form either way.
     """
     m = matrix_oracle.require_hermitian(h, name="hamiltonian")
     system = KineticSystem(_omega(m), float(x))
     if fd_tol is not None:
-        closed = (system.L, system.C)
-        L, _ = checked_map(closed, kinetic_oracle(m), _scaled_tol(system.omega, fd_tol), "kinetic generator")
-        if L is not closed[0]:
-            system = KineticSystem((L[1, 2], L[2, 0], L[0, 1]), system.x)
+        checked_map((system.L, system.C), kinetic_oracle(m), _scaled_tol(system.omega, fd_tol), "kinetic generator")
     return system
 
 
 def _rotate_about_center(omega, p0: ProbTriple, times: np.ndarray) -> np.ndarray:
-    """Rows c + exp(L t)(p0 - c), one per time, for L v = v x omega (2h, or off the oracle's L).
+    """Rows c + exp(L t)(p0 - c), one per time, for L v = v x omega.
 
     With K = L/|omega| and angle = |omega| t, Rodrigues' formula gives
     exp(L t) - I = sin(angle) K + 2 sin^2(angle/2) K^2. No term cancels, so
@@ -145,12 +142,17 @@ def _rotate_about_center(omega, p0: ProbTriple, times: np.ndarray) -> np.ndarray
     return rows
 
 
+def _evolve_at(omega, p0: ProbTriple, t: float) -> ProbTriple:
+    """The accepted p0 rotated for the single time t, which must be finite."""
+    if not np.isfinite(t):
+        raise DomainError(f"time must be finite, got {t!r}")
+    return ProbTriple.from_array(_rotate_about_center(omega, p0, np.array([float(t)]))[0])
+
+
 def evolve(system: KineticSystem, p0: ProbTriple, t: float, tol: float = DEFAULT_TOL) -> ProbTriple:
     """Propagate a physical triple for time t: the exact rotation about the ball center."""
     qubit_core.require_physical(p0, tol)
-    if not np.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
-    return ProbTriple.from_array(_rotate_about_center(system.omega, p0, np.array([float(t)]))[0])
+    return _evolve_at(system.omega, p0, t)
 
 
 def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
@@ -163,10 +165,7 @@ def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
     """
     m, lam_min, _ = observable_map._accept(a0, "observable")
     p0 = observable_map._triple(m, lam_min, float(x))
-    system = build_kinetic(h, x)
-    if not np.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
-    pt = ProbTriple.from_array(_rotate_about_center(system.omega, p0, np.array([float(t)]))[0])
+    pt = _evolve_at(build_kinetic(h, x).omega, p0, t)
     denom = float(m[0, 0].real + m[1, 1].real) + 2.0 * float(x)
     return denom * qubit_core._density(pt) - float(x) * matrix_oracle.IDENTITY
 

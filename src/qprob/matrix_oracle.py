@@ -1,9 +1,10 @@
-"""Reference 2x2 complex linear algebra.
+"""2x2 complex matrices: validation and the kernels built on it.
 
 Everything here is computed straight from matrix entries (trace, determinant,
 Pauli decomposition), with no knowledge of the probability parametrizations
-built on top, so these routines serve as the trusted side of the dual-route
-checks used throughout the package and its test suite.
+built on top. The matrix-route references the closed forms are checked
+against (conjugation, exp(iHt), exact Heisenberg evolution) are in
+diagnostics, with the other oracles.
 
 Each public function validates its argument once (shape, then Hermiticity or
 unitarity) and hands the accepted complex 2x2 array to a private kernel
@@ -153,40 +154,3 @@ def _eigenvalues(m: np.ndarray) -> tuple[float, float]:
     # scaled back in two exact steps, which give inf past the float range where ldexp raises
     up, rest = 2.0 ** (k // 2), 2.0 ** (k - k // 2)
     return lo * up * rest, hi * up * rest
-
-
-def conjugate_by_unitary(rho, u, tol: float = UNITARY_TOL) -> np.ndarray:
-    """u @ rho @ u^dagger, with a unitarity guard on u."""
-    m = as_matrix2(rho)
-    w = require_unitary(u, tol, name="conjugating matrix")
-    return w @ m @ w.conj().T
-
-
-def expm_hermitian_generator(h, t: float) -> np.ndarray:
-    """exp(i*H*t) for Hermitian H, evaluated in closed form.
-
-    With H = h0*I + hvec . sigma the exponential factors exactly into
-    exp(i h0 t) (cos(|hvec| t) I + i sin(|hvec| t) (hvec/|hvec|) . sigma),
-    so no series truncation or scaling-and-squaring is involved. Both angles,
-    |hvec| t and h0 t, must be finite.
-    """
-    h0, hvec = _pauli(require_hermitian(h))
-    norm, t = _norm3(hvec), float(t)
-    angle = norm * t
-    if not (math.isfinite(angle) and math.isfinite(h0 * t)):
-        raise DomainError(
-            f"exp(iHt) needs finite |h| t and h0 t (|h| = {norm:.3e}, h0 = {h0:.3e}, t = {t!r})"
-        )
-    phase = np.exp(1j * h0 * t)
-    if norm == 0.0:
-        return phase * IDENTITY
-    axis = hvec / norm
-    sigma_axis = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
-    return phase * (np.cos(angle) * IDENTITY + 1j * np.sin(angle) * sigma_axis)
-
-
-def heisenberg_exact(a0, h, t: float) -> np.ndarray:
-    """Exact solution A(t) = exp(iHt) A(0) exp(-iHt) of dA/dt = i[H, A]."""
-    a = require_hermitian(a0, name="observable")
-    u = expm_hermitian_generator(h, t)
-    return u @ a @ u.conj().T

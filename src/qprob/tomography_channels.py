@@ -6,7 +6,7 @@ R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 of the Bloch vector, and C keeps the
 ball center fixed. Convex mixtures of unitaries give contractive affine maps,
 which is the whole channel picture in these coordinates. The closed form is
 the one production route; its oracle, the probe-state fit in diagnostics, runs
-only when a caller passes formula_tol.
+only when a caller passes formula_tol, and then only to warn of a mismatch.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ def _adjoint_rotation(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rotation_maps(w: np.ndarray, formula_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (L, C) stacks for a (K, 2, 2) stack of validated unitaries."""
     closed = _adjoint_rotation(w)
-    # given formula_tol, a term that fails against its probe-fit oracle warns and takes it
-    return closed if formula_tol is None else checked_map(closed, rotation_oracle(w), formula_tol, "rotation")
+    if formula_tol is not None:  # each term that fails against its probe-fit oracle warns
+        checked_map(closed, rotation_oracle(w), formula_tol, "rotation")
+    return closed
 
 
 def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[FormulaCheck]:
@@ -145,8 +146,8 @@ def rotation_from_unitary(u, formula_tol: float | None = None) -> AffineMap3:
 
     The map is the closed-form adjoint rotation. Given formula_tol, it is also
     checked against the fit through four probe states of the matrix route: a
-    component off by more names itself in a FormulaMismatchWarning, and the
-    probe fit is returned instead. This is channel_map's route with one term.
+    component off by more names itself in a FormulaMismatchWarning. This is
+    channel_map's route with one term.
     """
     L, C = _rotation_maps(matrix_oracle.require_unitary(u)[None], formula_tol)
     return AffineMap3(L[0], C[0])

@@ -13,7 +13,8 @@ import pytest
 
 from qprob import ProbTriple, encode_observable, sample_trajectory, build_kinetic, state_tomogram, Direction
 from qprob.cli import MAX_STEPS, main, matrix_to_json, parse_matrix, triple_to_json
-from qprob.matrix_oracle import SIGMA_Z, heisenberg_exact
+from qprob.diagnostics import heisenberg_exact
+from qprob.matrix_oracle import SIGMA_Z
 from qprob.qubit_core import density_from_probs, probs_from_density
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -228,12 +229,25 @@ def test_malformed_json_exits_2(monkeypatch, capsys):
     assert "parse error" in err
 
 
-def test_missing_matrix_key_exits_2(monkeypatch, capsys):
-    code, _, err = run_cli(
-        ["encode"], stdin_text='{"m11": [1, 0]}', monkeypatch=monkeypatch, capsys=capsys
-    )
-    assert code == 2
-    assert "m12" in err
+_REP_JSON = {"a": 2.0, "b": 3.0, "P_a": {"p1": 0.5, "p2": 0.5, "p3": 0.75}, "P_b": {"p1": 0.5, "p2": 0.5, "p3": 0.6}}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("encode", {"m11": [1, 0]}, "matrix document lacks keys: m12, m21, m22"),
+    ("check", {"p1": "a", "p2": 0.5, "p3": 0.5}, "p1 must be a number, got 'a'"),
+    ("check", {"p1": True, "p2": 0.5, "p3": 0.5}, "p1 must be a number, got True"),
+    ("encode", {**SIGMA_Z_JSON, "m11": [1.0]}, "m11 must be a [re, im] pair"),
+    ("encode", [1, 2], "matrix document must be a JSON object"),
+    ("decode", [1], "encoding document must be a JSON object"),
+    ("decode", {k: v for k, v in _REP_JSON.items() if k != "P_b"}, "encoding document lacks key P_b"),
+    ("decode", {**_REP_JSON, "P_a": []}, "probability triple must be a JSON object"),
+    ("decode", {**_REP_JSON, "P_a": {"p1": 0.5, "p2": 0.5}}, "triple document lacks keys: p3"),
+    ("check", {"x": 1}, "check input must be an encoding or a probability triple"),
+], ids=["missing-matrix-key", "string-number", "bool-number", "short-pair", "matrix-not-object",
+        "encoding-not-object", "encoding-lacks-key", "triple-not-object", "triple-lacks-key", "check-neither"])
+def test_schema_error_exits_2(command, doc, message, monkeypatch, capsys):
+    code, out, err = run_cli([command], stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (2, "", f"qprob: parse error: {message}\n")
 
 
 def test_missing_input_file_exits_4(capsys):
@@ -442,14 +456,24 @@ def test_check_golden_report(capsys):
     assert out == (GOLDEN / "check_out.json").read_text()
 
 
-@pytest.mark.parametrize("args, golden", [
-    (["encode"], "sigma_z_default_rep.json"),
-    (["tomogram", "--theta", "1.0471975511965976", "--phi", "0.7853981633974483", "--x", "2"],
-     "observable_tomogram_out.json"),
-], ids=["encode-default-shifts", "observable-tomogram"])
-def test_observable_golden_bytes(args, golden, capsys):
-    # both run the eigenvalue solve on sigma_z: default shifts, and the admissibility of x
-    code, out, err = run_cli([*args, "--in", str(GOLDEN / "sigma_z.json")], capsys=capsys)
+_ANGLES = ["--theta", "1.0471975511965976", "--phi", "0.7853981633974483"]
+
+
+@pytest.mark.parametrize("args, infile, golden", [
+    (["encode"], "sigma_z.json", "sigma_z_default_rep.json"),
+    (["tomogram", *_ANGLES, "--x", "2"], "sigma_z.json", "observable_tomogram_out.json"),
+    (["encode"], "generic_h.json", "generic_rep.json"),
+    (["decode"], "generic_rep.json", "generic_decode_out.json"),
+    (["check"], "generic_rep.json", "generic_check_out.json"),
+    (["tomogram", *_ANGLES, "--x", "2"], "generic_h.json", "generic_observable_tomogram_out.json"),
+    (["tomogram", *_ANGLES], "generic_state.json", "generic_tomogram_out.json"),
+], ids=["encode-default-shifts", "observable-tomogram", "generic-encode", "generic-decode", "generic-check",
+        "generic-observable-tomogram", "generic-state-tomogram"])
+def test_observable_golden_bytes(args, infile, golden, capsys):
+    # sigma_z runs the eigenvalue solve (default shifts, the admissibility of x) on exact
+    # values; the generic H and triple have nonzero off-diagonals and inexact dots, so the
+    # off-diagonal triple path, the eigenvalue formula and the order of each sum show too
+    code, out, err = run_cli([*args, "--in", str(GOLDEN / infile)], capsys=capsys)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
 
@@ -625,6 +649,33 @@ def test_figures_deterministic_bytes(tmp_path, monkeypatch, capsys):
         )
         assert code == 0
     assert (first / "squares.svg").read_bytes() == (second / "squares.svg").read_bytes()
+
+
+def test_figures_degenerate_triangle_turns_its_squares_outward(tmp_path, monkeypatch, capsys):
+    # (1, 0, 1/4) puts two vertices on one corner, so the three are collinear (chords 0, l, l):
+    # the zero chord gets no square, and the other two, with no inner side to avoid, face away
+    # from the reference triangle's centroid, which lies off their line (at p3 = 1/2 it lies on it)
+    doc = json.dumps({"p1": 1.0, "p2": 0.0, "p3": 0.25})
+    renders = []
+    for label in ("first", "second"):
+        code, _, _ = run_cli(["figures", "--allow-unphysical", "--out", str(tmp_path / label)],
+                             stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+        renders.append((tmp_path / label / "squares.svg").read_bytes())
+    assert renders[0] == renders[1]
+
+    def corners(polygon):
+        return np.array([[float(v) for v in pair.split(",")] for pair in polygon.get("points").split()])
+
+    polygons = list(ET.fromstring(renders[0]).iter("{http://www.w3.org/2000/svg}polygon"))
+    centroid = next(corners(el) for el in polygons if el.get("stroke") == "#999999").mean(axis=0)
+    squares = [corners(el) for el in polygons if el.get("fill") != "none"]
+    assert len(squares) == 2
+    for p, q, far, _ in squares:
+        # a point's side of the chord is the sign of its dot with the chord's normal; the pixel
+        # map's y flip reverses every sign alike
+        normal = np.array([p[1] - q[1], q[0] - p[0]])
+        assert ((far - p) @ normal) * ((centroid - p) @ normal) < 0.0
 
 
 def test_figures_unphysical_gating(tmp_path, monkeypatch, capsys):

@@ -23,11 +23,10 @@ from qprob import (
     rho_of_x,
     sample_trajectory,
 )
-from qprob.diagnostics import failed_checks, kinetic_oracle
+from qprob.diagnostics import failed_checks, heisenberg_exact
 from qprob.evolution import FD_TOL
-from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z, heisenberg_exact
+from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z
 from qprob.observable_map import conservative_shift_bound
-from qprob.qubit_core import BALL_CENTER
 
 from conftest import (
     random_hermitian,
@@ -119,14 +118,12 @@ def test_generator_mismatch_detector_fires(rng):
     np.testing.assert_allclose(system.C, reference.C, rtol=0, atol=1e-6)
 
 
-def test_fallback_generator_is_the_oracle_L_and_its_center_fixing_C(rng):
+def test_a_failing_check_warns_and_keeps_the_closed_form(rng):
     for _ in range(20):
         h = random_hermitian(rng)
         with pytest.warns(FormulaMismatchWarning, match="kinetic generator"):
             system = build_kinetic(h, 0.0, fd_tol=-1.0)
-        L = system.L
-        assert L.tobytes() == kinetic_oracle(np.asarray(h, dtype=complex))[0].tobytes()
-        assert system.C.tobytes() == (-(L @ BALL_CENTER)).tobytes()
+        assert system == build_kinetic(h, 0.0)
 
 
 def test_mismatch_warns_on_every_call(rng):

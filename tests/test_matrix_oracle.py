@@ -6,16 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qprob import DomainError
+from qprob.diagnostics import conjugate_by_unitary, expm_hermitian_generator, heisenberg_exact
 from qprob.matrix_oracle import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     as_matrix2,
-    conjugate_by_unitary,
     eigenvalues_hermitian,
-    expm_hermitian_generator,
-    heisenberg_exact,
     hermiticity_defect,
     pauli_components,
     require_hermitian,

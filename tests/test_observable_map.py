@@ -24,7 +24,8 @@ from qprob import (
     rho_of_x,
     state_tomogram,
 )
-from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z, heisenberg_exact
+from qprob.diagnostics import heisenberg_exact
+from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z
 from qprob.tomography_channels import Direction
 
 from conftest import random_hermitian
@@ -352,12 +353,13 @@ _SIGMA_Z_PAIR = (ProbTriple(0.5, 0.5, 0.75), ProbTriple(0.5, 0.5, 2.0 / 3.0))
     (lambda: encode_observable(SIGMA_Z, np.nan, 3.0), "x = nan is inadmissible"),
     (lambda: observable_tomogram(SIGMA_Z, Direction(1.0, 1.0), np.nan), "x = nan is inadmissible"),
     (lambda: evolve_observable(SIGMA_Z, SIGMA_X, np.nan, 1.0), "x = nan is inadmissible"),
+    (lambda: evolve_observable(SIGMA_Z, SIGMA_X, 1.0, np.nan), "time must be finite"),
     (lambda: decode_observable(ObservableProbRep(2.0, np.inf, *_SIGMA_Z_PAIR)), "b = inf"),
     (lambda: decode_observable(ObservableProbRep(-np.inf, 3.0, *_SIGMA_Z_PAIR)), "a = -inf"),
     (lambda: ChannelSpec(((np.nan, IDENTITY),)), "weight 0 .*nan"),
     (lambda: state_tomogram(ProbTriple(0.5, 0.5, 1.0), [np.nan, 0.0, 0.0]), "unit length.*nan"),
-], ids=["rho-of-x", "encode", "observable-tomogram", "evolve-observable", "decode-inf-b",
-        "decode-minus-inf-a", "channel-weight", "state-tomogram-direction"])
+], ids=["rho-of-x", "encode", "observable-tomogram", "evolve-observable", "evolve-observable-time",
+        "decode-inf-b", "decode-minus-inf-a", "channel-weight", "state-tomogram-direction"])
 def test_non_finite_library_input_is_rejected_by_name(call, match):
     # no numpy RuntimeWarning on the way, and no NaN result in place of the error
     with warnings.catch_warnings():

@@ -277,7 +277,7 @@ def test_channel_mismatch_warns_once_per_term(rng):
     spec = ChannelSpec(tuple((1.0 / 3.0, random_unitary(rng)) for _ in range(3)))
     with pytest.warns(FormulaMismatchWarning) as record:
         mapping = channel_map(spec, formula_tol=-1.0)
-    # each term warns with the text a single rotation gives and falls back to its own probe fit
+    # each term warns with the text a single rotation gives and keeps its closed form
     messages = []
     L, C = np.zeros((3, 3)), np.zeros(3)
     for weight, u in spec.terms:
@@ -290,6 +290,8 @@ def test_channel_mismatch_warns_once_per_term(rng):
     assert [str(w.message) for w in record] == messages
     assert mapping.L.tobytes() == L.tobytes()
     assert mapping.C.tobytes() == C.tobytes()
+    closed = channel_map(spec)
+    assert mapping.L.tobytes() == closed.L.tobytes() and mapping.C.tobytes() == closed.C.tobytes()
 
 
 def test_channel_matches_matrix_route(rng):
