@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
-
-import numpy as np
 
 from . import (
     evolution,
@@ -55,8 +54,8 @@ def _as_number(value, key: str) -> float:
     try:
         number = float(value)
     except OverflowError:  # a JSON integer beyond the float range
-        number = np.inf
-    if not np.isfinite(number):
+        number = math.inf
+    if not math.isfinite(number):
         raise DomainError(f"{key} is not finite, got {number!r}")
     return number
 
@@ -77,23 +76,21 @@ def _as_complex(pair, key: str) -> complex:
     return complex(_as_number(pair[0], key), _as_number(pair[1], key))
 
 
-def parse_matrix(obj) -> np.ndarray:
+def parse_matrix(obj) -> list[list[complex]]:
+    """[[m11, m12], [m21, m22]] as Python complex numbers."""
     if not isinstance(obj, dict):
         raise ParseError("matrix document must be a JSON object")
     missing = [key for key in _MATRIX_KEYS if key not in obj]
     if missing:
         raise ParseError(f"matrix document lacks keys: {', '.join(missing)}")
-    m = np.zeros((2, 2), dtype=complex)
-    for key, slot in zip(_MATRIX_KEYS, _MATRIX_SLOTS):
-        m[slot] = _as_complex(obj[key], key)
-    return m
+    m11, m12, m21, m22 = (_as_complex(obj[key], key) for key in _MATRIX_KEYS)
+    return [[m11, m12], [m21, m22]]
 
 
 def matrix_to_json(matrix) -> dict:
-    m = np.asarray(matrix, dtype=complex)
     return {
-        key: [float(m[slot].real), float(m[slot].imag)]
-        for key, slot in zip(_MATRIX_KEYS, _MATRIX_SLOTS)
+        key: [float(matrix[i][j].real), float(matrix[i][j].imag)]
+        for key, (i, j) in zip(_MATRIX_KEYS, _MATRIX_SLOTS)
     }
 
 
@@ -156,7 +153,7 @@ def _tolerance() -> float:
         tol = float(raw)
     except ValueError as exc:
         raise ParseError(f"QPROB_TOL must be a number, got {raw!r}") from exc
-    if not 0.0 <= tol < np.inf:
+    if not 0.0 <= tol < math.inf:
         raise ParseError(f"QPROB_TOL must be finite and nonnegative, got {raw!r}")
     return tol
 

@@ -138,7 +138,7 @@ def expm_hermitian_generator(h, t: float) -> np.ndarray:
     |hvec| t and h0 t, must be finite.
     """
     h0, hvec = matrix_oracle._pauli(matrix_oracle.require_hermitian(h))
-    norm, t = matrix_oracle._norm3(hvec), float(t)
+    norm, t = math.hypot(*hvec), float(t)
     angle = norm * t
     if not (math.isfinite(angle) and math.isfinite(h0 * t)):
         raise DomainError(
@@ -147,8 +147,8 @@ def expm_hermitian_generator(h, t: float) -> np.ndarray:
     phase = np.exp(1j * h0 * t)
     if norm == 0.0:
         return phase * IDENTITY
-    axis = hvec / norm
-    sigma_axis = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
+    x, y, z = (h / norm for h in hvec)
+    sigma_axis = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
     return phase * (np.cos(angle) * IDENTITY + 1j * np.sin(angle) * sigma_axis)
 
 

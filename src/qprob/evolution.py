@@ -72,8 +72,7 @@ class Trajectory:
 
 def _omega(m: np.ndarray) -> tuple[float, float, float]:
     """omega = 2h for the validated Hamiltonian m = h0 I + h . sigma."""
-    _, hvec = matrix_oracle._pauli(m)
-    h1, h2, h3 = hvec.tolist()
+    _, (h1, h2, h3) = matrix_oracle._pauli(m)
     omega = (2.0 * h1, 2.0 * h2, 2.0 * h3)
     if not max(map(abs, omega)) < math.inf:
         raise DomainError(f"kinetic generator omega = 2h overflows (h = ({h1:.3e}, {h2:.3e}, {h3:.3e}))")
@@ -123,7 +122,7 @@ def _rotate_about_center(omega, p0: ProbTriple, times: np.ndarray) -> np.ndarray
     alone.
     """
     start = p0.as_array()
-    norm = matrix_oracle._norm3(omega)
+    norm = math.hypot(*omega)
     # the largest |t| is at an end of the grid
     if not math.isfinite(norm * max(abs(float(times[0])), abs(float(times[-1])))):
         raise DomainError(

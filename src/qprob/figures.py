@@ -6,6 +6,8 @@ formatting, no timestamps, no randomness.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .suprematism_geometry import REFERENCE_CORNERS, TrianglePicture
@@ -23,16 +25,19 @@ def _fmt(value: float) -> str:
 
 def _square_corners(p: np.ndarray, q: np.ndarray, centroid: np.ndarray) -> np.ndarray | None:
     chord = q - p
-    length = float(np.linalg.norm(chord))
+    dx, dy = chord.tolist()
+    length = math.hypot(dx, dy)
     if length < 1e-12:
         return None
-    normal = np.array([chord[1], -chord[0]]) / length
+    normal = np.array([dy, -dx]) / length
     mid = 0.5 * (p + q)
     side = float(normal @ (mid - centroid))
     if abs(side) < 1e-12:
-        # degenerate (collinear) inner triangle: orient away from the reference centroid
+        # degenerate (collinear) inner triangle: orient away from the reference centroid, and if
+        # that lies on the chord's line too, keep the right-hand normal (dy, -dx), which points
+        # outward for the counterclockwise triangles a cube triple inscribes
         side = float(normal @ (mid - _REF_CENTROID))
-    if side < 0.0:
+    if side <= -1e-12:
         normal = -normal
     return np.array([p, q, q + length * normal, p + length * normal])
 

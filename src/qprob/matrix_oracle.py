@@ -8,9 +8,12 @@ diagnostics, with the other oracles.
 
 Each public function validates its argument once (shape, then Hermiticity or
 unitarity) and hands the accepted complex 2x2 array to a private kernel
-(_eigenvalues, _pauli) that runs no guard. Callers elsewhere in the package
-that already hold a matrix accepted by require_hermitian call the kernels
-directly, so one public call checks each input matrix once.
+(_eigenvalues, _pauli) that runs no guard and reads the entries once as Python
+numbers. Callers elsewhere in the package that already hold a matrix accepted
+by require_hermitian call the kernels directly, so one public call checks each
+input matrix once. Vector lengths, here and elsewhere in the package, are
+math.hypot or math.dist: they scale by powers of two inside, so they neither
+overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -101,27 +104,18 @@ def require_unitary(matrix, tol: float = UNITARY_TOL, name: str = "matrix") -> n
     return m
 
 
-def _pauli(m: np.ndarray) -> tuple[float, np.ndarray]:
+def _pauli(m: np.ndarray) -> tuple[float, tuple[float, float, float]]:
+    """(h0, (h1, h2, h3)) of m = h0 I + h . sigma, as Python floats."""
+    (a, _), (c, d) = m.tolist()
     # halved before they are added: h11 +- h22 itself can overflow
-    h11, h22 = 0.5 * float(m[0, 0].real), 0.5 * float(m[1, 1].real)
-    return h11 + h22, np.array([m[1, 0].real, m[1, 0].imag, h11 - h22])
-
-
-def _norm3(v) -> float:
-    """|v| of a real 3-vector with no overflow in the squares.
-
-    Past 2^510 a square can overflow, so v is scaled by the exact power of two
-    2^-600 first. Where np.linalg.norm does not overflow, the two agree bit for
-    bit; the result is inf only where |v| itself is.
-    """
-    if max(map(abs, v)) <= 2.0 ** 510:
-        return float(np.linalg.norm(v))
-    return float(np.linalg.norm(np.multiply(v, 2.0 ** -600))) * 2.0 ** 600
+    h11, h22 = 0.5 * a.real, 0.5 * d.real
+    return h11 + h22, (c.real, c.imag, h11 - h22)
 
 
 def pauli_components(matrix) -> tuple[float, np.ndarray]:
     """Coefficients (h0, hvec) of H = h0*I + hvec . sigma for Hermitian H."""
-    return _pauli(require_hermitian(matrix))
+    h0, hvec = _pauli(require_hermitian(matrix))
+    return h0, np.array(hvec)
 
 
 def eigenvalues_hermitian(matrix, tol: float = HERMITIAN_TOL) -> tuple[float, float]:

@@ -9,6 +9,7 @@ kept as two independent routes that must agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,8 @@ def triangle_picture(p: ProbTriple) -> TrianglePicture:
         corners[k] + arr[k] * (corners[(k + 1) % 3] - corners[k])
         for k in range(3)
     ])
-    lengths = tuple(
-        float(np.linalg.norm(vertices[(k + 1) % 3] - vertices[k]))
-        for k in range(3)
-    )
+    rows = vertices.tolist()
+    lengths = tuple(math.dist(rows[k], rows[(k + 1) % 3]) for k in range(3))
     areas = tuple(length * length for length in lengths)
     return TrianglePicture(
         vertices=vertices,

@@ -11,6 +11,7 @@ only when a caller passes formula_tol, and then only to warn of a mismatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ def direction_vector(direction) -> np.ndarray:
     v = np.asarray(direction, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"direction must be a Direction or a length-3 vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
+    norm = math.hypot(*v.tolist())
     if not abs(norm - 1.0) <= DIRECTION_NORM_TOL:
         raise DomainError(f"direction vector must have unit length, got |n| = {norm!r}")
     return v

@@ -652,30 +652,47 @@ def test_figures_deterministic_bytes(tmp_path, monkeypatch, capsys):
 
 
 def test_figures_degenerate_triangle_turns_its_squares_outward(tmp_path, monkeypatch, capsys):
-    # (1, 0, 1/4) puts two vertices on one corner, so the three are collinear (chords 0, l, l):
-    # the zero chord gets no square, and the other two, with no inner side to avoid, face away
-    # from the reference triangle's centroid, which lies off their line (at p3 = 1/2 it lies on it)
-    doc = json.dumps({"p1": 1.0, "p2": 0.0, "p3": 0.25})
-    renders = []
-    for label in ("first", "second"):
-        code, _, _ = run_cli(["figures", "--allow-unphysical", "--out", str(tmp_path / label)],
-                             stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
-        assert code == 0
-        renders.append((tmp_path / label / "squares.svg").read_bytes())
-    assert renders[0] == renders[1]
-
+    # (1, 0, p3) puts two vertices on one corner, so the three are collinear (chords 0, l, l): the
+    # zero chord gets no square. At p3 = 1/4 the other two, with no inner side to avoid, face away
+    # from the reference triangle's centroid, which lies off their line. At p3 = 1/2 it lies on it,
+    # and each keeps its chord's right-hand normal: the two chords run along one segment in
+    # opposite directions, so their squares fall on opposite sides of it
     def corners(polygon):
         return np.array([[float(v) for v in pair.split(",")] for pair in polygon.get("points").split()])
 
-    polygons = list(ET.fromstring(renders[0]).iter("{http://www.w3.org/2000/svg}polygon"))
-    centroid = next(corners(el) for el in polygons if el.get("stroke") == "#999999").mean(axis=0)
-    squares = [corners(el) for el in polygons if el.get("fill") != "none"]
-    assert len(squares) == 2
-    for p, q, far, _ in squares:
-        # a point's side of the chord is the sign of its dot with the chord's normal; the pixel
-        # map's y flip reverses every sign alike
-        normal = np.array([p[1] - q[1], q[0] - p[0]])
-        assert ((far - p) @ normal) * ((centroid - p) @ normal) < 0.0
+    def side(point, p, q):
+        # the sign of the dot with the chord's normal; the pixel map's y flip reverses every sign alike
+        return (point - p) @ np.array([p[1] - q[1], q[0] - p[0]])
+
+    for p3 in (0.25, 0.5):
+        doc = json.dumps({"p1": 1.0, "p2": 0.0, "p3": p3})
+        renders = []
+        for label in ("first", "second"):
+            out_dir = tmp_path / f"{p3}-{label}"
+            code, _, _ = run_cli(["figures", "--allow-unphysical", "--out", str(out_dir)],
+                                 stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+            assert code == 0
+            renders.append((out_dir / "squares.svg").read_bytes())
+        assert renders[0] == renders[1]
+
+        polygons = list(ET.fromstring(renders[0]).iter("{http://www.w3.org/2000/svg}polygon"))
+        centroid = next(corners(el) for el in polygons if el.get("stroke") == "#999999").mean(axis=0)
+        squares = [corners(el) for el in polygons if el.get("fill") != "none"]
+        assert len(squares) == 2
+        if p3 == 0.5:
+            (p, q, far_a, _), (_, _, far_b, _) = squares
+            assert side(far_a, p, q) * side(far_b, p, q) < 0.0
+        else:
+            for p, q, far, _ in squares:
+                assert side(far, p, q) * side(centroid, p, q) < 0.0
+
+
+def test_figures_degenerate_golden_bytes(tmp_path, capsys):
+    # the collinear triple whose squares are oriented by the right-hand-normal rule alone
+    code, _, err = run_cli(["figures", "--allow-unphysical", "--in", str(GOLDEN / "degenerate_state.json"),
+                            "--out", str(tmp_path)], capsys=capsys)
+    assert code == 0 and err == ""
+    assert (tmp_path / "squares.svg").read_bytes() == (GOLDEN / "degenerate_squares.svg").read_bytes()
 
 
 def test_figures_unphysical_gating(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Kinetic equation: generator values, exact propagation, and matrix-side agreement."""
 
+import re
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from qprob import (
     probs_from_density,
     rho_of_x,
     sample_trajectory,
+    state_tomogram,
 )
 from qprob.diagnostics import failed_checks, heisenberg_exact
 from qprob.evolution import FD_TOL
@@ -338,6 +340,28 @@ def test_evolve_holds_at_every_scale(entries, log_norm, bloch, log_t):
     if 2.0 * np.linalg.norm(pauli_components(h)[1]) * t <= 1e3:
         exact = probs_from_density(heisenberg_exact(density_from_probs(p0), h, t))
         np.testing.assert_allclose(pt.as_array(), exact.as_array(), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(-1000, 1000))
+@example(k=-1000)
+@example(k=-600)
+@example(k=1000)
+def test_vector_lengths_hold_at_every_power_of_two(k):
+    # 2^k H scales omega and |omega| by 2^k exactly, so with t scaled by 2^-k the angle and the
+    # axis, and so every row, are the k = 0 ones bit for bit; a length summed from unscaled
+    # squares underflows to 0 for k <= -520 and leaves p0 unmoved. A direction of length 2^k is
+    # rejected under that name, with no overflow warning (an error under pyproject's filters).
+    scale = 2.0 ** k
+    h = np.array([[0.7, 0.3 - 0.4j], [0.3 + 0.4j, -0.2]])
+    p0 = ProbTriple(0.6, 0.45, 0.3)
+    expected = evolve(build_kinetic(h, 0.0), p0, 1.3)
+    assert expected != p0
+    got = evolve(build_kinetic(scale * h, 0.0), p0, 1.3 / scale)
+    assert got.as_array().tobytes() == expected.as_array().tobytes()
+    if k != 0:
+        with pytest.raises(DomainError, match=re.escape(f"|n| = {scale!r}")):
+            state_tomogram(p0, [scale, 0.0, 0.0])
 
 
 @settings(max_examples=200, deadline=None)
