@@ -26,7 +26,7 @@ from . import (
 )
 from .errors import DomainError
 from .observable_map import ObservableProbRep
-from .qubit_core import ProbTriple
+from .qubit_core import ProbTriple, _as_float
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -51,10 +51,7 @@ class ParseError(ValueError):
 def _as_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        number = math.inf
+    number = _as_float(value)  # a JSON integer beyond the float range is infinite
     if not math.isfinite(number):
         raise DomainError(f"{key} is not finite, got {number!r}")
     return number

@@ -68,33 +68,26 @@ def _triple_parts(rho: np.ndarray) -> np.ndarray:
 
 
 def fit_affine(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, C) of the affine map p -> L p + C taking the probe triples to the (..., 4, 3) images.
+    """(L, C) of the affine map p -> L p + C taking the probe triples to the (4, 3) images.
 
     The probes sit half a unit step from the ball center, so column j of L is
     twice the difference between the images of probe j and of the center.
     """
-    L = 2.0 * (images[..., 1:, :] - images[..., :1, :]).swapaxes(-1, -2)
-    return L, images[..., 0, :] - L @ BALL_CENTER
+    L = 2.0 * (images[1:] - images[0]).T
+    return L, images[0] - L @ BALL_CENTER
 
 
 def rotation_oracle(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The affine maps through the probe states conjugated by each unitary of a (..., 2, 2) stack.
+    """The affine map through the probe states conjugated by one unitary.
 
     A density's triple is (Re rho21 + 1/2, Im rho21 + 1/2, rho11).
     """
-    w = w[..., None, :, :]
-    return fit_affine(_triple_parts(w @ PROBE_DENSITIES @ w.conj().swapaxes(-1, -2)) + [0.5, 0.5, 0.0])
+    return fit_affine(_triple_parts(w @ PROBE_DENSITIES @ w.conj().T) + [0.5, 0.5, 0.0])
 
 
 def kinetic_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The affine map through the exact derivatives i[H, rho] at the probe states."""
     return fit_affine(_triple_parts(1j * (m @ PROBE_DENSITIES - PROBE_DENSITIES @ m)))
-
-
-def _terms(pair):
-    """(L, C) of each map in a pair holding one map, L (3, 3) and C (3,), or a stack, L (K, 3, 3) and C (K, 3)."""
-    L, C = pair
-    return zip(np.reshape(L, (-1, 3, 3)), np.reshape(C, (-1, 3)))
 
 
 def component_checks(closed, oracle, tol: float) -> list[FormulaCheck]:
@@ -104,22 +97,20 @@ def component_checks(closed, oracle, tol: float) -> list[FormulaCheck]:
 
 
 def checked_map(closed, oracle, tol: float, label: str) -> None:
-    """Warn for each closed-form map whose components deviate from the oracle's beyond tol.
+    """Warn if the components of one closed-form map deviate from the oracle's beyond tol.
 
-    Works on one map or on a stack, as _terms reads them. Each failing map gets
-    its own FormulaMismatchWarning naming every failing component and its
+    The one FormulaMismatchWarning names every failing component and its
     deviation; a NaN deviation fails. The caller's result is the closed form
     either way.
     """
-    for term, fit in zip(_terms(closed), _terms(oracle)):
-        failed = failed_checks(component_checks(term, fit, tol))
-        if failed:
-            details = ", ".join(f"{check.name} off by {check.deviation:.3e}" for check in failed)
-            warnings.warn(
-                f"closed-form {label} components disagree with the matrix-route oracle: {details}",
-                FormulaMismatchWarning,
-                stacklevel=3,
-            )
+    failed = failed_checks(component_checks(closed, oracle, tol))
+    if failed:
+        details = ", ".join(f"{check.name} off by {check.deviation:.3e}" for check in failed)
+        warnings.warn(
+            f"closed-form {label} components disagree with the matrix-route oracle: {details}",
+            FormulaMismatchWarning,
+            stacklevel=3,
+        )
 
 
 def conjugate_by_unitary(rho, u, tol: float = UNITARY_TOL) -> np.ndarray:

@@ -12,6 +12,7 @@ runs given fd_tol, and a mismatch warns, while omega stays 2h.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import matrix_oracle, observable_map, qubit_core
 from .diagnostics import FormulaCheck, checked_map, component_checks, kinetic_oracle
 from .errors import DomainError
-from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple
+from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple, _as_float
 
 FD_TOL = 1e-4
 
@@ -34,20 +35,25 @@ def _cross(w) -> np.ndarray:
 class KineticSystem:
     """Constant-coefficient system dp/dt = L p + C for a fixed Hamiltonian and shift.
 
-    Held as its angular velocity omega = 2h, three finite numbers: L v = v x omega
-    and C = -L c, which keeps the ball center c fixed, are fresh arrays on each access.
+    Held as its angular velocity omega = 2h, three finite numbers, and a finite
+    shift x: L v = v x omega and C = -L c, which keeps the ball center c fixed,
+    are fresh arrays on each access.
     """
 
     omega: tuple[float, float, float]
     x: float
 
     def __post_init__(self):
-        omega = tuple(map(float, self.omega))
+        omega = tuple(map(_as_float, self.omega))
         if len(omega) != 3:
             raise DomainError(f"kinetic angular velocity omega needs 3 components, got {len(omega)}")
         if not all(map(math.isfinite, omega)):
             raise DomainError(f"kinetic angular velocity omega must be finite, got {omega!r}")
+        x = _as_float(self.x)
+        if not math.isfinite(x):
+            raise DomainError(f"kinetic shift x must be finite, got {x!r}")
         object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "x", x)
 
     @property
     def L(self) -> np.ndarray:
@@ -104,7 +110,7 @@ def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     system returned is the closed form either way.
     """
     m = matrix_oracle.require_hermitian(h, name="hamiltonian")
-    system = KineticSystem(_omega(m), float(x))
+    system = KineticSystem(_omega(m), x)
     if fd_tol is not None:
         checked_map((system.L, system.C), kinetic_oracle(m), _scaled_tol(system.omega, fd_tol), "kinetic generator")
     return system
@@ -143,9 +149,10 @@ def _rotate_about_center(omega, p0: ProbTriple, times: np.ndarray) -> np.ndarray
 
 def _evolve_at(omega, p0: ProbTriple, t: float) -> ProbTriple:
     """The accepted p0 rotated for the single time t, which must be finite."""
-    if not np.isfinite(t):
+    t = _as_float(t)
+    if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t!r}")
-    return ProbTriple.from_array(_rotate_about_center(omega, p0, np.array([float(t)]))[0])
+    return ProbTriple.from_array(_rotate_about_center(omega, p0, np.array([t]))[0])
 
 
 def evolve(system: KineticSystem, p0: ProbTriple, t: float, tol: float = DEFAULT_TOL) -> ProbTriple:
@@ -163,10 +170,11 @@ def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
     normalization applies at both ends.
     """
     m, lam_min, _ = observable_map._accept(a0, "observable")
-    p0 = observable_map._triple(m, lam_min, float(x))
+    x = _as_float(x)
+    p0 = observable_map._triple(m, lam_min, x)
     pt = _evolve_at(build_kinetic(h, x).omega, p0, t)
-    denom = float(m[0, 0].real + m[1, 1].real) + 2.0 * float(x)
-    return denom * qubit_core._density(pt) - float(x) * matrix_oracle.IDENTITY
+    denom = float(m[0, 0].real + m[1, 1].real) + 2.0 * x
+    return denom * qubit_core._density(pt) - x * matrix_oracle.IDENTITY
 
 
 def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps: int,
@@ -179,13 +187,17 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
     grid's times are checked: each row is a rotation of the accepted p0 about
     the ball center and keeps its ball residual.
     """
-    if not np.isfinite(t_end) or t_end <= 0.0:
+    t_end = _as_float(t_end)
+    if not math.isfinite(t_end) or t_end <= 0.0:
         raise DomainError(f"t_end must be finite and positive, got {t_end!r}")
-    steps = int(steps)
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise DomainError(f"steps must be an integer, got {steps!r}") from None
     if steps < 1:
         raise DomainError(f"steps must be at least 1, got {steps}")
     qubit_core.require_physical(p0, tol)
-    times = np.linspace(0.0, float(t_end), steps + 1)
+    times = np.linspace(0.0, t_end, steps + 1)
     # rounding can collapse a tiny grid (t_end = 5e-324, steps = 3)
     if not (times[1:] > times[:-1]).all():
         raise DomainError("trajectory times must be strictly increasing")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matrix_oracle, qubit_core
 from .errors import DomainError, NonInvertibleEncodingWarning
-from .qubit_core import DEFAULT_TOL, ProbTriple
+from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float
 from .tomography_channels import _tomogram
 
 # Relative guard: a Bloch vector, or a normalization against its terms, this small is zero.
@@ -48,9 +48,10 @@ class ObservableProbRep:
     p_b: ProbTriple
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError(f"encoding shifts must be finite, got a = {self.a!r}, b = {self.b!r}")
-        if float(self.a) == float(self.b):
+        a, b = _as_float(self.a), _as_float(self.b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"encoding shifts must be finite, got a = {a!r}, b = {b!r}")
+        if a == b:
             raise DomainError("encoding shifts must differ (a == b repeats one equation)")
 
 
@@ -120,7 +121,7 @@ def _triple(m: np.ndarray, lam_min: float, x: float) -> ProbTriple:
 def rho_of_x(h, x: float) -> np.ndarray:
     """(H + x*I) / (tr H + 2x): a unit-trace PSD matrix for admissible x."""
     m, lam_min, _ = _accept(h, "observable")
-    x = float(x)
+    x = _as_float(x)
     d = _normalization(m, lam_min, x)  # first: an admissible d bounds H + x I
     # real and imaginary parts divided apart: numpy's complex / real multiplies by 1/d,
     # which overflows when d is subnormal
@@ -134,7 +135,7 @@ def _encode(m: np.ndarray, lam_min: float, lam_max: float, a: float | None,
         a, b = _default_shifts(lam_min, lam_max)
     elif a is None or b is None:
         raise DomainError("provide both shifts or neither")
-    a, b = float(a), float(b)
+    a, b = _as_float(a), _as_float(b)
     return ObservableProbRep(a, b, _triple(m, lam_min, a), _triple(m, lam_min, b))
 
 
@@ -200,4 +201,4 @@ def decode_observable(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> np.nd
 
 def observable_tomogram(h, direction, x: float) -> tuple[float, float]:
     """Spin tomogram of rho(x): probabilities of projection +1/2 and -1/2 along the direction."""
-    return _tomogram(_triple(*_accept(h, "observable")[:2], float(x)), direction)
+    return _tomogram(_triple(*_accept(h, "observable")[:2], _as_float(x)), direction)

@@ -8,6 +8,7 @@ the ball residual equals the determinant of the corresponding density matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ BALL_CENTER = np.array([0.5, 0.5, 0.5])
 
 # Default slack for physicality checks (ball residual and cube bounds).
 DEFAULT_TOL = 1e-10
+
+
+def _as_float(value) -> float:
+    """float(value) for a number from a caller; an integer past the float range is the infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ def _violation(p: ProbTriple, tol: float, ball: bool = True) -> str | None:
     """Why p lies outside the physical region at slack tol, or None; ball=False tests the cube alone."""
     for k, v in enumerate((p.p1, p.p2, p.p3), start=1):
         if not -tol <= v <= 1.0 + tol:  # NaN is outside
-            return f"p{k} = {float(v)!r} violates 0 <= p{k} <= 1"
+            return f"p{k} = {_as_float(v)!r} violates 0 <= p{k} <= 1"
     if not ball:
         return None
     residual = check_ball(p)  # p and tol are finite past the cube test, so < is NaN-safe

@@ -19,7 +19,7 @@ import numpy as np
 from . import matrix_oracle, qubit_core
 from .diagnostics import FormulaCheck, checked_map, component_checks, rotation_oracle
 from .errors import DomainError
-from .qubit_core import BALL_CENTER, ProbTriple
+from .qubit_core import BALL_CENTER, ProbTriple, _as_float
 
 TWO_PI = 2.0 * np.pi
 ROTATION_FORMULA_TOL = 1e-9
@@ -121,17 +121,16 @@ _PAULI = np.stack([matrix_oracle.SIGMA_X, matrix_oracle.SIGMA_Y, matrix_oracle.S
 
 
 def _adjoint_rotation(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form for a (..., 2, 2) stack: R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 and C = (I - R) c."""
-    u = u[..., None, :, :]
-    frames = u @ _PAULI @ u.conj().swapaxes(-1, -2)
-    R = 0.5 * np.einsum("iab,...jba->...ij", _PAULI, frames).real
+    """Closed form for one unitary: R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 and C = (I - R) c."""
+    frames = u @ _PAULI @ u.conj().T
+    R = 0.5 * np.einsum("iab,jba->ij", _PAULI, frames).real
     return R, BALL_CENTER - R @ BALL_CENTER
 
 
-def _rotation_maps(w: np.ndarray, formula_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (L, C) stacks for a (K, 2, 2) stack of validated unitaries."""
+def _rotation(w: np.ndarray, formula_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (L, C) of one validated unitary, warned about if it fails its probe-fit oracle."""
     closed = _adjoint_rotation(w)
-    if formula_tol is not None:  # each term that fails against its probe-fit oracle warns
+    if formula_tol is not None:
         checked_map(closed, rotation_oracle(w), formula_tol, "rotation")
     return closed
 
@@ -147,11 +146,10 @@ def rotation_from_unitary(u, formula_tol: float | None = None) -> AffineMap3:
 
     The map is the closed-form adjoint rotation. Given formula_tol, it is also
     checked against the fit through four probe states of the matrix route: a
-    component off by more names itself in a FormulaMismatchWarning. This is
-    channel_map's route with one term.
+    component off by more names itself in a FormulaMismatchWarning. channel_map
+    builds each of its terms the same way.
     """
-    L, C = _rotation_maps(matrix_oracle.require_unitary(u)[None], formula_tol)
-    return AffineMap3(L[0], C[0])
+    return AffineMap3(*_rotation(matrix_oracle.require_unitary(u), formula_tol))
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ class ChannelSpec:
         cleaned = []
         total = 0.0
         for k, (weight, u) in enumerate(self.terms):
-            w = float(weight)
+            w = _as_float(weight)
             if not w >= -WEIGHT_TOL:
                 raise DomainError(f"channel weight {k} is negative or NaN ({w!r})")
             # a read-only copy, so that channel_map can use it without checking it again
@@ -182,13 +180,13 @@ class ChannelSpec:
 def channel_map(spec: ChannelSpec, formula_tol: float | None = None) -> AffineMap3:
     """Weighted sum of the per-unitary affine maps; a contraction on the ball.
 
-    The unitaries, already validated by ChannelSpec, go through
-    rotation_from_unitary's route as one (K, 2, 2) stack, formula_tol and all.
+    Each unitary, already validated by ChannelSpec, becomes its rotation as in
+    rotation_from_unitary, formula_tol and all, and the sum adds w * R and
+    w * C term by term from zero.
     """
-    weights = np.array([w for w, _ in spec.terms])
-    L, C = _rotation_maps(np.stack([u for _, u in spec.terms]), formula_tol)
-    # term by term from +0.0, as the loop over rotation_from_unitary sums, bit for bit
-    return AffineMap3(
-        np.add.reduce(weights[:, None, None] * L, axis=0, initial=0.0),
-        np.add.reduce(weights[:, None] * C, axis=0, initial=0.0),
-    )
+    L, C = np.zeros((3, 3)), np.zeros(3)
+    for weight, u in spec.terms:
+        R, offset = _rotation(u, formula_tol)
+        L += weight * R
+        C += weight * offset
+    return AffineMap3(L, C)

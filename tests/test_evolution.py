@@ -78,6 +78,15 @@ def test_kinetic_system_rejects_a_non_finite_or_wrong_length_omega():
         KineticSystem(omega=(1.0, 2.0), x=0.0)
 
 
+def test_kinetic_system_rejects_a_non_finite_shift():
+    # a trajectory carries the shift, and json.dumps would write a NaN one as NaN, which is not JSON
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match=r"^kinetic shift x must be finite, got "):
+            build_kinetic(SIGMA_Z, bad)
+        with pytest.raises(DomainError, match=r"^kinetic shift x must be finite, got "):
+            KineticSystem(omega=(1.0, 0.0, 0.0), x=bad)
+
+
 def test_build_kinetic_omega_is_twice_the_pauli_vector(rng):
     for _ in range(50):
         h = random_hermitian(rng, scale=float(10.0 ** rng.uniform(-6.0, 6.0)))
@@ -422,3 +431,14 @@ def test_trajectory_validation():
     # rounding collapses this grid to [0, 0, 5e-324, 5e-324]
     with pytest.raises(DomainError, match="^trajectory times must be strictly increasing$"):
         sample_trajectory(system, P0_X, 5e-324, 3)
+
+
+def test_trajectory_steps_must_be_an_integer():
+    system = build_kinetic(SIGMA_Z, 0.0)
+    for bad in (2.7, 3.0, "3", np.nan):
+        with pytest.raises(DomainError, match=r"^steps must be an integer, got "):
+            sample_trajectory(system, P0_X, 1.0, bad)
+    # numpy integers count as integers
+    expected = sample_trajectory(system, P0_X, 1.0, 3).times.tolist()
+    for steps in (np.int64(3), np.int32(3)):
+        assert sample_trajectory(system, P0_X, 1.0, steps).times.tolist() == expected

@@ -10,18 +10,23 @@ from hypothesis import strategies as st
 from qprob import (
     ChannelSpec,
     DomainError,
+    KineticSystem,
     NonInvertibleEncodingWarning,
     ObservableProbRep,
     ProbTriple,
     admissible_shift_bound,
+    build_kinetic,
     conservative_shift_bound,
     decode_observable,
     default_shifts,
     encode_observable,
+    evolve,
     evolve_observable,
     observable_tomogram,
     probs_from_density,
+    require_physical,
     rho_of_x,
+    sample_trajectory,
     state_tomogram,
 )
 from qprob.diagnostics import heisenberg_exact
@@ -346,6 +351,9 @@ def test_near_identity_decodes_or_warns(log_norm, log_ratio, sign, direction):
 
 
 _SIGMA_Z_PAIR = (ProbTriple(0.5, 0.5, 0.75), ProbTriple(0.5, 0.5, 2.0 / 3.0))
+# an integer past the float range, which float() cannot convert
+_HUGE = 10**400
+_P0 = ProbTriple(0.5, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -358,8 +366,26 @@ _SIGMA_Z_PAIR = (ProbTriple(0.5, 0.5, 0.75), ProbTriple(0.5, 0.5, 2.0 / 3.0))
     (lambda: decode_observable(ObservableProbRep(-np.inf, 3.0, *_SIGMA_Z_PAIR)), "a = -inf"),
     (lambda: ChannelSpec(((np.nan, IDENTITY),)), "weight 0 .*nan"),
     (lambda: state_tomogram(ProbTriple(0.5, 0.5, 1.0), [np.nan, 0.0, 0.0]), "unit length.*nan"),
+    (lambda: evolve(build_kinetic(SIGMA_Z, 0.0), _P0, _HUGE), "time must be finite, got inf"),
+    (lambda: evolve(build_kinetic(SIGMA_Z, 0.0), _P0, -_HUGE), "time must be finite, got -inf"),
+    (lambda: sample_trajectory(build_kinetic(SIGMA_Z, 0.0), _P0, _HUGE, 3), "t_end must be finite .* got inf"),
+    (lambda: evolve_observable(SIGMA_Z, SIGMA_X, 1.0, _HUGE), "time must be finite, got inf"),
+    (lambda: build_kinetic(SIGMA_Z, _HUGE), "shift x must be finite, got inf"),
+    (lambda: KineticSystem((_HUGE, 0, 0), 0.0), r"omega must be finite, got \(inf, 0\.0, 0\.0\)"),
+    (lambda: encode_observable(SIGMA_Z, _HUGE, 3.0), "x = inf is inadmissible"),
+    (lambda: rho_of_x(SIGMA_Z, _HUGE), "x = inf is inadmissible"),
+    (lambda: observable_tomogram(SIGMA_Z, Direction(1.0, 1.0), _HUGE), "x = inf is inadmissible"),
+    (lambda: evolve_observable(SIGMA_Z, SIGMA_X, _HUGE, 1.0), "x = inf is inadmissible"),
+    (lambda: ObservableProbRep(_HUGE, 3.0, *_SIGMA_Z_PAIR), "a = inf"),
+    (lambda: ChannelSpec(((_HUGE, IDENTITY),)), "sum to 1, got inf"),
+    (lambda: require_physical(ProbTriple(_HUGE, 0.5, 0.5)), "p1 = inf violates"),
 ], ids=["rho-of-x", "encode", "observable-tomogram", "evolve-observable", "evolve-observable-time",
-        "decode-inf-b", "decode-minus-inf-a", "channel-weight", "state-tomogram-direction"])
+        "decode-inf-b", "decode-minus-inf-a", "channel-weight", "state-tomogram-direction",
+        "huge-int-evolve-time", "huge-negative-int-evolve-time", "huge-int-trajectory-t-end",
+        "huge-int-evolve-observable-time", "huge-int-kinetic-shift", "huge-int-kinetic-omega",
+        "huge-int-encode", "huge-int-rho-of-x", "huge-int-observable-tomogram",
+        "huge-int-evolve-observable", "huge-int-decode-a", "huge-int-channel-weight",
+        "huge-int-physical-triple"])
 def test_non_finite_library_input_is_rejected_by_name(call, match):
     # no numpy RuntimeWarning on the way, and no NaN result in place of the error
     with warnings.catch_warnings():

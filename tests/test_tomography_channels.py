@@ -255,8 +255,8 @@ def test_channel_depolarizing_frozen():
     raw_weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
 )
 def test_channel_is_the_weighted_sum_of_rotations(generators, phases, raw_weights):
-    # the stacked route, checked against its oracles, must reproduce the sequential sum
-    # of checked single rotations bit for bit
+    # channel_map, checked against its oracles, must reproduce the sum of checked
+    # single rotations bit for bit
     unitaries = [
         np.exp(1j * phase) * expm_hermitian_generator(np.array([[d1, re - 1j * im], [re + 1j * im, d2]]), 1.0)
         for (d1, d2, re, im), phase in zip(generators, phases)
@@ -271,6 +271,35 @@ def test_channel_is_the_weighted_sum_of_rotations(generators, phases, raw_weight
         C += weight * part.C
     assert mapping.L.tobytes() == L.tobytes()
     assert mapping.C.tobytes() == C.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_eps=st.floats(-12.0, 0.0),
+    generators=st.tuples(*[st.floats(-3.0, 3.0)] * 8),
+    theta=st.floats(0.0, np.pi),
+    phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+)
+def test_channel_weights_hold_at_every_scale(log_eps, generators, theta, phi):
+    # weights (1 - eps, eps) from eps = 1e-12 to 1, on a pure state, the ball's edge
+    eps = 10.0 ** log_eps
+    u1, u2 = (
+        expm_hermitian_generator(np.array([[d1, re - 1j * im], [re + 1j * im, d2]]), 1.0)
+        for d1, d2, re, im in (generators[:4], generators[4:])
+    )
+    spec = ChannelSpec(((1.0 - eps, u1), (eps, u2)))
+    mapping = channel_map(spec)
+    L, C = np.zeros((3, 3)), np.zeros(3)
+    for weight, u in spec.terms:
+        part = rotation_from_unitary(u)
+        L += weight * part.L
+        C += weight * part.C
+    assert mapping.L.tobytes() == L.tobytes()
+    assert mapping.C.tobytes() == C.tobytes()
+    p = ProbTriple.from_array(BALL_CENTER + 0.5 * Direction(theta, phi).unit_vector())
+    image = mapping.apply(p)
+    np.testing.assert_allclose(image.as_array(), channel_image_oracle(spec, p).as_array(), rtol=0, atol=1e-10)
+    assert check_ball(image) >= -1e-10
 
 
 def test_channel_mismatch_warns_once_per_term(rng):
