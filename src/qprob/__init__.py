@@ -6,8 +6,14 @@ maps Hermitian observables into pairs of such triples, computes spin
 tomograms, expresses unitary rotations and unital channels as affine maps of
 the triple, integrates the kinetic equation in probability coordinates, and
 draws the triangle-and-square pictures that visualize a triple.
+
+Importing the package imports no numpy: the array constants (IDENTITY, the
+Pauli matrices, BALL_CENTER) are built on first access, and numpy is loaded
+by the first call that builds an array.
 """
 
+from . import matrix_oracle, qubit_core
+from ._numpy import lazy_constants
 from .diagnostics import FormulaCheck, expm_hermitian_generator, failed_checks, heisenberg_exact
 from .errors import DomainError, FormulaMismatchWarning, NonInvertibleEncodingWarning
 from .evolution import (
@@ -21,10 +27,6 @@ from .evolution import (
 )
 from .figures import render_svg
 from .matrix_oracle import (
-    IDENTITY,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     eigenvalues_hermitian,
     hermiticity_defect,
     pauli_components,
@@ -43,7 +45,6 @@ from .observable_map import (
     rho_of_x,
 )
 from .qubit_core import (
-    BALL_CENTER,
     DEFAULT_TOL,
     GAMMA,
     ProbTriple,
@@ -68,6 +69,15 @@ from .tomography_channels import (
     rotation_formula_checks,
     rotation_from_unitary,
     state_tomogram,
+)
+
+__getattr__ = lazy_constants(
+    globals(),
+    BALL_CENTER=lambda: qubit_core.BALL_CENTER,
+    IDENTITY=lambda: matrix_oracle.IDENTITY,
+    SIGMA_X=lambda: matrix_oracle.SIGMA_X,
+    SIGMA_Y=lambda: matrix_oracle.SIGMA_Y,
+    SIGMA_Z=lambda: matrix_oracle.SIGMA_Z,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,12 @@
 
 Thin adapter: main reads the JSON document and QPROB_TOL, a handler parses
 the document and calls the library, and main writes the text it returns. All
-numeric logic lives in the library modules. Exit codes, mapped in main alone:
-0 success, 2 parse error, 3 domain or precondition error, 4 input/output error.
+numeric logic lives in the library modules. encode, decode, tomogram and
+check call the library's Python-number kernels on the parsed entries, so
+they never import numpy; evolve and figures load it with their first array.
+Exit codes, mapped in main alone: 0 success, 2 parse error, 3 domain or
+precondition error (a report value that is not finite included), 4
+input/output error.
 """
 
 from __future__ import annotations
@@ -138,8 +142,25 @@ def _load_json(path: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
+def _non_finite(doc, path: str = "") -> tuple[str, float] | None:
+    """The path and value of the first number in doc that JSON cannot carry (NaN or an infinity)."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        if isinstance(value, float) and not math.isfinite(value):
+            return where, value
+        found = _non_finite(value, where)
+        if found is not None:
+            return found
+    return None
+
+
 def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        where, value = _non_finite(doc)
+        raise DomainError(f"{where} = {value!r} is not finite, and JSON has no such number") from None
 
 
 def _tolerance() -> float:
@@ -185,8 +206,8 @@ def cmd_encode(doc, args, tol: float) -> str:
     h = parse_matrix(doc)
     if (args.a is None) != (args.b is None):
         raise ParseError("--a and --b must be given together")
-    m, lam_min, lam_max = observable_map._accept(h, "observable")
-    rep = observable_map._encode(m, lam_min, lam_max, args.a, args.b)
+    rows, lam_min, lam_max = observable_map._accept_rows(h, "observable")
+    rep = observable_map._encode(rows, lam_min, lam_max, args.a, args.b)
     warns = []
     if observable_map._carries_no_trace(rep):
         warns.append(
@@ -198,7 +219,7 @@ def cmd_encode(doc, args, tol: float) -> str:
         "b": rep.b,
         "P_a": triple_to_json(rep.p_a),
         "P_b": triple_to_json(rep.p_b),
-        "admissible_bound": observable_map._admissible_bound(m, lam_min),
+        "admissible_bound": observable_map._admissible_bound(rows, lam_min),
         "errata_notes": [],
         "warnings": warns,
     })
@@ -208,7 +229,7 @@ def cmd_decode(doc, args, tol: float) -> str:
     rep = parse_rep(doc)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        h = observable_map.decode_observable(rep, tol=tol)
+        h = observable_map._decode(rep, tol)
     out = matrix_to_json(h)
     if caught:
         out["warnings"] = [str(w.message) for w in caught]
@@ -222,7 +243,9 @@ def cmd_tomogram(doc, args, tol: float) -> str:
     else:
         if args.x is None:
             raise ParseError("an observable tomogram needs --x")
-        w_plus, w_minus = observable_map.observable_tomogram(parse_matrix(doc), direction, args.x)
+        rows, lam_min, _ = observable_map._accept_rows(parse_matrix(doc), "observable")
+        p = observable_map._triple(rows, lam_min, args.x)
+        w_plus, w_minus = tomography_channels._tomogram(p, direction)
     return _dump_json({"w_plus": w_plus, "w_minus": w_minus})
 
 
@@ -237,8 +260,8 @@ def cmd_evolve(doc, args, tol: float) -> str:
         if args.x is None:
             raise ParseError('evolve with "A0" needs --x')
         x = args.x
-        m, lam_min, _ = observable_map._accept(parse_matrix(doc["A0"]), "observable")
-        p0 = observable_map._triple(m, lam_min, x)
+        rows, lam_min, _ = observable_map._accept_rows(parse_matrix(doc["A0"]), "observable")
+        p0 = observable_map._triple(rows, lam_min, x)
         tol = qubit_core.DEFAULT_TOL  # QPROB_TOL is the slack on supplied triples; this one is computed
     else:
         raise ParseError('evolve input needs "p0" or "A0"')
@@ -295,10 +318,10 @@ def _triple_report(p: ProbTriple, tol: float) -> dict:
         "physical": physical,
     }
     if physical:  # the density of a triple is Hermitian by construction, so no guard runs
-        report["density_eigenvalues"] = list(matrix_oracle._eigenvalues(qubit_core._density(p)))
+        report["density_eigenvalues"] = list(matrix_oracle._eigenvalues(qubit_core._density_rows(p)))
     if qubit_core._violation(p, suprematism_geometry.CUBE_SLACK, ball=False) is None:
         report["area_sum"] = suprematism_geometry.area_sum(p)
-        report["chord_lengths"] = list(suprematism_geometry.triangle_picture(p).side_lengths)
+        report["chord_lengths"] = list(suprematism_geometry._chords(p)[1])
     return report
 
 

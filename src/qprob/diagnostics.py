@@ -13,16 +13,16 @@ Heisenberg solution) live here too: only tests and oracles use them.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import matrix_oracle
+from . import matrix_oracle, qubit_core
+from ._numpy import lazy_constants, np
 from .errors import DomainError, FormulaMismatchWarning
-from .matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, UNITARY_TOL
-from .qubit_core import BALL_CENTER, ProbTriple, density_from_probs
+from .matrix_oracle import UNITARY_TOL
+from .qubit_core import ProbTriple, density_from_probs
 
 # Four probe triples fixing any affine map in three dimensions: the ball
 # center plus half-steps along each axis (all physical, the steps are pure).
@@ -32,7 +32,15 @@ PROBE_TRIPLES = (
     ProbTriple(0.5, 1.0, 0.5),
     ProbTriple(0.5, 0.5, 1.0),
 )
-PROBE_DENSITIES = np.stack([density_from_probs(p) for p in PROBE_TRIPLES])
+
+
+@functools.cache
+def _probe_densities() -> np.ndarray:
+    return np.stack([density_from_probs(p) for p in PROBE_TRIPLES])
+
+
+# PROBE_DENSITIES: their (4, 2, 2) density matrices, built on first access
+__getattr__ = lazy_constants(globals(), PROBE_DENSITIES=_probe_densities)
 
 # Component names in check order: L row by row, then C.
 COMPONENT_NAMES = tuple(f"L{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ("C1", "C2", "C3")
@@ -74,7 +82,7 @@ def fit_affine(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     twice the difference between the images of probe j and of the center.
     """
     L = 2.0 * (images[1:] - images[0]).T
-    return L, images[0] - L @ BALL_CENTER
+    return L, images[0] - L @ qubit_core.BALL_CENTER
 
 
 def rotation_oracle(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,12 +90,13 @@ def rotation_oracle(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A density's triple is (Re rho21 + 1/2, Im rho21 + 1/2, rho11).
     """
-    return fit_affine(_triple_parts(w @ PROBE_DENSITIES @ w.conj().T) + [0.5, 0.5, 0.0])
+    return fit_affine(_triple_parts(w @ _probe_densities() @ w.conj().T) + [0.5, 0.5, 0.0])
 
 
 def kinetic_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The affine map through the exact derivatives i[H, rho] at the probe states."""
-    return fit_affine(_triple_parts(1j * (m @ PROBE_DENSITIES - PROBE_DENSITIES @ m)))
+    probes = _probe_densities()
+    return fit_affine(_triple_parts(1j * (m @ probes - probes @ m)))
 
 
 def component_checks(closed, oracle, tol: float) -> list[FormulaCheck]:
@@ -128,19 +137,20 @@ def expm_hermitian_generator(h, t: float) -> np.ndarray:
     so no series truncation or scaling-and-squaring is involved. Both angles,
     |hvec| t and h0 t, must be finite.
     """
-    h0, hvec = matrix_oracle._pauli(matrix_oracle.require_hermitian(h))
+    h0, hvec = matrix_oracle._pauli(matrix_oracle._hermitian_rows(h))
     norm, t = math.hypot(*hvec), float(t)
     angle = norm * t
     if not (math.isfinite(angle) and math.isfinite(h0 * t)):
         raise DomainError(
             f"exp(iHt) needs finite |h| t and h0 t (|h| = {norm:.3e}, h0 = {h0:.3e}, t = {t!r})"
         )
-    phase = np.exp(1j * h0 * t)
+    phase, identity = np.exp(1j * h0 * t), matrix_oracle._identity()
     if norm == 0.0:
-        return phase * IDENTITY
+        return phase * identity
     x, y, z = (h / norm for h in hvec)
-    sigma_axis = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
-    return phase * (np.cos(angle) * IDENTITY + 1j * np.sin(angle) * sigma_axis)
+    sigma_x, sigma_y, sigma_z = matrix_oracle._paulis()
+    sigma_axis = x * sigma_x + y * sigma_y + z * sigma_z
+    return phase * (np.cos(angle) * identity + 1j * np.sin(angle) * sigma_axis)
 
 
 def heisenberg_exact(a0, h, t: float) -> np.ndarray:

@@ -15,12 +15,11 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import matrix_oracle, observable_map, qubit_core
+from ._numpy import np
 from .diagnostics import FormulaCheck, checked_map, component_checks, kinetic_oracle
 from .errors import DomainError
-from .qubit_core import BALL_CENTER, DEFAULT_TOL, ProbTriple, _as_float
+from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float
 
 FD_TOL = 1e-4
 
@@ -61,7 +60,7 @@ class KineticSystem:
 
     @property
     def C(self) -> np.ndarray:
-        return -(self.L @ BALL_CENTER)
+        return -(self.L @ qubit_core.BALL_CENTER)
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,12 @@ class Trajectory:
     x: float
 
     def triples(self) -> list[ProbTriple]:
-        return [ProbTriple.from_array(row) for row in self.probs]
+        return [ProbTriple(*row) for row in self.probs.tolist()]
 
 
-def _omega(m: np.ndarray) -> tuple[float, float, float]:
-    """omega = 2h for the validated Hamiltonian m = h0 I + h . sigma."""
-    _, (h1, h2, h3) = matrix_oracle._pauli(m)
+def _omega(rows) -> tuple[float, float, float]:
+    """omega = 2h for the validated Hamiltonian m = h0 I + h . sigma, from its entries."""
+    _, (h1, h2, h3) = matrix_oracle._pauli(rows)
     omega = (2.0 * h1, 2.0 * h2, 2.0 * h3)
     if not max(map(abs, omega)) < math.inf:
         raise DomainError(f"kinetic generator omega = 2h overflows (h = ({h1:.3e}, {h2:.3e}, {h3:.3e}))")
@@ -95,9 +94,10 @@ def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
 
     Each check's tolerance is tol * max(1, max|L|), as in build_kinetic.
     """
-    m = matrix_oracle.require_hermitian(h, name="hamiltonian")
-    system = KineticSystem(_omega(m), 0.0)  # L and C do not depend on the shift
-    return component_checks((system.L, system.C), kinetic_oracle(m), _scaled_tol(system.omega, tol))
+    rows = matrix_oracle._hermitian_rows(h, name="hamiltonian")
+    system = KineticSystem(_omega(rows), 0.0)  # L and C do not depend on the shift
+    oracle = kinetic_oracle(matrix_oracle.as_matrix2(rows))
+    return component_checks((system.L, system.C), oracle, _scaled_tol(system.omega, tol))
 
 
 def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
@@ -109,10 +109,11 @@ def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     fd_tol * max(1, max|L|) raises a FormulaMismatchWarning naming it. The
     system returned is the closed form either way.
     """
-    m = matrix_oracle.require_hermitian(h, name="hamiltonian")
-    system = KineticSystem(_omega(m), x)
+    rows = matrix_oracle._hermitian_rows(h, name="hamiltonian")
+    system = KineticSystem(_omega(rows), x)
     if fd_tol is not None:
-        checked_map((system.L, system.C), kinetic_oracle(m), _scaled_tol(system.omega, fd_tol), "kinetic generator")
+        oracle = kinetic_oracle(matrix_oracle.as_matrix2(rows))
+        checked_map((system.L, system.C), oracle, _scaled_tol(system.omega, fd_tol), "kinetic generator")
     return system
 
 
@@ -137,7 +138,7 @@ def _rotate_about_center(omega, p0: ProbTriple, times: np.ndarray) -> np.ndarray
     if norm == 0.0:
         return np.tile(start, (times.size, 1))
     K = _cross(omega) / norm
-    k1 = K @ (start - BALL_CENTER)
+    k1 = K @ (start - qubit_core.BALL_CENTER)
     k2 = K @ k1
     angle = norm * times
     half_sin = np.sin(0.5 * angle)
@@ -152,7 +153,7 @@ def _evolve_at(omega, p0: ProbTriple, t: float) -> ProbTriple:
     t = _as_float(t)
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t!r}")
-    return ProbTriple.from_array(_rotate_about_center(omega, p0, np.array([t]))[0])
+    return ProbTriple(*_rotate_about_center(omega, p0, np.array([t]))[0].tolist())
 
 
 def evolve(system: KineticSystem, p0: ProbTriple, t: float, tol: float = DEFAULT_TOL) -> ProbTriple:
@@ -169,12 +170,12 @@ def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
     - x I undoes the embedding; the trace is conserved, so the same
     normalization applies at both ends.
     """
-    m, lam_min, _ = observable_map._accept(a0, "observable")
+    rows, lam_min, _ = observable_map._accept(a0, "observable")
     x = _as_float(x)
-    p0 = observable_map._triple(m, lam_min, x)
+    p0 = observable_map._triple(rows, lam_min, x)
     pt = _evolve_at(build_kinetic(h, x).omega, p0, t)
-    denom = float(m[0, 0].real + m[1, 1].real) + 2.0 * x
-    return denom * qubit_core._density(pt) - x * matrix_oracle.IDENTITY
+    denom = (rows[0][0].real + rows[1][1].real) + 2.0 * x
+    return denom * qubit_core._density(pt) - x * matrix_oracle._identity()
 
 
 def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps: int,
@@ -191,6 +192,8 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
     if not math.isfinite(t_end) or t_end <= 0.0:
         raise DomainError(f"t_end must be finite and positive, got {t_end!r}")
     try:
+        if isinstance(steps, bool):  # operator.index takes True as 1
+            raise TypeError
         steps = operator.index(steps)
     except TypeError:
         raise DomainError(f"steps must be an integer, got {steps!r}") from None

@@ -6,17 +6,22 @@ formatting, no timestamps, no randomness.
 
 from __future__ import annotations
 
+import functools
 import math
 
-import numpy as np
-
-from .suprematism_geometry import REFERENCE_CORNERS, TrianglePicture
+from . import suprematism_geometry
+from ._numpy import np
+from .suprematism_geometry import TrianglePicture
 
 _SCALE = 220.0
 _MARGIN = 0.18
 _PANEL_GAP = 0.6
 _SQUARE_FILLS = ("#111111", "#c8102e", "#fafafa")
-_REF_CENTROID = REFERENCE_CORNERS.mean(axis=0)
+
+
+@functools.cache
+def _ref_centroid() -> np.ndarray:
+    return suprematism_geometry.REFERENCE_CORNERS.mean(axis=0)
 
 
 def _fmt(value: float) -> str:
@@ -36,7 +41,7 @@ def _square_corners(p: np.ndarray, q: np.ndarray, centroid: np.ndarray) -> np.nd
         # degenerate (collinear) inner triangle: orient away from the reference centroid, and if
         # that lies on the chord's line too, keep the right-hand normal (dy, -dx), which points
         # outward for the counterclockwise triangles a cube triple inscribes
-        side = float(normal @ (mid - _REF_CENTROID))
+        side = float(normal @ (mid - _ref_centroid()))
     if side <= -1e-12:
         normal = -normal
     return np.array([p, q, q + length * normal, p + length * normal])
@@ -52,7 +57,7 @@ def _panel_shapes(pic: TrianglePicture, with_squares: bool) -> list[tuple[str, n
                 shapes.append(("polygon", corners, {
                     "fill": _SQUARE_FILLS[k], "stroke": "#111111", "stroke-width": "1",
                 }))
-    shapes.append(("polygon", REFERENCE_CORNERS.copy(), {
+    shapes.append(("polygon", suprematism_geometry.REFERENCE_CORNERS.copy(), {
         "fill": "none", "stroke": "#999999", "stroke-width": "1.5",
     }))
     shapes.append(("polygon", pic.vertices.copy(), {

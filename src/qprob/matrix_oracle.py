@@ -7,30 +7,50 @@ against (conjugation, exp(iHt), exact Heisenberg evolution) are in
 diagnostics, with the other oracles.
 
 Each public function validates its argument once (shape, then Hermiticity or
-unitarity) and hands the accepted complex 2x2 array to a private kernel
-(_eigenvalues, _pauli) that runs no guard and reads the entries once as Python
-numbers. Callers elsewhere in the package that already hold a matrix accepted
-by require_hermitian call the kernels directly, so one public call checks each
-input matrix once. Vector lengths, here and elsewhere in the package, are
-math.hypot or math.dist: they scale by powers of two inside, so they neither
-overflow nor underflow.
+unitarity). The private kernels (_check_hermitian, _eigenvalues, _pauli) take
+a matrix as its entries ((a, b), (c, d)), Python numbers as ndarray.tolist()
+or the CLI's parser gives them, and return Python numbers, so a caller that
+holds entries never builds an array. Callers elsewhere in the package that
+already hold accepted entries call the kernels directly, so one public call
+checks each input matrix once. Vector lengths, here and elsewhere in the
+package, are math.hypot or math.dist: they scale by powers of two inside, so
+they neither overflow nor underflow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-import numpy as np
-
+from ._numpy import lazy_constants, np
 from .errors import DomainError
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 
-IDENTITY = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+@functools.cache
+def _identity() -> np.ndarray:
+    return np.eye(2, dtype=complex)
+
+
+@functools.cache
+def _paulis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    )
+
+
+# IDENTITY and SIGMA_X, SIGMA_Y, SIGMA_Z: complex arrays, built on first access
+__getattr__ = lazy_constants(
+    globals(),
+    IDENTITY=_identity,
+    SIGMA_X=lambda: _paulis()[0],
+    SIGMA_Y=lambda: _paulis()[1],
+    SIGMA_Z=lambda: _paulis()[2],
+)
 
 
 def as_matrix2(matrix) -> np.ndarray:
@@ -52,48 +72,60 @@ def _nan_max(parts) -> float:
     return total if math.isnan(total) else max(parts)
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    """max |m_ij - conj(m_ji)| over the entries, read once as Python complex numbers.
+def _hermiticity_defect(rows) -> float:
+    """max |m_ij - conj(m_ji)| over the entries.
 
     A non-finite entry gives NaN (inf - inf on the diagonal) or inf, as the
     elementwise numpy form does.
     """
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = rows
     return _nan_max((_modulus(a - a.conjugate()), _modulus(b - c.conjugate()), _modulus(d - d.conjugate())))
 
 
 def hermiticity_defect(matrix) -> float:
-    return _hermiticity_defect(as_matrix2(matrix))
+    return _hermiticity_defect(as_matrix2(matrix).tolist())
 
 
-def _largest_part(m: np.ndarray) -> float:
+def _largest_part(rows) -> float:
     """max |Re m_ij|, |Im m_ij| over the entries; NaN if one is NaN, as in _hermiticity_defect."""
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = rows
     return _nan_max(tuple(map(abs, (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag))))
 
 
 def _unitarity_defect(m: np.ndarray, name: str = "matrix") -> float:
-    size = _largest_part(m)
+    size = _largest_part(m.tolist())
     if not size <= 2.0 ** 510:  # past this m m^dagger can overflow; NaN fails too
         raise DomainError(f"{name} is not unitary (entries up to {size:.3e}; a unitary's are at most 1)")
-    return float(np.max(np.abs(m @ m.conj().T - IDENTITY)))
+    return float(np.max(np.abs(m @ m.conj().T - _identity())))
 
 
 def unitarity_defect(matrix) -> float:
     return _unitarity_defect(as_matrix2(matrix))
 
 
-def require_hermitian(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    m = as_matrix2(matrix)
-    defect = _hermiticity_defect(m)
+def _check_hermitian(rows, tol: float, name: str) -> None:
+    """The Hermitian guard on a matrix's entries: DomainError, naming the matrix, if they are not."""
+    defect = _hermiticity_defect(rows)
     if not defect <= tol:
         # the bound grows with the entries past 1, as their rounding does; a non-finite
         # entry leaves it at tol, and its NaN or infinite defect fails
-        size = _largest_part(m)
+        size = _largest_part(rows)
         limit = tol * size if 1.0 < size < math.inf else tol
         if not defect <= limit:
             raise DomainError(f"{name} is not Hermitian (defect {defect:.3e} exceeds {limit:.1e})")
+
+
+def require_hermitian(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+    m = as_matrix2(matrix)
+    _check_hermitian(m.tolist(), tol, name)
     return m
+
+
+def _hermitian_rows(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> list:
+    """require_hermitian, returning the accepted matrix's entries for the kernels."""
+    rows = as_matrix2(matrix).tolist()
+    _check_hermitian(rows, tol, name)
+    return rows
 
 
 def require_unitary(matrix, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
@@ -104,9 +136,9 @@ def require_unitary(matrix, tol: float = UNITARY_TOL, name: str = "matrix") -> n
     return m
 
 
-def _pauli(m: np.ndarray) -> tuple[float, tuple[float, float, float]]:
+def _pauli(rows) -> tuple[float, tuple[float, float, float]]:
     """(h0, (h1, h2, h3)) of m = h0 I + h . sigma, as Python floats."""
-    (a, _), (c, d) = m.tolist()
+    (a, _), (c, d) = rows
     # halved before they are added: h11 +- h22 itself can overflow
     h11, h22 = 0.5 * a.real, 0.5 * d.real
     return h11 + h22, (c.real, c.imag, h11 - h22)
@@ -114,17 +146,17 @@ def _pauli(m: np.ndarray) -> tuple[float, tuple[float, float, float]]:
 
 def pauli_components(matrix) -> tuple[float, np.ndarray]:
     """Coefficients (h0, hvec) of H = h0*I + hvec . sigma for Hermitian H."""
-    h0, hvec = _pauli(require_hermitian(matrix))
+    h0, hvec = _pauli(_hermitian_rows(matrix))
     return h0, np.array(hvec)
 
 
 def eigenvalues_hermitian(matrix, tol: float = HERMITIAN_TOL) -> tuple[float, float]:
     """Both eigenvalues of a Hermitian 2x2 matrix, ascending."""
-    return _eigenvalues(require_hermitian(matrix, tol))
+    return _eigenvalues(_hermitian_rows(matrix, tol))
 
 
-def _eigenvalues(m: np.ndarray) -> tuple[float, float]:
-    """Both eigenvalues of an already validated Hermitian matrix, ascending.
+def _eigenvalues(rows) -> tuple[float, float]:
+    """Both eigenvalues of an already validated Hermitian matrix, from its entries, ascending.
 
     Uses the quadratic formula with the numerically stable branch: the root of
     larger magnitude comes from the formula, the other from the determinant.
@@ -134,7 +166,7 @@ def _eigenvalues(m: np.ndarray) -> tuple[float, float]:
     largest into [1/2, 1), so det neither underflows nor overflows; exact
     scaling changes no bit of a normal-range result.
     """
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = rows
     parts = (a.real, d.real, b.real, b.imag, c.real, c.imag)
     k = math.frexp(max(map(abs, parts)))[1]
     h11, h22, b_re, b_im, c_re, c_im = map(math.ldexp, parts, (-k,) * 6)

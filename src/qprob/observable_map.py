@@ -11,10 +11,12 @@ vector r(x) = 2 (p(x) - c) = h / (T + 2x), so one ratio and one product decode.
 
 Each public function checks that H is Hermitian once, in _accept, which
 also solves the spectrum; the private kernels behind it (_encode, _triple,
-_default_shifts, _admissible_bound) take the accepted matrix and its
-eigenvalues and check only that each shift is admissible. _triple reads the
-triple of rho(x) straight off H, (Re H21/d + 1/2, Im H21/d + 1/2, (H11 + x)/d)
-with d = tr H + 2x, so no rho(x) is built and no computed value checked again.
+_default_shifts, _admissible_bound) take the accepted matrix's entries, as
+Python numbers, and its eigenvalues and check only that each shift is
+admissible; the CLI hands them the entries it parsed, through _accept_rows.
+_triple reads the triple of rho(x) straight off H,
+(Re H21/d + 1/2, Im H21/d + 1/2, (H11 + x)/d) with d = tr H + 2x, so no
+rho(x) is built and no computed value checked again.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import matrix_oracle, qubit_core
+from ._numpy import np
 from .errors import DomainError, NonInvertibleEncodingWarning
 from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float
 from .tomography_channels import _tomogram
@@ -55,14 +56,19 @@ class ObservableProbRep:
             raise DomainError("encoding shifts must differ (a == b repeats one equation)")
 
 
-def _accept(h, name: str = "matrix") -> tuple[np.ndarray, float, float]:
-    """The one Hermitian guard of a public call, and both eigenvalues of what it accepted."""
-    m = matrix_oracle.require_hermitian(h, name=name)
-    return (m, *matrix_oracle._eigenvalues(m))
+def _accept_rows(rows, name: str = "matrix") -> tuple[list, float, float]:
+    """The one Hermitian guard on a matrix's entries, and both eigenvalues of what it accepted."""
+    matrix_oracle._check_hermitian(rows, matrix_oracle.HERMITIAN_TOL, name)
+    return (rows, *matrix_oracle._eigenvalues(rows))
 
 
-def _admissible_bound(m: np.ndarray, lam_min: float) -> float:
-    return max(-lam_min, -0.5 * float(m[0, 0].real) - 0.5 * float(m[1, 1].real))
+def _accept(h, name: str = "matrix") -> tuple[list, float, float]:
+    """_accept_rows for any 2x2 matrix a caller passes."""
+    return _accept_rows(matrix_oracle.as_matrix2(h).tolist(), name)
+
+
+def _admissible_bound(rows, lam_min: float) -> float:
+    return max(-lam_min, -0.5 * rows[0][0].real - 0.5 * rows[1][1].real)
 
 
 def admissible_shift_bound(h) -> float:
@@ -96,9 +102,9 @@ def default_shifts(h) -> tuple[float, float]:
     return _default_shifts(*_accept(h)[1:])
 
 
-def _normalization(m: np.ndarray, lam_min: float, x: float) -> float:
+def _normalization(rows, lam_min: float, x: float) -> float:
     """d = tr H + 2x for a validated H with smallest eigenvalue lam_min; rejects an inadmissible x."""
-    tr = float(m[0, 0].real) + float(m[1, 1].real)
+    tr = rows[0][0].real + rows[1][1].real
     denom = tr + 2.0 * x
     if math.isinf(denom) and math.isfinite(x):
         raise DomainError(f"normalization tr H + 2x overflows at x = {x!r}")
@@ -106,29 +112,30 @@ def _normalization(m: np.ndarray, lam_min: float, x: float) -> float:
     if not (denom > DENOM_GUARD * (abs(tr) + 2.0 * abs(x)) and lam_min + x >= -ADMISSIBLE_SLACK * denom):
         raise DomainError(
             f"shift x = {x!r} is inadmissible for this matrix; "
-            f"need x >= {_admissible_bound(m, lam_min)!r} (strictly above for identity multiples)"
+            f"need x >= {_admissible_bound(rows, lam_min)!r} (strictly above for identity multiples)"
         )
     return denom
 
 
-def _triple(m: np.ndarray, lam_min: float, x: float) -> ProbTriple:
+def _triple(rows, lam_min: float, x: float) -> ProbTriple:
     """The triple of rho(x), read off H: (Re H21/d + 1/2, Im H21/d + 1/2, (H11 + x)/d)."""
-    d = _normalization(m, lam_min, x)
-    lower = complex(m[1, 0])
-    return ProbTriple(lower.real / d + 0.5, lower.imag / d + 0.5, (float(m[0, 0].real) + x) / d)
+    d = _normalization(rows, lam_min, x)
+    (h11, _), (h21, _) = rows
+    return ProbTriple(h21.real / d + 0.5, h21.imag / d + 0.5, (h11.real + x) / d)
 
 
 def rho_of_x(h, x: float) -> np.ndarray:
     """(H + x*I) / (tr H + 2x): a unit-trace PSD matrix for admissible x."""
-    m, lam_min, _ = _accept(h, "observable")
+    m = matrix_oracle.as_matrix2(h)
+    rows, lam_min, _ = _accept_rows(m.tolist(), "observable")
     x = _as_float(x)
-    d = _normalization(m, lam_min, x)  # first: an admissible d bounds H + x I
+    d = _normalization(rows, lam_min, x)  # first: an admissible d bounds H + x I
     # real and imaginary parts divided apart: numpy's complex / real multiplies by 1/d,
     # which overflows when d is subnormal
-    return ((m + x * matrix_oracle.IDENTITY).view(float) / d).view(complex)
+    return ((m + x * matrix_oracle._identity()).view(float) / d).view(complex)
 
 
-def _encode(m: np.ndarray, lam_min: float, lam_max: float, a: float | None,
+def _encode(rows, lam_min: float, lam_max: float, a: float | None,
             b: float | None) -> ObservableProbRep:
     """encode_observable for an accepted H and its eigenvalues."""
     if a is None and b is None:
@@ -136,7 +143,7 @@ def _encode(m: np.ndarray, lam_min: float, lam_max: float, a: float | None,
     elif a is None or b is None:
         raise DomainError("provide both shifts or neither")
     a, b = _as_float(a), _as_float(b)
-    return ObservableProbRep(a, b, _triple(m, lam_min, a), _triple(m, lam_min, b))
+    return ObservableProbRep(a, b, _triple(rows, lam_min, a), _triple(rows, lam_min, b))
 
 
 def encode_observable(h, a: float | None = None, b: float | None = None) -> ObservableProbRep:
@@ -170,6 +177,11 @@ def decode_observable(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> np.nd
     CONSISTENCY_TOL, or an s that makes T + 2a or T + 2b nonpositive, fit no
     admissible Hermitian matrix and raise DomainError.
     """
+    return np.array(_decode(rep, tol), dtype=complex)
+
+
+def _decode(rep: ObservableProbRep, tol: float) -> list:
+    """decode_observable's entries, as Python numbers; its warning goes to the caller's caller."""
     qubit_core.require_physical(rep.p_a, tol)
     qubit_core.require_physical(rep.p_b, tol)
     if _carries_no_trace(rep):
@@ -177,9 +189,9 @@ def decode_observable(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> np.nd
             "encoding carries no trace information (the observable was a multiple "
             "of the identity); returning the zero-trace representative",
             NonInvertibleEncodingWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return np.zeros((2, 2), dtype=complex)
+        return [[0j, 0j], [0j, 0j]]
     a, b = rep.a, rep.b
     (ax, ay, az), (bx, by, bz) = _bloch(rep.p_a), _bloch(rep.p_b)
     bb = bx * bx + by * by + bz * bz
@@ -195,8 +207,7 @@ def decode_observable(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> np.nd
     trace = 2.0 * (b - a * s) / (s - 1.0)
     half = 0.5 * (trace + 2.0 * a)  # h/2 = half r_a
     h12 = half * complex(ax, -ay)
-    return np.array([[0.5 * trace + half * az, h12], [h12.conjugate(), 0.5 * trace - half * az]],
-                    dtype=complex)
+    return [[0.5 * trace + half * az, h12], [h12.conjugate(), 0.5 * trace - half * az]]
 
 
 def observable_tomogram(h, direction, x: float) -> tuple[float, float]:

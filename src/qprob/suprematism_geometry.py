@@ -12,21 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import qubit_core
+from ._numpy import lazy_constants, np
 from .errors import DomainError
 from .observable_map import ObservableProbRep
 from .qubit_core import DEFAULT_TOL, ProbTriple
 
-SIDE = np.sqrt(2.0)
+SIDE = math.sqrt(2.0)
 
 # Counterclockwise corners of the reference equilateral triangle.
-REFERENCE_CORNERS = np.array([
-    [0.0, 0.0],
-    [SIDE, 0.0],
-    [0.5 * SIDE, 0.5 * np.sqrt(6.0)],
-])
+_CORNERS = ((0.0, 0.0), (SIDE, 0.0), (0.5 * SIDE, 0.5 * math.sqrt(6.0)))
+
+# REFERENCE_CORNERS: the corners as a (3, 2) array, built on first access
+__getattr__ = lazy_constants(globals(), REFERENCE_CORNERS=lambda: np.array(_CORNERS))
 
 CUBE_SLACK = 1e-12
 
@@ -47,24 +45,26 @@ def _require_cube(p: ProbTriple) -> None:
         raise DomainError(reason)
 
 
-def triangle_picture(p: ProbTriple) -> TrianglePicture:
-    """Place the three vertices and measure the squares on their chords.
+def _chords(p: ProbTriple) -> tuple[list, tuple[float, float, float]]:
+    """The vertex rows and chord lengths of a cube triple, as Python floats.
 
     Vertex k sits on the side from reference corner k to corner k+1 (cyclic)
     at fraction p_k along it; chord k joins vertex k to vertex k+1.
     """
+    rows = []
+    for k, p_k in enumerate((float(p.p1), float(p.p2), float(p.p3))):
+        (x0, y0), (x1, y1) = _CORNERS[k], _CORNERS[(k + 1) % 3]
+        rows.append([x0 + p_k * (x1 - x0), y0 + p_k * (y1 - y0)])
+    return rows, tuple(math.dist(rows[k], rows[(k + 1) % 3]) for k in range(3))
+
+
+def triangle_picture(p: ProbTriple) -> TrianglePicture:
+    """Place the three vertices and measure the squares on their chords, as _chords does."""
     _require_cube(p)
-    arr = p.as_array()
-    corners = REFERENCE_CORNERS
-    vertices = np.array([
-        corners[k] + arr[k] * (corners[(k + 1) % 3] - corners[k])
-        for k in range(3)
-    ])
-    rows = vertices.tolist()
-    lengths = tuple(math.dist(rows[k], rows[(k + 1) % 3]) for k in range(3))
+    rows, lengths = _chords(p)
     areas = tuple(length * length for length in lengths)
     return TrianglePicture(
-        vertices=vertices,
+        vertices=np.array(rows),
         side_lengths=lengths,
         square_areas=areas,
         total_area=float(sum(areas)),

@@ -11,17 +11,17 @@ only when a caller passes formula_tol, and then only to warn of a mismatch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import matrix_oracle, qubit_core
+from ._numpy import np
 from .diagnostics import FormulaCheck, checked_map, component_checks, rotation_oracle
 from .errors import DomainError
-from .qubit_core import BALL_CENTER, ProbTriple, _as_float
+from .qubit_core import ProbTriple, _as_float, _sum_of_products
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 ROTATION_FORMULA_TOL = 1e-9
 WEIGHT_TOL = 1e-12
 DIRECTION_NORM_TOL = 1e-10
@@ -41,29 +41,42 @@ class Direction:
     psi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise DomainError(f"theta = {self.theta!r} outside [0, pi]")
-        if not 0.0 <= self.phi < TWO_PI:
-            raise DomainError(f"phi = {self.phi!r} outside [0, 2*pi)")
-        if not 0.0 <= self.psi < TWO_PI:
-            raise DomainError(f"psi = {self.psi!r} outside [0, 2*pi)")
+        theta, phi, psi = map(_as_float, (self.theta, self.phi, self.psi))
+        if not 0.0 <= theta <= math.pi:
+            raise DomainError(f"theta = {theta!r} outside [0, pi]")
+        if not 0.0 <= phi < TWO_PI:
+            raise DomainError(f"phi = {phi!r} outside [0, 2*pi)")
+        if not 0.0 <= psi < TWO_PI:
+            raise DomainError(f"psi = {psi!r} outside [0, 2*pi)")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "psi", psi)
+
+    def _unit(self) -> tuple[float, float, float]:
+        s = math.sin(self.theta)
+        return s * math.cos(self.phi), s * math.sin(self.phi), math.cos(self.theta)
 
     def unit_vector(self) -> np.ndarray:
-        s = np.sin(self.theta)
-        return np.array([s * np.cos(self.phi), s * np.sin(self.phi), np.cos(self.theta)])
+        return np.array(self._unit())
+
+
+def _unit_vector(direction) -> tuple[float, float, float]:
+    """direction_vector's unit vector as three Python floats; a Direction's needs no numpy."""
+    if isinstance(direction, Direction):
+        return direction._unit()
+    v = np.asarray(direction)  # no dtype: an integer past the float range stays an integer
+    if v.shape != (3,):
+        raise DomainError(f"direction must be a Direction or a length-3 vector, got shape {v.shape}")
+    n = tuple(map(_as_float, v.tolist()))
+    norm = math.hypot(*n)
+    if not abs(norm - 1.0) <= DIRECTION_NORM_TOL:
+        raise DomainError(f"direction vector must have unit length, got |n| = {norm!r}")
+    return n
 
 
 def direction_vector(direction) -> np.ndarray:
-    """Unit vector of a Direction, or a raw length-3 unit vector passed through."""
-    if isinstance(direction, Direction):
-        return direction.unit_vector()
-    v = np.asarray(direction, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"direction must be a Direction or a length-3 vector, got shape {v.shape}")
-    norm = math.hypot(*v.tolist())
-    if not abs(norm - 1.0) <= DIRECTION_NORM_TOL:
-        raise DomainError(f"direction vector must have unit length, got |n| = {norm!r}")
-    return v
+    """Unit vector of a Direction, or a raw length-3 vector once its unit length is checked."""
+    return np.array(_unit_vector(direction))
 
 
 def euler_unitary(direction: Direction) -> np.ndarray:
@@ -94,7 +107,9 @@ def state_tomogram(p: ProbTriple, direction, tol: float = qubit_core.DEFAULT_TOL
 
 
 def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
-    w_plus = float((p.as_array() - BALL_CENTER) @ direction_vector(direction)) + 0.5
+    """w+ = 1/2 + (p - c) . n, correctly rounded, and w- = 1 - w+."""
+    n1, n2, n3 = _unit_vector(direction)
+    w_plus = _sum_of_products(0.5, ((p.p1 - 0.5, n1), (p.p2 - 0.5, n2), (p.p3 - 0.5, n3)))
     return w_plus, 1.0 - w_plus
 
 
@@ -110,21 +125,24 @@ class AffineMap3:
         object.__setattr__(self, "C", np.asarray(self.C, dtype=float).reshape(3))
 
     def apply(self, p: ProbTriple) -> ProbTriple:
-        return ProbTriple.from_array(self.L @ p.as_array() + self.C)
+        return ProbTriple(*(self.L @ p.as_array() + self.C).tolist())
 
     def then(self, other: "AffineMap3") -> "AffineMap3":
         """Map equivalent to applying self first, then other."""
         return AffineMap3(other.L @ self.L, other.L @ self.C + other.C)
 
 
-_PAULI = np.stack([matrix_oracle.SIGMA_X, matrix_oracle.SIGMA_Y, matrix_oracle.SIGMA_Z])
+@functools.cache
+def _pauli_stack() -> np.ndarray:
+    return np.stack(matrix_oracle._paulis())
 
 
 def _adjoint_rotation(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed form for one unitary: R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 and C = (I - R) c."""
-    frames = u @ _PAULI @ u.conj().T
-    R = 0.5 * np.einsum("iab,jba->ij", _PAULI, frames).real
-    return R, BALL_CENTER - R @ BALL_CENTER
+    paulis, center = _pauli_stack(), qubit_core.BALL_CENTER
+    frames = u @ paulis @ u.conj().T
+    R = 0.5 * np.einsum("iab,jba->ij", paulis, frames).real
+    return R, center - R @ center
 
 
 def _rotation(w: np.ndarray, formula_tol: float | None) -> tuple[np.ndarray, np.ndarray]:

@@ -11,19 +11,23 @@ from qprob.qubit_core import BALL_CENTER
 
 @pytest.fixture
 def guard_counts(monkeypatch):
-    """Lists that fill with the name of each Hermitian guard and each eigenvalue solve."""
+    """Lists that fill with the name of each Hermitian guard and each eigenvalue solve.
+
+    Every Hermitian guard, require_hermitian's and the kernels' alike, is
+    _check_hermitian on the matrix's entries, so this counts one per matrix.
+    """
     names, solved = [], []
-    require_hermitian, eigenvalues = matrix_oracle.require_hermitian, matrix_oracle._eigenvalues
+    check_hermitian, eigenvalues = matrix_oracle._check_hermitian, matrix_oracle._eigenvalues
 
-    def counting_guard(matrix, *args, **kwargs):
-        names.append(kwargs.get("name", "matrix"))
-        return require_hermitian(matrix, *args, **kwargs)
+    def counting_guard(rows, tol, name):
+        names.append(name)
+        return check_hermitian(rows, tol, name)
 
-    def counting_solve(m):
-        solved.append(m)
-        return eigenvalues(m)
+    def counting_solve(rows):
+        solved.append(rows)
+        return eigenvalues(rows)
 
-    monkeypatch.setattr(matrix_oracle, "require_hermitian", counting_guard)
+    monkeypatch.setattr(matrix_oracle, "_check_hermitian", counting_guard)
     monkeypatch.setattr(matrix_oracle, "_eigenvalues", counting_solve)
     return names, solved
 

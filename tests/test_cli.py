@@ -543,6 +543,22 @@ def test_check_unphysical_gating(monkeypatch, capsys):
     assert doc["area_sum"] > 1.5  # geometry is still defined inside the cube
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"p1": 1e200, "p2": 0.5, "p3": 0.5}, "ball_residual = -inf"),
+    ({"a": 2.0, "b": 3.0, "P_a": {"p1": 0.5, "p2": 0.5, "p3": 0.75},
+      "P_b": {"p1": 0.5, "p2": -1e160, "p3": 1e160}}, "P_b.ball_residual = -inf"),
+], ids=["triple", "encoding"])
+def test_check_non_finite_report_exits_3(doc, field, monkeypatch, capsys):
+    # (1e200 - 1/2)^2 overflows: JSON has no -Infinity, so the value is named and nothing printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["check", "--allow-unphysical"], stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys
+        )
+    assert (code, out) == (3, "")
+    assert err == f"qprob: {field} is not finite, and JSON has no such number\n"
+
+
 def test_check_tolerance_env_override(monkeypatch, capsys):
     slightly_off = json.dumps({"p1": 1.000000005, "p2": 0.5, "p3": 0.5})
     code, _, _ = run_cli(["check"], stdin_text=slightly_off, monkeypatch=monkeypatch, capsys=capsys)

@@ -1,0 +1,105 @@
+"""The import contract: qprob loads numpy only for the commands and calls that build arrays."""
+
+import ast
+import math
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import qprob
+from qprob import diagnostics, matrix_oracle, qubit_core, suprematism_geometry
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+ANGLES = ["--theta", "1.0471975511965976", "--phi", "0.7853981633974483"]
+
+
+def tracer_layers() -> tuple[str, ...]:
+    """The qprob modules bench/tracer.py wraps, read from its LAYERS assignment."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py has no LAYERS")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=ROOT)
+
+
+def imported_modules(importtime_stderr: str) -> set[str]:
+    """Top-level names of the modules listed by -X importtime."""
+    return {line.rsplit("|", 1)[-1].strip().split(".")[0]
+            for line in importtime_stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_importing_the_package_and_the_cli_loads_no_numpy():
+    layers = tracer_layers()
+    result = run_python("-c", (
+        "import sys, qprob; print('numpy' in sys.modules)\n"
+        "import qprob.cli; print('numpy' in sys.modules)\n"
+        f"print(sorted(set({layers!r}) - {{m[6:] for m in sys.modules if m.startswith('qprob.')}}))\n"
+    ))
+    assert result.returncode == 0, result.stderr
+    # the traced CLI rounds read sys.modules["qprob.<layer>"] for every layer after import qprob.cli
+    assert result.stdout.split("\n") == ["False", "False", "[]", ""]
+
+
+@pytest.mark.parametrize("args, infile, golden", [
+    (["encode", "--a", "2", "--b", "3"], "sigma_z.json", "sigma_z_rep.json"),
+    (["encode"], "generic_h.json", "generic_rep.json"),
+    (["decode"], "sigma_z_rep.json", "decode_out.json"),
+    (["decode"], "generic_rep.json", "generic_decode_out.json"),
+    (["tomogram", *ANGLES], "state.json", "tomogram_out.json"),
+    (["tomogram", *ANGLES, "--x", "2"], "generic_h.json", "generic_observable_tomogram_out.json"),
+    (["check"], "sigma_z_rep.json", "check_out.json"),
+    (["check"], "generic_rep.json", "generic_check_out.json"),
+], ids=["encode", "encode-generic", "decode", "decode-generic", "tomogram-state", "tomogram-observable",
+        "check", "check-generic"])
+def test_array_free_commands_load_no_numpy(args, infile, golden):
+    result = run_python("-X", "importtime", "-m", "qprob", *args, "--in", str(GOLDEN / infile))
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+    modules = imported_modules(result.stderr)
+    assert "qprob" in modules and "numpy" not in modules
+
+
+def test_evolve_loads_numpy_for_its_time_grid():
+    result = run_python("-X", "importtime", "-m", "qprob", "evolve", "--t-end", "1.5", "--steps", "6",
+                        "--in", str(GOLDEN / "evolve_in.json"))
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "evolve_out.csv").read_text(encoding="utf-8")
+    assert "numpy" in imported_modules(result.stderr)
+
+
+
+@pytest.mark.parametrize("module, name, expected", [
+    (qprob, "SIGMA_X", np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)),
+    (qprob, "SIGMA_Y", np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)),
+    (qprob, "SIGMA_Z", np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)),
+    (qprob, "IDENTITY", np.eye(2, dtype=complex)),
+    (qprob, "BALL_CENTER", np.array([0.5, 0.5, 0.5])),
+    (matrix_oracle, "IDENTITY", np.eye(2, dtype=complex)),
+    (qubit_core, "BALL_CENTER", np.array([0.5, 0.5, 0.5])),
+    (suprematism_geometry, "REFERENCE_CORNERS",
+     np.array([[0.0, 0.0], [np.sqrt(2.0), 0.0], [0.5 * np.sqrt(2.0), 0.5 * np.sqrt(6.0)]])),
+    (diagnostics, "PROBE_DENSITIES", np.stack([qubit_core.density_from_probs(p) for p in diagnostics.PROBE_TRIPLES])),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_array_constants_keep_their_bytes_and_identity(module, name, expected):
+    value = getattr(module, name)
+    assert value.dtype == expected.dtype and value.shape == expected.shape
+    assert value.tobytes() == expected.tobytes()
+    assert getattr(module, name) is value
+    # a package re-export is the defining module's object
+    home = {"BALL_CENTER": qubit_core}.get(name, matrix_oracle) if module is qprob else module
+    assert getattr(home, name) is value
+
+
+def test_side_keeps_its_bits_and_unknown_names_still_raise():
+    assert suprematism_geometry.SIDE == np.sqrt(2.0) == math.sqrt(2.0)
+    for module in (qprob, matrix_oracle, qubit_core, suprematism_geometry, diagnostics):
+        with pytest.raises(AttributeError, match="has no attribute 'NO_SUCH_NAME'"):
+            getattr(module, "NO_SUCH_NAME")

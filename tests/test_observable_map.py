@@ -1,5 +1,6 @@
 """Observable encoding: shifts, the two-triple representation, and its inverse."""
 
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from qprob import (
     ProbTriple,
     admissible_shift_bound,
     build_kinetic,
+    check_ball,
     conservative_shift_bound,
     decode_observable,
     default_shifts,
@@ -379,19 +381,31 @@ _P0 = ProbTriple(0.5, 0.5, 1.0)
     (lambda: ObservableProbRep(_HUGE, 3.0, *_SIGMA_Z_PAIR), "a = inf"),
     (lambda: ChannelSpec(((_HUGE, IDENTITY),)), "sum to 1, got inf"),
     (lambda: require_physical(ProbTriple(_HUGE, 0.5, 0.5)), "p1 = inf violates"),
+    (lambda: state_tomogram(_P0, [_HUGE, 0, 0]), r"unit length, got \|n\| = inf"),
+    (lambda: Direction(_HUGE, 0.0), r"^theta = inf outside \[0, pi\]$"),
+    (lambda: sample_trajectory(build_kinetic(SIGMA_Z, 0.0), _P0, 1.0, True), "^steps must be an integer, got True$"),
 ], ids=["rho-of-x", "encode", "observable-tomogram", "evolve-observable", "evolve-observable-time",
         "decode-inf-b", "decode-minus-inf-a", "channel-weight", "state-tomogram-direction",
         "huge-int-evolve-time", "huge-negative-int-evolve-time", "huge-int-trajectory-t-end",
         "huge-int-evolve-observable-time", "huge-int-kinetic-shift", "huge-int-kinetic-omega",
         "huge-int-encode", "huge-int-rho-of-x", "huge-int-observable-tomogram",
         "huge-int-evolve-observable", "huge-int-decode-a", "huge-int-channel-weight",
-        "huge-int-physical-triple"])
+        "huge-int-physical-triple", "huge-int-direction-vector", "huge-int-direction-angle",
+        "bool-trajectory-steps"])
 def test_non_finite_library_input_is_rejected_by_name(call, match):
     # no numpy RuntimeWarning on the way, and no NaN result in place of the error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
             call()
+
+
+def test_huge_integers_in_a_triple_read_as_infinities():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ProbTriple.from_array([_HUGE, 0, 0]) == ProbTriple(math.inf, 0.0, 0.0)
+        assert check_ball(ProbTriple(_HUGE, 0.5, 0.5)) == -math.inf
+        assert check_ball(ProbTriple(0.5, -_HUGE, 0.5)) == -math.inf
 
 
 @pytest.mark.parametrize("t", [1e-300, 1e300])

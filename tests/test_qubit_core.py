@@ -1,7 +1,13 @@
 """Probability-triple coordinates: ball geometry and the density-matrix bijection."""
 
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qprob import DomainError, ProbTriple, check_ball, density_from_probs, is_physical, probs_from_density
 from qprob.qubit_core import BALL_CENTER, GAMMA, require_physical
@@ -98,3 +104,30 @@ def test_from_array_shape_check():
         ProbTriple.from_array([0.5, 0.5])
     p = ProbTriple.from_array(np.array([0.1, 0.2, 0.3]))
     assert (p.p1, p.p2, p.p3) == (0.1, 0.2, 0.3)
+
+
+# an offset d = p - 1/2 with |d| from 1e-9 to 1e9; p = 1/2 + d then gives back d exactly as p - 1/2
+offsets = st.builds(lambda sign, log: sign * 10.0 ** log, st.sampled_from((-1.0, 1.0)), st.floats(-9.0, 9.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.tuples(offsets, offsets, offsets))
+@example(d=(math.inf, 0.0, 0.0))
+@example(d=(-math.inf, 0.25, 0.0))
+@example(d=(math.nan, 0.0, 0.0))
+@example(d=(1e154, 0.0, 0.0))
+@example(d=(1e154, -1e154, 1e154))
+@example(d=(1e200, 0.0, 0.0))
+@example(d=(5e-324, -2.5e-320, 1e-310))
+def test_check_ball_is_correctly_rounded(d):
+    p = ProbTriple(*(0.5 + x for x in d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = check_ball(p)
+    d1, d2, d3 = (v - 0.5 for v in (p.p1, p.p2, p.p3))
+    plain = 0.25 - (d1 * d1 + d2 * d2 + d3 * d3)
+    if math.isfinite(plain):
+        exact = Fraction(1, 4) - sum((Fraction(v) - Fraction(1, 2)) ** 2 for v in (p.p1, p.p2, p.p3))
+        assert value == float(exact)
+    else:  # past the float range: the plain formula's infinity or NaN
+        assert value == plain or (math.isnan(value) and math.isnan(plain))

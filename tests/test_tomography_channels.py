@@ -1,10 +1,12 @@
 """Tomograms, frame unitaries, and the affine action of rotations and channels."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qprob import (
@@ -57,6 +59,14 @@ def test_direction_range_validation():
         Direction(1.0, 0.0, -0.5)
 
 
+def test_direction_reads_its_angles_as_floats():
+    # np.sin of a bool or a float16 angle computed in float16
+    for theta, phi in ((True, 0.0), (np.float16(1.0), np.float32(0.5))):
+        direction = Direction(theta, phi)
+        assert type(direction.theta) is float and type(direction.phi) is float
+        assert direction.unit_vector().tobytes() == Direction(float(theta), float(phi)).unit_vector().tobytes()
+
+
 def test_unit_vector_frozen():
     np.testing.assert_allclose(Direction(0.0, 0.0).unit_vector(), [0, 0, 1], rtol=0, atol=1e-16)
     np.testing.assert_allclose(
@@ -104,6 +114,29 @@ def test_state_tomogram_accepts_raw_unit_vector():
         state_tomogram(ProbTriple(1.0, 0.5, 0.5), np.array([1.0, 1.0, 0.0]))
     with pytest.raises(DomainError):
         state_tomogram(ProbTriple(1.0, 0.5, 0.5), np.array([1.0, 0.0]))
+
+
+# physical offsets d = p - 1/2, |d| from 1e-9 to 0.5/sqrt(3), so any three keep p in the ball
+ball_offsets = st.builds(lambda sign, log: sign * 10.0 ** log, st.sampled_from((-1.0, 1.0)),
+                         st.floats(-9.0, math.log10(0.5 / math.sqrt(3.0))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.tuples(ball_offsets, ball_offsets, ball_offsets),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+@example(d=(5e-324, -2.5e-320, 1e-310), theta=1.0, phi=2.0)
+@example(d=(0.25, -0.25, 1e-9), theta=5e-324, phi=0.0)
+@example(d=(0.25, -0.25, 1e-9), theta=math.pi / 2, phi=1e-310)
+def test_state_tomogram_is_correctly_rounded(d, theta, phi):
+    p = ProbTriple(*(0.5 + x for x in d))
+    n = Direction(theta, phi).unit_vector().tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w_plus, w_minus = state_tomogram(p, n)
+    exact = Fraction(1, 2) + sum((Fraction(v) - Fraction(1, 2)) * Fraction(m) for v, m in zip((p.p1, p.p2, p.p3), n))
+    assert w_plus == float(exact)
+    assert w_minus == 1.0 - w_plus
+    assert state_tomogram(p, Direction(theta, phi)) == (w_plus, w_minus)
 
 
 def test_state_tomogram_rejects_unphysical():
