@@ -2,9 +2,10 @@
 
 Thin adapter: main reads the JSON document and QPROB_TOL, a handler parses
 the document and calls the library, and main writes the text it returns. All
-numeric logic lives in the library modules. encode, decode, tomogram and
-check call the library's Python-number kernels on the parsed entries, so
-they never import numpy; evolve and figures load it with their first array.
+numeric logic lives in the library modules. Every handler calls the
+library's Python-number kernels on the parsed entries, so no command imports
+numpy: evolve takes its grid and rows from evolution._trajectory_rows, and
+figures draws the vertex rows of suprematism_geometry._cube_chords.
 Exit codes, mapped in main alone: 0 success, 2 parse error, 3 domain or
 precondition error (a report value that is not finite included), 4
 input/output error.
@@ -37,8 +38,9 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-# Largest evolve grid: sample_trajectory peaks at 86.7 B per sample (tracemalloc,
-# 20 000 samples), so the trajectory itself stays under 0.1 GB.
+# Largest evolve grid. At this many steps a whole qprob evolve process peaks at
+# 334 MiB resident for csv and 734 MiB for json (ru_maxrss; x86-64 Linux,
+# Python 3.11), the grid and rows held as Python floats.
 MAX_STEPS = 1_000_000
 
 _MATRIX_KEYS = ("m11", "m12", "m21", "m22")
@@ -265,17 +267,12 @@ def cmd_evolve(doc, args, tol: float) -> str:
         tol = qubit_core.DEFAULT_TOL  # QPROB_TOL is the slack on supplied triples; this one is computed
     else:
         raise ParseError('evolve input needs "p0" or "A0"')
-    system = evolution.build_kinetic(h, x)
-    trajectory = evolution.sample_trajectory(system, p0, args.t_end, args.steps, tol)
+    system = evolution._kinetic(h, x)
+    times, rows = evolution._trajectory_rows(system, p0, args.t_end, args.steps, tol)
     if args.format == "json":
-        return _dump_json({
-            "x": trajectory.x,
-            "times": [float(t) for t in trajectory.times],
-            "probs": [[float(v) for v in row] for row in trajectory.probs],
-        })
+        return _dump_json({"x": system.x, "times": times, "probs": list(rows)})
     lines = ["t,p1,p2,p3"]
-    for t, row in zip(trajectory.times, trajectory.probs):
-        lines.append(",".join(f"{value:.17g}" for value in (t, row[0], row[1], row[2])))
+    lines += [f"{t:.17g},{p1:.17g},{p2:.17g},{p3:.17g}" for t, (p1, p2, p3) in zip(times, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -284,20 +281,21 @@ def cmd_figures(doc, args, tol: float) -> str:
     if args.outdir == "-":
         raise ParseError("figures needs --out DIRECTORY")
     states = _physical_states(doc, args, tol)
-    pics = [suprematism_geometry.triangle_picture(p) for p in _triples(states)]
+    # each picture's vertex rows, as triangle_picture places them
+    panels = [suprematism_geometry._cube_chords(p)[0] for p in _triples(states)]
     if isinstance(states, ObservableProbRep):
-        pic_a, pic_b = pics
+        panel_a, panel_b = panels
         files = {
-            "fig1.svg": figures.render_svg([pic_a]),
-            "fig2.svg": figures.render_svg([pic_b]),
-            "fig3.svg": figures.render_svg([pic_a], with_squares=True),
-            "fig4.svg": figures.render_svg([pic_b], with_squares=True),
-            "fig5.svg": figures.render_svg(pics),
+            "fig1.svg": figures._render([panel_a]),
+            "fig2.svg": figures._render([panel_b]),
+            "fig3.svg": figures._render([panel_a], with_squares=True),
+            "fig4.svg": figures._render([panel_b], with_squares=True),
+            "fig5.svg": figures._render(panels),
         }
     else:
         files = {
-            "triangle.svg": figures.render_svg(pics),
-            "squares.svg": figures.render_svg(pics, with_squares=True),
+            "triangle.svg": figures._render(panels),
+            "squares.svg": figures._render(panels, with_squares=True),
         }
     os.makedirs(args.outdir, exist_ok=True)
     written = []

@@ -4,13 +4,17 @@ For a Hamiltonian H = h0 I + h . sigma, the triple of any rho(x, t) built from
 an evolving observable obeys dp/dt = L p + C, where L v = v x omega with
 omega = 2h and C = -L c fixes the ball center c; a KineticSystem holds omega
 and derives L and C. The exact solution p(t) = c + exp(L t)(p0 - c) is a
-rotation, in Rodrigues' closed form over a whole time grid at once. The oracle,
-in diagnostics, fits the exact derivatives i[H, rho] at four probe states; it
-runs given fd_tol, and a mismatch warns, while omega stays 2h.
+rotation, in Rodrigues' closed form: one prelude (|omega|, k1, k2) on Python
+floats, then one row per time. evolve, evolve_observable and the CLI's grid
+form their rows on Python floats; sample_trajectory forms the same rows, bit
+for bit, as (n, 3) arrays over a numpy time grid. The oracle, in diagnostics,
+fits the exact derivatives i[H, rho] at four probe states; it runs given
+fd_tol, and a mismatch warns, while omega stays 2h.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -19,15 +23,9 @@ from . import matrix_oracle, observable_map, qubit_core
 from ._numpy import np
 from .diagnostics import FormulaCheck, checked_map, component_checks, kinetic_oracle
 from .errors import DomainError
-from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float
+from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float, _sum_of_products
 
 FD_TOL = 1e-4
-
-
-def _cross(w) -> np.ndarray:
-    """The matrix of v -> v x w."""
-    w1, w2, w3 = w
-    return np.array([[0.0, w3, -w2], [-w3, 0.0, w1], [w2, -w1, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,8 @@ class KineticSystem:
 
     @property
     def L(self) -> np.ndarray:
-        return _cross(self.omega)
+        w1, w2, w3 = self.omega
+        return np.array([[0.0, w3, -w2], [-w3, 0.0, w1], [w2, -w1, 0.0]])
 
     @property
     def C(self) -> np.ndarray:
@@ -100,6 +99,12 @@ def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
     return component_checks((system.L, system.C), oracle, _scaled_tol(system.omega, tol))
 
 
+def _kinetic(rows, x: float) -> KineticSystem:
+    """build_kinetic without the oracle, on a Hamiltonian's entries, as _accept_rows takes an observable's."""
+    matrix_oracle._check_hermitian(rows, matrix_oracle.HERMITIAN_TOL, "hamiltonian")
+    return KineticSystem(_omega(rows), x)
+
+
 def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     """Kinetic system dp/dt = L p + C for the given Hamiltonian and shift.
 
@@ -109,43 +114,61 @@ def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     fd_tol * max(1, max|L|) raises a FormulaMismatchWarning naming it. The
     system returned is the closed form either way.
     """
-    rows = matrix_oracle._hermitian_rows(h, name="hamiltonian")
-    system = KineticSystem(_omega(rows), x)
+    rows = matrix_oracle.as_matrix2(h).tolist()
+    system = _kinetic(rows, x)
     if fd_tol is not None:
         oracle = kinetic_oracle(matrix_oracle.as_matrix2(rows))
         checked_map((system.L, system.C), oracle, _scaled_tol(system.omega, fd_tol), "kinetic generator")
     return system
 
 
-def _rotate_about_center(omega, p0: ProbTriple, times: np.ndarray) -> np.ndarray:
-    """Rows c + exp(L t)(p0 - c), one per time, for L v = v x omega.
+def _turn(u, v) -> tuple[float, float, float]:
+    """K v = v x u for the unit axis u, each component rounded as x86-64 BLAS dgemv rounds K @ v.
+
+    Each row of K has two nonzero entries, and OpenBLAS's FMA kernels round
+    their two products as one fused multiply-add, fma(a, b, c * d), then add
+    it into a zeroed y (so a result that rounds to zero is +0). Python 3.11
+    has no math.fma; _sum_of_products(c * d, ((a, b),)) rounds c * d + a * b
+    once, as fma does, so these bits are the same on every machine.
+    """
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return (
+        _sum_of_products(u2 * v1, ((-u1, v2),)) + 0.0,
+        _sum_of_products(-u2 * v0, ((u0, v2),)) + 0.0,
+        _sum_of_products(-u0 * v1, ((u1, v0),)) + 0.0,
+    )
+
+
+def _rodrigues_terms(omega, p0: ProbTriple, t_last: float):
+    """(|omega|, p, k1, k2) for turning p0 about the ball center c through times up to |t_last|.
 
     With K = L/|omega| and angle = |omega| t, Rodrigues' formula gives
     exp(L t) - I = sin(angle) K + 2 sin^2(angle/2) K^2. No term cancels, so
-    the one formula holds at every angle. Rows are formed as
-    p0 + sin(angle) k1 + 2 sin^2(angle/2) k2 with k1 = K(p0 - c) and
-    k2 = K k1, which is p0 exactly at t = 0 or omega = 0. Only (n,) and (n, 3)
-    arrays are formed, and each time gets exactly the arithmetic it would get
-    alone.
+    the one formula holds at every angle: a row is p + sin(angle) k1 +
+    2 sin^2(angle/2) k2 with p = p0 as floats, k1 = K(p - c) and k2 = K k1,
+    which is p exactly at t = 0. At omega = 0, k1 and k2 are None and every
+    row is p.
     """
-    start = p0.as_array()
+    p = (float(p0.p1), float(p0.p2), float(p0.p3))
     norm = math.hypot(*omega)
     # the largest |t| is at an end of the grid
-    if not math.isfinite(norm * max(abs(float(times[0])), abs(float(times[-1])))):
-        raise DomainError(
-            f"rotation angle |omega| t overflows (|omega| = {norm:.3e}, t up to {times[-1]:.3e})"
-        )
+    if not math.isfinite(norm * abs(t_last)):
+        raise DomainError(f"rotation angle |omega| t overflows (|omega| = {norm:.3e}, t up to {t_last:.3e})")
     if norm == 0.0:
-        return np.tile(start, (times.size, 1))
-    K = _cross(omega) / norm
-    k1 = K @ (start - qubit_core.BALL_CENTER)
-    k2 = K @ k1
-    angle = norm * times
-    half_sin = np.sin(0.5 * angle)
-    rows = np.sin(angle)[:, None] * k1
-    rows += (2.0 * half_sin * half_sin)[:, None] * k2
-    rows += start
-    return rows
+        return norm, p, None, None
+    u = (omega[0] / norm, omega[1] / norm, omega[2] / norm)
+    k1 = _turn(u, (p[0] - 0.5, p[1] - 0.5, p[2] - 0.5))
+    return norm, p, k1, _turn(u, k1)
+
+
+def _row(p, k1, k2, angle: float) -> tuple[float, float, float]:
+    """One row, p + sin(angle) k1 + 2 sin^2(angle/2) k2, in sample_trajectory's order of operations."""
+    if k1 is None:
+        return p
+    s = math.sin(angle)
+    h = math.sin(0.5 * angle)
+    h = 2.0 * h * h
+    return (s * k1[0] + h * k2[0] + p[0], s * k1[1] + h * k2[1] + p[1], s * k1[2] + h * k2[2] + p[2])
 
 
 def _evolve_at(omega, p0: ProbTriple, t: float) -> ProbTriple:
@@ -153,7 +176,8 @@ def _evolve_at(omega, p0: ProbTriple, t: float) -> ProbTriple:
     t = _as_float(t)
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t!r}")
-    return ProbTriple(*_rotate_about_center(omega, p0, np.array([t]))[0].tolist())
+    norm, p, k1, k2 = _rodrigues_terms(omega, p0, t)
+    return ProbTriple(*_row(p, k1, k2, norm * t))
 
 
 def evolve(system: KineticSystem, p0: ProbTriple, t: float, tol: float = DEFAULT_TOL) -> ProbTriple:
@@ -178,16 +202,8 @@ def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
     return denom * qubit_core._density(pt) - x * matrix_oracle._identity()
 
 
-def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps: int,
-                      tol: float = DEFAULT_TOL) -> Trajectory:
-    """Uniform time grid of closed-form evolutions from 0 to t_end.
-
-    Every sample is propagated directly from t = 0, so there is no
-    accumulation of step error; refining the grid never moves shared times.
-    Each row equals evolve() at its time, bit for bit. Only the inputs and the
-    grid's times are checked: each row is a rotation of the accepted p0 about
-    the ball center and keeps its ball residual.
-    """
+def _grid_inputs(p0: ProbTriple, t_end: float, steps: int, tol: float) -> tuple[float, int]:
+    """A trajectory's t_end and steps, checked, and then p0 checked physical."""
     t_end = _as_float(t_end)
     if not math.isfinite(t_end) or t_end <= 0.0:
         raise DomainError(f"t_end must be finite and positive, got {t_end!r}")
@@ -200,8 +216,60 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
     if steps < 1:
         raise DomainError(f"steps must be at least 1, got {steps}")
     qubit_core.require_physical(p0, tol)
+    return t_end, steps
+
+
+# rounding can collapse a tiny grid (t_end = 5e-324, steps = 3)
+_COLLAPSED_GRID = "trajectory times must be strictly increasing"
+
+
+def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps: int,
+                      tol: float = DEFAULT_TOL) -> Trajectory:
+    """Uniform time grid of closed-form evolutions from 0 to t_end.
+
+    Every sample is propagated directly from t = 0, so there is no
+    accumulation of step error; refining the grid never moves shared times.
+    Each row equals evolve() at its time, bit for bit. Only the inputs and the
+    grid's times are checked: each row is a rotation of the accepted p0 about
+    the ball center and keeps its ball residual.
+    """
+    t_end, steps = _grid_inputs(p0, t_end, steps, tol)
     times = np.linspace(0.0, t_end, steps + 1)
-    # rounding can collapse a tiny grid (t_end = 5e-324, steps = 3)
     if not (times[1:] > times[:-1]).all():
-        raise DomainError("trajectory times must be strictly increasing")
-    return Trajectory(times=times, probs=_rotate_about_center(system.omega, p0, times), x=system.x)
+        raise DomainError(_COLLAPSED_GRID)
+    norm, p, k1, k2 = _rodrigues_terms(system.omega, p0, t_end)
+    if k1 is None:
+        return Trajectory(times=times, probs=np.tile(p, (times.size, 1)), x=system.x)
+    # only (n,) and (n, 3) arrays, and each time gets exactly _row's arithmetic
+    angle = norm * times
+    half_sin = np.sin(0.5 * angle)
+    probs = np.sin(angle)[:, None] * k1
+    probs += (2.0 * half_sin * half_sin)[:, None] * k2
+    probs += p
+    return Trajectory(times=times, probs=probs, x=system.x)
+
+
+def _linspace(stop: float, num: int) -> list[float]:
+    """np.linspace(0.0, stop, num) for num >= 2, as a list of the same floats."""
+    div = num - 1
+    step = stop / div
+    if step == 0.0:  # numpy's branch for a step that underflows
+        grid = [i / div * stop for i in range(num)]
+    else:
+        grid = [i * step for i in range(num)]
+    grid[-1] = stop
+    return grid
+
+
+def _trajectory_rows(system: KineticSystem, p0: ProbTriple, t_end: float, steps: int, tol: float):
+    """sample_trajectory's times, as a list, and its rows, as tuples made one at a time, on Python floats.
+
+    Every check of sample_trajectory runs before this returns, and the times
+    and rows are sample_trajectory's, bit for bit.
+    """
+    t_end, steps = _grid_inputs(p0, t_end, steps, tol)
+    times = _linspace(t_end, steps + 1)
+    if not all(map(operator.lt, times, itertools.islice(times, 1, None))):
+        raise DomainError(_COLLAPSED_GRID)
+    norm, p, k1, k2 = _rodrigues_terms(system.omega, p0, t_end)
+    return times, (_row(p, k1, k2, norm * t) for t in times)

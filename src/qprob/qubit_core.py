@@ -35,6 +35,8 @@ __getattr__ = lazy_constants(globals(), BALL_CENTER=_ball_center)
 
 # Veltkamp's splitting constant 2^27 + 1: _SPLIT * x splits a double into two 26-bit halves.
 _SPLIT = 134217729.0
+# Past |x_hi * y_hi| = 2^-967 the products of the halves, multiples of ulp(x) ulp(y), are all representable.
+_TINY_PRODUCT = 2.0 ** -967
 
 # Default slack for physicality checks (ball residual and cube bounds).
 DEFAULT_TOL = 1e-10
@@ -49,14 +51,16 @@ def _as_float(value) -> float:
 
 
 def _sum_of_products(c: float, pairs) -> float:
-    """c + sum of x * y over a sequence of pairs, correctly rounded while no product nears underflow.
+    """c + sum of x * y over a sequence of pairs, correctly rounded while every factor is below 2^996.
 
     Veltkamp's split writes each factor as the sum of two halves of 26
     significant bits, so the four products of the halves are exact and sum
     to x * y exactly (Dekker, Numer. Math. 18, 1971); math.fsum adds c and
     all of them exactly before its one rounding (Shewchuk, DCG 18, 1997).
-    Where a factor or a product leaves the float range, or the sum does, the
-    plain left-to-right sum is returned: +-inf or NaN, with no exception.
+    Where a product nears underflow, so that a product of halves could
+    round, the terms are summed as exact fractions instead. Where a factor
+    or a product leaves the float range, or the sum does, the plain
+    left-to-right sum is returned: +-inf or NaN, with no exception.
     """
     terms = [c]
     for x, y in pairs:
@@ -66,10 +70,19 @@ def _sum_of_products(c: float, pairs) -> float:
         t = _SPLIT * y
         y_hi = t - (t - y)
         y_lo = y - y_hi
-        terms += (x_hi * y_hi, x_hi * y_lo, x_lo * y_hi, x_lo * y_lo)
+        high = x_hi * y_hi
+        if -_TINY_PRODUCT < high < _TINY_PRODUCT and x and y:
+            terms = None
+            break
+        terms += (high, x_hi * y_lo, x_lo * y_hi, x_lo * y_lo)
     try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # overflow, or inf - inf among the terms
+        if terms is None:
+            from fractions import Fraction  # imported here: only products near underflow need it
+
+            total = float(sum((Fraction(x) * Fraction(y) for x, y in pairs), Fraction(c)))
+        else:
+            total = math.fsum(terms)
+    except (OverflowError, ValueError):  # overflow, inf - inf among the terms, or a non-finite Fraction
         total = math.nan
     if math.isfinite(total):
         return total

@@ -58,10 +58,15 @@ def _chords(p: ProbTriple) -> tuple[list, tuple[float, float, float]]:
     return rows, tuple(math.dist(rows[k], rows[(k + 1) % 3]) for k in range(3))
 
 
+def _cube_chords(p: ProbTriple) -> tuple[list, tuple[float, float, float]]:
+    """_chords of a triple that must lie in the unit cube (to CUBE_SLACK)."""
+    _require_cube(p)
+    return _chords(p)
+
+
 def triangle_picture(p: ProbTriple) -> TrianglePicture:
     """Place the three vertices and measure the squares on their chords, as _chords does."""
-    _require_cube(p)
-    rows, lengths = _chords(p)
+    rows, lengths = _cube_chords(p)
     areas = tuple(length * length for length in lengths)
     return TrianglePicture(
         vertices=np.array(rows),

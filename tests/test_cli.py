@@ -5,13 +5,17 @@ import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprob import ProbTriple, encode_observable, sample_trajectory, build_kinetic, state_tomogram, Direction
+from qprob import render_svg, triangle_picture
 from qprob.cli import MAX_STEPS, main, matrix_to_json, parse_matrix, triple_to_json
 from qprob.diagnostics import heisenberg_exact
 from qprob.matrix_oracle import SIGMA_Z
@@ -709,6 +713,43 @@ def test_figures_degenerate_golden_bytes(tmp_path, capsys):
                             "--out", str(tmp_path)], capsys=capsys)
     assert code == 0 and err == ""
     assert (tmp_path / "squares.svg").read_bytes() == (GOLDEN / "degenerate_squares.svg").read_bytes()
+
+
+# cube values: the quarter grid makes degenerate (collinear or coincident) triangles, and the
+# values within 2e-12 of it land chords and sides in the renderer's 1e-12 tie band
+cube_value = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.builds(lambda v, d: v + d, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(-1e-12, 1e-12)),
+    st.floats(0.0, 1.0),
+)
+cube_triple = st.builds(ProbTriple, cube_value, cube_value, cube_value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=cube_triple, q=cube_triple)
+def test_figures_command_writes_render_svg_bytes(p, q):
+    # the command draws from _chords' rows without numpy; render_svg from triangle_picture's array
+    pic_p, pic_q = triangle_picture(p), triangle_picture(q)
+    expected = {
+        "triangle.svg": render_svg([pic_p]),
+        "squares.svg": render_svg([pic_p], with_squares=True),
+    }
+    rep_expected = {
+        "fig1.svg": render_svg([pic_p]),
+        "fig2.svg": render_svg([pic_q]),
+        "fig3.svg": render_svg([pic_p], with_squares=True),
+        "fig4.svg": render_svg([pic_q], with_squares=True),
+        "fig5.svg": render_svg([pic_p, pic_q]),
+    }
+    rep = {"a": 1.0, "b": 2.0, "P_a": triple_to_json(p), "P_b": triple_to_json(q)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for doc, files in ((triple_to_json(p), expected), (rep, rep_expected)):
+            infile = pathlib.Path(tmp, "in.json")
+            infile.write_text(json.dumps(doc), encoding="utf-8")
+            out_dir = pathlib.Path(tmp, "out")
+            assert main(["figures", "--allow-unphysical", "--in", str(infile), "--out", str(out_dir)]) == 0
+            for name, text in files.items():
+                assert (out_dir / name).read_bytes() == text.encode("utf-8")
 
 
 def test_figures_unphysical_gating(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Kinetic equation: generator values, exact propagation, and matrix-side agreement."""
 
+import math
 import re
 import warnings
 
@@ -26,9 +27,10 @@ from qprob import (
     state_tomogram,
 )
 from qprob.diagnostics import failed_checks, heisenberg_exact
-from qprob.evolution import FD_TOL
+from qprob.evolution import FD_TOL, _linspace, _trajectory_rows
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z
 from qprob.observable_map import conservative_shift_bound
+from qprob.qubit_core import DEFAULT_TOL
 
 from conftest import (
     random_hermitian,
@@ -322,6 +324,49 @@ def test_trajectory_rows_equal_evolve(entries, log_norm, bloch, log_dt, steps):
     for t, row in zip(trajectory.times, trajectory.probs):
         np.testing.assert_array_equal(row, evolve(system, p0, float(t)).as_array())
         assert abs(check_ball(ProbTriple.from_array(row)) - check_ball(p0)) <= 1e-15
+
+
+# an axis component: 0, or +-10^-r for r up to 300, so the axis's ratios reach 1e-300
+axis_part = st.one_of(st.just(0.0), st.builds(lambda sign, r: sign * 10.0 ** -r,
+                                               st.sampled_from([-1.0, 1.0]), st.floats(0.0, 300.0)))
+
+
+def rows_bytes(rows) -> bytes:
+    return np.array(rows, dtype=float).reshape(-1, 3).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    axis=st.tuples(axis_part, axis_part, axis_part),
+    log_norm=st.floats(-9.0, 9.0),
+    bloch=st.tuples(unit, unit, unit),
+    log_t=st.floats(-9.0, 9.0),
+    steps=st.integers(1, 500),
+)
+@example(axis=(0.0, 0.0, 0.0), log_norm=0.0, bloch=(0.3, -0.2, 0.1), log_t=0.0, steps=5)  # omega = 0
+# k1 and k2 near underflow, beside a p1 of exactly 0
+@example(axis=(1.0, 1e-300, -1e-300), log_norm=0.0, bloch=(-1.0, 0.0, 1e-15), log_t=1.0, steps=7)
+# rounding collapses the grid to [0, 0, 5e-324, 5e-324]: both routes refuse it alike
+@example(axis=(0.0, 0.0, 1.0), log_norm=0.0, bloch=(1.0, 0.0, 0.0), log_t=math.log10(5e-324), steps=3)
+def test_cli_rows_equal_sample_trajectory_and_evolve(axis, log_norm, bloch, log_t, steps):
+    length = math.hypot(*axis)
+    omega = tuple(10.0 ** log_norm * (a / length) for a in axis) if length else (0.0, 0.0, 0.0)
+    system = KineticSystem(omega, 0.0)
+    p0 = ball_triple(bloch)
+    t_end = 10.0 ** log_t
+    # the grid is np.linspace's, also where its step underflows and the grid is then refused
+    assert np.array(_linspace(t_end, steps + 1)).tobytes() == np.linspace(0.0, t_end, steps + 1).tobytes()
+    try:
+        trajectory = sample_trajectory(system, p0, t_end, steps)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            _trajectory_rows(system, p0, t_end, steps, DEFAULT_TOL)
+        return
+    times, rows = _trajectory_rows(system, p0, t_end, steps, DEFAULT_TOL)
+    rows = list(rows)
+    assert np.array(times).tobytes() == trajectory.times.tobytes()
+    assert rows_bytes(rows) == trajectory.probs.tobytes()
+    assert rows_bytes([evolve(system, p0, t).as_array() for t in times]) == rows_bytes(rows)
 
 
 def test_long_trajectory_stays_on_the_sphere():

@@ -1,7 +1,8 @@
-"""The import contract: qprob loads numpy only for the commands and calls that build arrays."""
+"""The import contract: qprob loads numpy only for the library calls that build arrays; no CLI command does."""
 
 import ast
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -26,8 +27,9 @@ def tracer_layers() -> tuple[str, ...]:
     raise AssertionError("bench/tracer.py has no LAYERS")
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=ROOT)
+def run_python(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=ROOT,
+                          env=None if env is None else {**os.environ, **env})
 
 
 def imported_modules(importtime_stderr: str) -> set[str]:
@@ -48,32 +50,42 @@ def test_importing_the_package_and_the_cli_loads_no_numpy():
     assert result.stdout.split("\n") == ["False", "False", "[]", ""]
 
 
-@pytest.mark.parametrize("args, infile, golden", [
-    (["encode", "--a", "2", "--b", "3"], "sigma_z.json", "sigma_z_rep.json"),
-    (["encode"], "generic_h.json", "generic_rep.json"),
-    (["decode"], "sigma_z_rep.json", "decode_out.json"),
-    (["decode"], "generic_rep.json", "generic_decode_out.json"),
-    (["tomogram", *ANGLES], "state.json", "tomogram_out.json"),
-    (["tomogram", *ANGLES, "--x", "2"], "generic_h.json", "generic_observable_tomogram_out.json"),
-    (["check"], "sigma_z_rep.json", "check_out.json"),
-    (["check"], "generic_rep.json", "generic_check_out.json"),
+FIGURES_REP = {f"fig{k}.svg": f"fig{k}.svg" for k in range(1, 6)}
+EVOLVE_GENERIC = ["evolve", "--t-end", "2.5", "--steps", "10"]
+
+
+@pytest.mark.parametrize("args, infile, env, golden", [
+    (["encode", "--a", "2", "--b", "3"], "sigma_z.json", None, "sigma_z_rep.json"),
+    (["encode"], "generic_h.json", None, "generic_rep.json"),
+    (["decode"], "sigma_z_rep.json", None, "decode_out.json"),
+    (["decode"], "generic_rep.json", None, "generic_decode_out.json"),
+    (["tomogram", *ANGLES], "state.json", None, "tomogram_out.json"),
+    (["tomogram", *ANGLES, "--x", "2"], "generic_h.json", None, "generic_observable_tomogram_out.json"),
+    (["check"], "sigma_z_rep.json", None, "check_out.json"),
+    (["check"], "generic_rep.json", None, "generic_check_out.json"),
+    (["evolve", "--t-end", "1.5", "--steps", "6"], "evolve_in.json", None, "evolve_out.csv"),
+    (EVOLVE_GENERIC, "evolve_generic_in.json", None, "evolve_generic_out.csv"),
+    ([*EVOLVE_GENERIC, "--format", "json"], "evolve_generic_in.json", None, "evolve_generic_out.json"),
+    (["evolve", "--x", "2", "--t-end", "2.5", "--steps", "10"], "evolve_a0_in.json", None, "evolve_a0_out.csv"),
+    (EVOLVE_GENERIC, "evolve_tol_in.json", {"QPROB_TOL": "1e-2"}, "evolve_tol_out.csv"),
+    # figures writes files into --out: each written file against its golden
+    (["figures"], "sigma_z_rep.json", None, FIGURES_REP),
+    (["figures", "--allow-unphysical"], "degenerate_state.json", None, {"squares.svg": "degenerate_squares.svg"}),
 ], ids=["encode", "encode-generic", "decode", "decode-generic", "tomogram-state", "tomogram-observable",
-        "check", "check-generic"])
-def test_array_free_commands_load_no_numpy(args, infile, golden):
-    result = run_python("-X", "importtime", "-m", "qprob", *args, "--in", str(GOLDEN / infile))
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+        "check", "check-generic", "evolve", "evolve-generic", "evolve-json", "evolve-a0", "evolve-tol",
+        "figures", "figures-degenerate"])
+def test_array_free_commands_load_no_numpy(tmp_path, args, infile, env, golden):
+    if args[0] == "figures":
+        args = [*args, "--out", str(tmp_path)]
+    result = run_python("-X", "importtime", "-m", "qprob", *args, "--in", str(GOLDEN / infile), env=env)
+    assert result.returncode == 0, result.stderr
+    if isinstance(golden, str):
+        assert result.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+    else:
+        for name, expected in golden.items():
+            assert (tmp_path / name).read_bytes() == (GOLDEN / expected).read_bytes()
     modules = imported_modules(result.stderr)
     assert "qprob" in modules and "numpy" not in modules
-
-
-def test_evolve_loads_numpy_for_its_time_grid():
-    result = run_python("-X", "importtime", "-m", "qprob", "evolve", "--t-end", "1.5", "--steps", "6",
-                        "--in", str(GOLDEN / "evolve_in.json"))
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "evolve_out.csv").read_text(encoding="utf-8")
-    assert "numpy" in imported_modules(result.stderr)
-
 
 
 @pytest.mark.parametrize("module, name, expected", [

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qprob import DomainError, ProbTriple, check_ball, density_from_probs, is_physical, probs_from_density
-from qprob.qubit_core import BALL_CENTER, GAMMA, require_physical
+from qprob.qubit_core import BALL_CENTER, GAMMA, _sum_of_products, require_physical
 
 from conftest import random_physical_triple
 
@@ -131,3 +131,18 @@ def test_check_ball_is_correctly_rounded(d):
         assert value == float(exact)
     else:  # past the float range: the plain formula's infinity or NaN
         assert value == plain or (math.isnan(value) and math.isnan(plain))
+
+
+# factors near 2^-530, so every product, and so a product of their halves, lies near or below 2^-1022
+near_underflow = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-560, -500))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, -1000)),
+       pairs=st.lists(st.tuples(near_underflow, near_underflow), min_size=1, max_size=3))
+@example(c=0.0, pairs=[(-5e-324 / 0.4, 0.2155)])  # rounds to -0.0, as the exact value's sign asks
+def test_sum_of_products_is_correctly_rounded_near_underflow(c, pairs):
+    exact = Fraction(c) + sum(Fraction(x) * Fraction(y) for x, y in pairs)
+    value = _sum_of_products(c, pairs)
+    assert value == float(exact) and math.copysign(1.0, value) == math.copysign(1.0, float(exact))
+
