@@ -39,8 +39,8 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 # Largest evolve grid. At this many steps a whole qprob evolve process peaks at
-# 334 MiB resident for csv and 734 MiB for json (ru_maxrss; x86-64 Linux,
-# Python 3.11), the grid and rows held as Python floats.
+# 333 MiB resident for csv and 304 MiB for json (ru_maxrss; x86-64 Linux,
+# Python 3.11), the grid held as Python floats and each row as its text.
 MAX_STEPS = 1_000_000
 
 _MATRIX_KEYS = ("m11", "m12", "m21", "m22")
@@ -165,6 +165,26 @@ def _dump_json(doc) -> str:
         raise DomainError(f"{where} = {value!r} is not finite, and JSON has no such number") from None
 
 
+def _dump_trajectory(x: float, times: list, rows) -> str:
+    """_dump_json({"x": x, "times": times, "probs": rows}) for Python floats, written row by row.
+
+    json writes a finite float as its repr, so joining the reprs in the
+    indent=2 layout gives the same bytes without the pure-Python encoder's
+    copies of the document. Only the reprs inf, -inf and nan hold an n: given
+    one, the rows are read back from their text and _dump_json names the
+    first value JSON cannot carry.
+    """
+    times_text = ",\n    ".join(map(repr, times))
+    row_texts = [f"[\n      {p1!r},\n      {p2!r},\n      {p3!r}\n    ]" for p1, p2, p3 in rows]
+    rows_text = ",\n    ".join(row_texts)
+    if "n" in repr(x) or "n" in times_text or "n" in rows_text:
+        return _dump_json({"x": x, "times": times,
+                           "probs": [[float(v) for v in row.strip("[] \n").split(",")] for row in row_texts]})
+    del row_texts  # freed before the last copy, which sets the peak
+    return "".join(('{\n  "x": ', repr(x), ',\n  "times": [\n    ', times_text,
+                    '\n  ],\n  "probs": [\n    ', rows_text, "\n  ]\n}\n"))
+
+
 def _tolerance() -> float:
     raw = os.environ.get("QPROB_TOL")
     if raw is None:
@@ -270,7 +290,7 @@ def cmd_evolve(doc, args, tol: float) -> str:
     system = evolution._kinetic(h, x)
     times, rows = evolution._trajectory_rows(system, p0, args.t_end, args.steps, tol)
     if args.format == "json":
-        return _dump_json({"x": system.x, "times": times, "probs": list(rows)})
+        return _dump_trajectory(system.x, times, rows)
     lines = ["t,p1,p2,p3"]
     lines += [f"{t:.17g},{p1:.17g},{p2:.17g},{p3:.17g}" for t, (p1, p2, p3) in zip(times, rows)]
     return "\n".join(lines) + "\n"

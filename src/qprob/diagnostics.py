@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 from . import matrix_oracle, qubit_core
 from ._numpy import lazy_constants, np
+from ._record import Record, _set
 from .errors import DomainError, FormulaMismatchWarning
 from .matrix_oracle import UNITARY_TOL
 from .qubit_core import ProbTriple, density_from_probs
@@ -46,14 +46,16 @@ __getattr__ = lazy_constants(globals(), PROBE_DENSITIES=_probe_densities)
 COMPONENT_NAMES = tuple(f"L{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ("C1", "C2", "C3")
 
 
-@dataclass(frozen=True)
-class FormulaCheck:
+class FormulaCheck(Record):
     """Outcome of validating one named closed-form component against its oracle value."""
 
-    name: str
-    closed_form: float
-    oracle: float
-    tolerance: float
+    __slots__ = ("name", "closed_form", "oracle", "tolerance")
+
+    def __init__(self, name: str, closed_form: float, oracle: float, tolerance: float):
+        _set(self, "name", name)
+        _set(self, "closed_form", closed_form)
+        _set(self, "oracle", oracle)
+        _set(self, "tolerance", tolerance)
 
     @property
     def deviation(self) -> float:

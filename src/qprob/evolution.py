@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import matrix_oracle, observable_map, qubit_core
 from ._numpy import np
+from ._record import Record, _set
 from .diagnostics import FormulaCheck, checked_map, component_checks, kinetic_oracle
 from .errors import DomainError
 from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float, _sum_of_products
@@ -28,8 +28,7 @@ from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float, _sum_of_products
 FD_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class KineticSystem:
+class KineticSystem(Record):
     """Constant-coefficient system dp/dt = L p + C for a fixed Hamiltonian and shift.
 
     Held as its angular velocity omega = 2h, three finite numbers, and a finite
@@ -37,20 +36,19 @@ class KineticSystem:
     are fresh arrays on each access.
     """
 
-    omega: tuple[float, float, float]
-    x: float
+    __slots__ = ("omega", "x")
 
-    def __post_init__(self):
-        omega = tuple(map(_as_float, self.omega))
+    def __init__(self, omega: tuple[float, float, float], x: float):
+        omega = tuple(map(_as_float, omega))
         if len(omega) != 3:
             raise DomainError(f"kinetic angular velocity omega needs 3 components, got {len(omega)}")
         if not all(map(math.isfinite, omega)):
             raise DomainError(f"kinetic angular velocity omega must be finite, got {omega!r}")
-        x = _as_float(self.x)
+        x = _as_float(x)
         if not math.isfinite(x):
             raise DomainError(f"kinetic shift x must be finite, got {x!r}")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "x", x)
+        _set(self, "omega", omega)
+        _set(self, "x", x)
 
     @property
     def L(self) -> np.ndarray:
@@ -62,13 +60,15 @@ class KineticSystem:
         return -(self.L @ qubit_core.BALL_CENTER)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Sampled evolution: times, the matching triples, and the shift they belong to."""
 
-    times: np.ndarray
-    probs: np.ndarray
-    x: float
+    __slots__ = ("times", "probs", "x")
+
+    def __init__(self, times: np.ndarray, probs: np.ndarray, x: float):
+        _set(self, "times", times)
+        _set(self, "probs", probs)
+        _set(self, "x", x)
 
     def triples(self) -> list[ProbTriple]:
         return [ProbTriple(*row) for row in self.probs.tolist()]
@@ -234,7 +234,9 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
     the ball center and keeps its ball residual.
     """
     t_end, steps = _grid_inputs(p0, t_end, steps, tol)
-    times = np.linspace(0.0, t_end, steps + 1)
+    # near the float maximum, linspace's step * (num - 1) overflows before it sets the last time to t_end
+    with np.errstate(over="ignore"):
+        times = np.linspace(0.0, t_end, steps + 1)
     if not (times[1:] > times[:-1]).all():
         raise DomainError(_COLLAPSED_GRID)
     norm, p, k1, k2 = _rodrigues_terms(system.omega, p0, t_end)

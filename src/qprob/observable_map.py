@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from . import matrix_oracle, qubit_core
 from ._numpy import np
+from ._record import Record, _set
 from .errors import DomainError, NonInvertibleEncodingWarning
 from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float
 from .tomography_channels import _tomogram
@@ -39,21 +39,21 @@ CONSISTENCY_TOL = 1e-8
 ADMISSIBLE_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class ObservableProbRep:
+class ObservableProbRep(Record):
     """Observable encoded as shift parameters (a, b) and per-shift triples."""
 
-    a: float
-    b: float
-    p_a: ProbTriple
-    p_b: ProbTriple
+    __slots__ = ("a", "b", "p_a", "p_b")
 
-    def __post_init__(self):
-        a, b = _as_float(self.a), _as_float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DomainError(f"encoding shifts must be finite, got a = {a!r}, b = {b!r}")
-        if a == b:
+    def __init__(self, a: float, b: float, p_a: ProbTriple, p_b: ProbTriple):
+        fa, fb = _as_float(a), _as_float(b)  # checked as floats; the fields keep a and b as given
+        if not (math.isfinite(fa) and math.isfinite(fb)):
+            raise DomainError(f"encoding shifts must be finite, got a = {fa!r}, b = {fb!r}")
+        if fa == fb:
             raise DomainError("encoding shifts must differ (a == b repeats one equation)")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "p_a", p_a)
+        _set(self, "p_b", p_b)
 
 
 def _accept_rows(rows, name: str = "matrix") -> tuple[list, float, float]:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
 from . import matrix_oracle
 from ._numpy import lazy_constants, np
+from ._record import Record, _set
 from .errors import DomainError
 
 # Off-diagonal reference constant: rho21 = (p1 + i p2) - GAMMA.
@@ -91,17 +90,19 @@ def _sum_of_products(c: float, pairs) -> float:
     return c
 
 
-@dataclass(frozen=True)
-class ProbTriple:
+class ProbTriple(Record):
     """Probabilities of spin projection +1/2 along x, y, and z.
 
     Unphysical triples are representable on purpose, so that diagnostics can
     look at them; every conversion that needs physicality validates it.
     """
 
-    p1: float
-    p2: float
-    p3: float
+    __slots__ = ("p1", "p2", "p3")
+
+    def __init__(self, p1: float, p2: float, p3: float):
+        _set(self, "p1", p1)
+        _set(self, "p2", p2)
+        _set(self, "p3", p3)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3], dtype=float)

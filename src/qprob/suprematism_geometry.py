@@ -10,10 +10,10 @@ kept as two independent routes that must agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import qubit_core
 from ._numpy import lazy_constants, np
+from ._record import Record, _set
 from .errors import DomainError
 from .observable_map import ObservableProbRep
 from .qubit_core import DEFAULT_TOL, ProbTriple
@@ -29,14 +29,17 @@ __getattr__ = lazy_constants(globals(), REFERENCE_CORNERS=lambda: np.array(_CORN
 CUBE_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class TrianglePicture:
+class TrianglePicture(Record):
     """Vertices on the reference triangle plus the squares over their chords."""
 
-    vertices: np.ndarray
-    side_lengths: tuple[float, float, float]
-    square_areas: tuple[float, float, float]
-    total_area: float
+    __slots__ = ("vertices", "side_lengths", "square_areas", "total_area")
+
+    def __init__(self, vertices: np.ndarray, side_lengths: tuple[float, float, float],
+                 square_areas: tuple[float, float, float], total_area: float):
+        _set(self, "vertices", vertices)
+        _set(self, "side_lengths", side_lengths)
+        _set(self, "square_areas", square_areas)
+        _set(self, "total_area", total_area)
 
 
 def _require_cube(p: ProbTriple) -> None:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import matrix_oracle, qubit_core
 from ._numpy import np
+from ._record import Record, _set
 from .diagnostics import FormulaCheck, checked_map, component_checks, rotation_oracle
 from .errors import DomainError
 from .qubit_core import ProbTriple, _as_float, _sum_of_products
@@ -27,8 +27,7 @@ WEIGHT_TOL = 1e-12
 DIRECTION_NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     """Measurement direction given by Euler angles, in radians.
 
     theta must lie in [0, pi], phi and psi in [0, 2*pi); out-of-range values
@@ -36,21 +35,19 @@ class Direction:
     rotates the frame about the direction itself.
     """
 
-    theta: float
-    phi: float
-    psi: float = 0.0
+    __slots__ = ("theta", "phi", "psi")
 
-    def __post_init__(self):
-        theta, phi, psi = map(_as_float, (self.theta, self.phi, self.psi))
+    def __init__(self, theta: float, phi: float, psi: float = 0.0):
+        theta, phi, psi = _as_float(theta), _as_float(phi), _as_float(psi)
         if not 0.0 <= theta <= math.pi:
             raise DomainError(f"theta = {theta!r} outside [0, pi]")
         if not 0.0 <= phi < TWO_PI:
             raise DomainError(f"phi = {phi!r} outside [0, 2*pi)")
         if not 0.0 <= psi < TWO_PI:
             raise DomainError(f"psi = {psi!r} outside [0, 2*pi)")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
+        _set(self, "theta", theta)
+        _set(self, "phi", phi)
+        _set(self, "psi", psi)
 
     def _unit(self) -> tuple[float, float, float]:
         s = math.sin(self.theta)
@@ -61,7 +58,7 @@ class Direction:
 
 
 def _unit_vector(direction) -> tuple[float, float, float]:
-    """direction_vector's unit vector as three Python floats; a Direction's needs no numpy."""
+    """A Direction's unit vector, or a raw length-3 vector checked for unit length, as three floats."""
     if isinstance(direction, Direction):
         return direction._unit()
     v = np.asarray(direction)  # no dtype: an integer past the float range stays an integer
@@ -72,11 +69,6 @@ def _unit_vector(direction) -> tuple[float, float, float]:
     if not abs(norm - 1.0) <= DIRECTION_NORM_TOL:
         raise DomainError(f"direction vector must have unit length, got |n| = {norm!r}")
     return n
-
-
-def direction_vector(direction) -> np.ndarray:
-    """Unit vector of a Direction, or a raw length-3 vector once its unit length is checked."""
-    return np.array(_unit_vector(direction))
 
 
 def euler_unitary(direction: Direction) -> np.ndarray:
@@ -113,16 +105,14 @@ def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
     return w_plus, 1.0 - w_plus
 
 
-@dataclass(frozen=True)
-class AffineMap3:
+class AffineMap3(Record):
     """Affine action p -> L p + C on probability triples."""
 
-    L: np.ndarray
-    C: np.ndarray
+    __slots__ = ("L", "C")
 
-    def __post_init__(self):
-        object.__setattr__(self, "L", np.asarray(self.L, dtype=float).reshape(3, 3))
-        object.__setattr__(self, "C", np.asarray(self.C, dtype=float).reshape(3))
+    def __init__(self, L: np.ndarray, C: np.ndarray):
+        _set(self, "L", np.asarray(L, dtype=float).reshape(3, 3))
+        _set(self, "C", np.asarray(C, dtype=float).reshape(3))
 
     def apply(self, p: ProbTriple) -> ProbTriple:
         return ProbTriple(*(self.L @ p.as_array() + self.C).tolist())
@@ -170,18 +160,17 @@ def rotation_from_unitary(u, formula_tol: float | None = None) -> AffineMap3:
     return AffineMap3(*_rotation(matrix_oracle.require_unitary(u), formula_tol))
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(Record):
     """Convex mixture of unitary conjugations as (weight, unitary) pairs."""
 
-    terms: tuple[tuple[float, np.ndarray], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        if len(self.terms) == 0:
+    def __init__(self, terms: tuple[tuple[float, np.ndarray], ...]):
+        if len(terms) == 0:
             raise DomainError("a channel needs at least one (weight, unitary) term")
         cleaned = []
         total = 0.0
-        for k, (weight, u) in enumerate(self.terms):
+        for k, (weight, u) in enumerate(terms):
             w = _as_float(weight)
             if not w >= -WEIGHT_TOL:
                 raise DomainError(f"channel weight {k} is negative or NaN ({w!r})")
@@ -192,7 +181,7 @@ class ChannelSpec:
             total += w
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise DomainError(f"channel weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        _set(self, "terms", tuple(cleaned))
 
 
 def channel_map(spec: ChannelSpec, formula_tol: float | None = None) -> AffineMap3:

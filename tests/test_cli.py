@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 from qprob import ProbTriple, encode_observable, sample_trajectory, build_kinetic, state_tomogram, Direction
 from qprob import render_svg, triangle_picture
-from qprob.cli import MAX_STEPS, main, matrix_to_json, parse_matrix, triple_to_json
+from qprob.cli import MAX_STEPS, _dump_json, _dump_trajectory, main, matrix_to_json, parse_matrix, triple_to_json
 from qprob.diagnostics import heisenberg_exact
+from qprob.errors import DomainError
 from qprob.matrix_oracle import SIGMA_Z
 from qprob.qubit_core import density_from_probs, probs_from_density
 
@@ -368,6 +370,32 @@ def test_evolve_json_format(monkeypatch, capsys):
     assert doc["x"] == 0.0
     assert len(doc["times"]) == 5 and len(doc["probs"]) == 5
     assert doc["times"][-1] == 1.0
+
+
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=any_float, times=st.lists(any_float, min_size=1, max_size=6),
+       rows=st.lists(st.tuples(any_float, any_float, any_float), min_size=1, max_size=6))
+def test_trajectory_json_is_written_as_json_dumps_writes_it(x, times, rows):
+    doc = {"x": x, "times": times, "probs": [list(row) for row in rows]}
+    assert _dump_trajectory(x, times, iter(rows)) == _dump_json(doc)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("where", ["x", "times[1]", "probs[1][2]"])
+def test_trajectory_json_names_a_non_finite_value(bad, where):
+    x, times, rows = 0.0, [0.0, 1.0], [(0.5, 0.5, 0.5), (0.5, 0.5, 0.5)]
+    if where == "x":
+        x = bad
+    elif where == "times[1]":
+        times = [0.0, bad]
+    else:
+        rows = [(0.5, 0.5, 0.5), (0.5, 0.5, bad)]
+    message = f"{where} = {bad!r} is not finite, and JSON has no such number"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _dump_trajectory(x, times, iter(rows))
 
 
 def test_evolve_observable_start(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -367,6 +368,17 @@ def test_cli_rows_equal_sample_trajectory_and_evolve(axis, log_norm, bloch, log_
     assert np.array(times).tobytes() == trajectory.times.tobytes()
     assert rows_bytes(rows) == trajectory.probs.tobytes()
     assert rows_bytes([evolve(system, p0, t).as_array() for t in times]) == rows_bytes(rows)
+
+
+def test_trajectory_grid_up_to_the_float_maximum():
+    # linspace's step times the last index overflows before t_end replaces it: a RuntimeWarning,
+    # an error under pyproject's filters, though the grid is finite
+    system = KineticSystem((0.0, 0.0, 1e-300), 0.0)
+    p0 = ProbTriple(0.7, 0.4, 0.55)
+    trajectory = sample_trajectory(system, p0, sys.float_info.max, 3)
+    times, rows = _trajectory_rows(system, p0, sys.float_info.max, 3, DEFAULT_TOL)
+    assert trajectory.times.tolist() == times == _linspace(sys.float_info.max, 4)
+    assert rows_bytes(list(rows)) == trajectory.probs.tobytes()
 
 
 def test_long_trajectory_stays_on_the_sphere():

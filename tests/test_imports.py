@@ -1,4 +1,7 @@
-"""The import contract: qprob loads numpy only for the library calls that build arrays; no CLI command does."""
+"""The import contract: qprob loads numpy only for the library calls that build arrays.
+
+No CLI command loads numpy, and importing the CLI loads neither dataclasses nor inspect.
+"""
 
 import ast
 import math
@@ -48,6 +51,14 @@ def test_importing_the_package_and_the_cli_loads_no_numpy():
     assert result.returncode == 0, result.stderr
     # the traced CLI rounds read sys.modules["qprob.<layer>"] for every layer after import qprob.cli
     assert result.stdout.split("\n") == ["False", "False", "[]", ""]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site, and whatever its .pth files import, out of the count
+    code = "import sys, qprob.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = run_python("-S", "-c", code, env={"PYTHONPATH": str(ROOT / "src")})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 FIGURES_REP = {f"fig{k}.svg": f"fig{k}.svg" for k in range(1, 6)}
