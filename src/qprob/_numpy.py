@@ -23,12 +23,17 @@ np = _Numpy("numpy")
 
 
 def lazy_constants(namespace: dict, **builders):
-    """A module's __getattr__ (PEP 562): each named constant is built once, on first access, and stored."""
+    """A module's __getattr__ (PEP 562): each named array is built once, on first access, and stored read-only.
+
+    Callers and the library code that uses the same cached array then share
+    one object that none of them can write into.
+    """
 
     def __getattr__(name):
         if name not in builders:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
         value = namespace[name] = builders[name]()
+        value.flags.writeable = False
         return value
 
     return __getattr__

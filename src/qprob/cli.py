@@ -2,10 +2,13 @@
 
 Thin adapter: main reads the JSON document and QPROB_TOL, a handler parses
 the document and calls the library, and main writes the text it returns. All
-numeric logic lives in the library modules. Every handler calls the
-library's Python-number kernels on the parsed entries, so no command imports
-numpy: evolve takes its grid and rows from evolution._trajectory_rows, and
-figures draws the vertex rows of suprematism_geometry._cube_chords.
+numeric logic lives in the library modules. A matrix is parsed into nested
+lists of Python numbers, which the library reads without numpy, so no
+command imports numpy. tomogram, evolve's kinetic system and figures call
+the public functions. encode, decode, check and evolve's A0 triple call the
+kernels behind them, which need the accepted entries or would validate a
+matrix twice. evolve's grid and rows come on Python floats from
+evolution._trajectory_rows.
 Exit codes, mapped in main alone: 0 success, 2 parse error, 3 domain or
 precondition error (a report value that is not finite included), 4
 input/output error.
@@ -228,7 +231,7 @@ def cmd_encode(doc, args, tol: float) -> str:
     h = parse_matrix(doc)
     if (args.a is None) != (args.b is None):
         raise ParseError("--a and --b must be given together")
-    rows, lam_min, lam_max = observable_map._accept_rows(h, "observable")
+    rows, lam_min, lam_max = observable_map._accept(h, "observable")
     rep = observable_map._encode(rows, lam_min, lam_max, args.a, args.b)
     warns = []
     if observable_map._carries_no_trace(rep):
@@ -265,9 +268,7 @@ def cmd_tomogram(doc, args, tol: float) -> str:
     else:
         if args.x is None:
             raise ParseError("an observable tomogram needs --x")
-        rows, lam_min, _ = observable_map._accept_rows(parse_matrix(doc), "observable")
-        p = observable_map._triple(rows, lam_min, args.x)
-        w_plus, w_minus = tomography_channels._tomogram(p, direction)
+        w_plus, w_minus = observable_map.observable_tomogram(parse_matrix(doc), direction, args.x)
     return _dump_json({"w_plus": w_plus, "w_minus": w_minus})
 
 
@@ -282,12 +283,12 @@ def cmd_evolve(doc, args, tol: float) -> str:
         if args.x is None:
             raise ParseError('evolve with "A0" needs --x')
         x = args.x
-        rows, lam_min, _ = observable_map._accept_rows(parse_matrix(doc["A0"]), "observable")
+        rows, lam_min, _ = observable_map._accept(parse_matrix(doc["A0"]), "observable")
         p0 = observable_map._triple(rows, lam_min, x)
         tol = qubit_core.DEFAULT_TOL  # QPROB_TOL is the slack on supplied triples; this one is computed
     else:
         raise ParseError('evolve input needs "p0" or "A0"')
-    system = evolution._kinetic(h, x)
+    system = evolution.build_kinetic(h, x)
     times, rows = evolution._trajectory_rows(system, p0, args.t_end, args.steps, tol)
     if args.format == "json":
         return _dump_trajectory(system.x, times, rows)
@@ -301,21 +302,20 @@ def cmd_figures(doc, args, tol: float) -> str:
     if args.outdir == "-":
         raise ParseError("figures needs --out DIRECTORY")
     states = _physical_states(doc, args, tol)
-    # each picture's vertex rows, as triangle_picture places them
-    panels = [suprematism_geometry._cube_chords(p)[0] for p in _triples(states)]
+    pics = [suprematism_geometry.triangle_picture(p) for p in _triples(states)]
     if isinstance(states, ObservableProbRep):
-        panel_a, panel_b = panels
+        pic_a, pic_b = pics
         files = {
-            "fig1.svg": figures._render([panel_a]),
-            "fig2.svg": figures._render([panel_b]),
-            "fig3.svg": figures._render([panel_a], with_squares=True),
-            "fig4.svg": figures._render([panel_b], with_squares=True),
-            "fig5.svg": figures._render(panels),
+            "fig1.svg": figures.render_svg([pic_a]),
+            "fig2.svg": figures.render_svg([pic_b]),
+            "fig3.svg": figures.render_svg([pic_a], with_squares=True),
+            "fig4.svg": figures.render_svg([pic_b], with_squares=True),
+            "fig5.svg": figures.render_svg(pics),
         }
     else:
         files = {
-            "triangle.svg": figures._render(panels),
-            "squares.svg": figures._render(panels, with_squares=True),
+            "triangle.svg": figures.render_svg(pics),
+            "squares.svg": figures.render_svg(pics, with_squares=True),
         }
     os.makedirs(args.outdir, exist_ok=True)
     written = []

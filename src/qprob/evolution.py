@@ -5,7 +5,8 @@ an evolving observable obeys dp/dt = L p + C, where L v = v x omega with
 omega = 2h and C = -L c fixes the ball center c; a KineticSystem holds omega
 and derives L and C. The exact solution p(t) = c + exp(L t)(p0 - c) is a
 rotation, in Rodrigues' closed form: one prelude (|omega|, k1, k2) on Python
-floats, then one row per time. evolve, evolve_observable and the CLI's grid
+floats, then one row per time. build_kinetic reads a Hamiltonian given as
+nested lists without numpy. evolve, evolve_observable and the CLI's grid
 form their rows on Python floats; sample_trajectory forms the same rows, bit
 for bit, as (n, 3) arrays over a numpy time grid. The oracle, in diagnostics,
 fits the exact derivatives i[H, rho] at four probe states; it runs given
@@ -93,16 +94,9 @@ def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
 
     Each check's tolerance is tol * max(1, max|L|), as in build_kinetic.
     """
-    rows = matrix_oracle._hermitian_rows(h, name="hamiltonian")
-    system = KineticSystem(_omega(rows), 0.0)  # L and C do not depend on the shift
-    oracle = kinetic_oracle(matrix_oracle.as_matrix2(rows))
+    system = build_kinetic(h, 0.0)  # L and C do not depend on the shift
+    oracle = kinetic_oracle(matrix_oracle.as_matrix2(h))
     return component_checks((system.L, system.C), oracle, _scaled_tol(system.omega, tol))
-
-
-def _kinetic(rows, x: float) -> KineticSystem:
-    """build_kinetic without the oracle, on a Hamiltonian's entries, as _accept_rows takes an observable's."""
-    matrix_oracle._check_hermitian(rows, matrix_oracle.HERMITIAN_TOL, "hamiltonian")
-    return KineticSystem(_omega(rows), x)
 
 
 def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
@@ -114,8 +108,8 @@ def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     fd_tol * max(1, max|L|) raises a FormulaMismatchWarning naming it. The
     system returned is the closed form either way.
     """
-    rows = matrix_oracle.as_matrix2(h).tolist()
-    system = _kinetic(rows, x)
+    rows = matrix_oracle._hermitian_rows(h, name="hamiltonian")
+    system = KineticSystem(_omega(rows), x)
     if fd_tol is not None:
         oracle = kinetic_oracle(matrix_oracle.as_matrix2(rows))
         checked_map((system.L, system.C), oracle, _scaled_tol(system.omega, fd_tol), "kinetic generator")

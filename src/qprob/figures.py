@@ -1,16 +1,15 @@
 """Deterministic SVG rendering of triangle pictures and their squares.
 
 Output bytes depend only on the input pictures: fixed-precision coordinate
-formatting, no timestamps, no randomness. The one renderer works on vertex
-rows as Python floats, as suprematism_geometry._chords gives them, so the
-CLI draws without numpy; render_svg hands it each picture's vertices.
+formatting, no timestamps, no randomness. render_svg reads each picture's
+vertices as three (x, y) float pairs, which triangle_picture gives without
+numpy; vertices held as an array give the same bytes.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import qubit_core
 from .suprematism_geometry import _CORNERS
 
 _SCALE = 220.0
@@ -33,9 +32,8 @@ def _fmt(value: float) -> str:
 
 
 def _side(normal, mid, centroid) -> float:
-    """normal . (mid - centroid), rounded as numpy's two-term dot: n0 d0, then one fused multiply-add."""
-    d0, d1 = mid[0] - centroid[0], mid[1] - centroid[1]
-    return qubit_core._sum_of_products(normal[0] * d0, ((normal[1], d1),))
+    """normal . (mid - centroid): only its sign against +-1e-12 is used."""
+    return normal[0] * (mid[0] - centroid[0]) + normal[1] * (mid[1] - centroid[1])
 
 
 def _square_corners(p, q, centroid) -> list | None:
@@ -80,14 +78,10 @@ def _panel_shapes(vertices, with_squares: bool) -> list[tuple[str, tuple | list,
 
 def render_svg(pics, with_squares: bool = False) -> str:
     """One SVG document with the given pictures laid out side by side."""
-    return _render([pic.vertices.tolist() for pic in pics], with_squares)
-
-
-def _render(panels, with_squares: bool = False) -> str:
-    """render_svg for panels given as their three vertex rows (x, y), Python floats."""
     all_shapes: list[tuple[str, list, dict]] = []
     cursor = 0.0
-    for vertices in panels:
+    for pic in pics:
+        vertices = [(float(x), float(y)) for x, y in pic.vertices]
         shapes = _panel_shapes(vertices, with_squares)
         xs = [x for _, pts, _ in shapes for x, _ in pts]
         x_lo, x_hi = min(xs), max(xs)

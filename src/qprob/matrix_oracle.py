@@ -7,14 +7,16 @@ against (conjugation, exp(iHt), exact Heisenberg evolution) are in
 diagnostics, with the other oracles.
 
 Each public function validates its argument once (shape, then Hermiticity or
-unitarity). The private kernels (_check_hermitian, _eigenvalues, _pauli) take
-a matrix as its entries ((a, b), (c, d)), Python numbers as ndarray.tolist()
-or the CLI's parser gives them, and return Python numbers, so a caller that
-holds entries never builds an array. Callers elsewhere in the package that
-already hold accepted entries call the kernels directly, so one public call
-checks each input matrix once. Vector lengths, here and elsewhere in the
-package, are math.hypot or math.dist: they scale by powers of two inside, so
-they neither overflow nor underflow.
+unitarity). A matrix's entries are read in one place, _entries: nested lists
+or tuples of Python numbers become Python complex numbers without numpy,
+and anything else goes through as_matrix2, which raises DomainError for
+every malformed input. The private kernels (_check_hermitian, _eigenvalues,
+_pauli) take those entries ((a, b), (c, d)) and return Python numbers, so a
+function that returns numbers loads no numpy on Python input. Callers
+elsewhere in the package that already hold accepted entries call the kernels
+directly, so one public call checks each input matrix once. Vector lengths,
+here and elsewhere in the package, are math.hypot or math.dist: they scale
+by powers of two inside, so they neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -54,11 +56,32 @@ __getattr__ = lazy_constants(
 
 
 def as_matrix2(matrix) -> np.ndarray:
-    """Coerce to a complex 2x2 ndarray, rejecting anything of another shape."""
-    m = np.asarray(matrix, dtype=complex)
+    """Coerce to a complex 2x2 ndarray, rejecting anything of another shape or not made of numbers."""
+    try:
+        m = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, a string, an int past the float range
+        raise DomainError(f"expected a 2x2 matrix of numbers: {exc}") from None
     if m.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
     return m
+
+
+def _entries(matrix) -> list:
+    """as_matrix2(matrix).tolist(): the entries [[a, b], [c, d]] as Python complex numbers.
+
+    Nested lists or tuples of Python numbers are read without numpy, to the
+    same bits; anything else (an ndarray, numpy scalars, malformed input)
+    goes through as_matrix2 and raises its errors.
+    """
+    if isinstance(matrix, (list, tuple)):
+        try:
+            (a, b), (c, d) = top, bottom = matrix
+            if isinstance(top, (list, tuple)) and isinstance(bottom, (list, tuple)) and all(
+                    isinstance(v, (int, float, complex)) for v in (a, b, c, d)):
+                return [[complex(a), complex(b)], [complex(c), complex(d)]]
+        except (TypeError, ValueError, OverflowError):  # not two pairs, or an int past the float range
+            pass
+    return as_matrix2(matrix).tolist()
 
 
 def _modulus(z: complex) -> float:
@@ -83,7 +106,7 @@ def _hermiticity_defect(rows) -> float:
 
 
 def hermiticity_defect(matrix) -> float:
-    return _hermiticity_defect(as_matrix2(matrix).tolist())
+    return _hermiticity_defect(_entries(matrix))
 
 
 def _largest_part(rows) -> float:
@@ -123,7 +146,7 @@ def require_hermitian(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") 
 
 def _hermitian_rows(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> list:
     """require_hermitian, returning the accepted matrix's entries for the kernels."""
-    rows = as_matrix2(matrix).tolist()
+    rows = _entries(matrix)
     _check_hermitian(rows, tol, name)
     return rows
 

@@ -10,13 +10,14 @@ encodes H completely: with H = (T/2) I + (h/2) . sigma, each triple's Bloch
 vector r(x) = 2 (p(x) - c) = h / (T + 2x), so one ratio and one product decode.
 
 Each public function checks that H is Hermitian once, in _accept, which
-also solves the spectrum; the private kernels behind it (_encode, _triple,
-_default_shifts, _admissible_bound) take the accepted matrix's entries, as
-Python numbers, and its eigenvalues and check only that each shift is
-admissible; the CLI hands them the entries it parsed, through _accept_rows.
-_triple reads the triple of rho(x) straight off H,
-(Re H21/d + 1/2, Im H21/d + 1/2, (H11 + x)/d) with d = tr H + 2x, so no
-rho(x) is built and no computed value checked again.
+reads its entries as Python numbers (without numpy for nested lists) and
+solves the spectrum; the private kernels behind it (_encode, _triple,
+_default_shifts, _admissible_bound) take those entries and eigenvalues and
+check only that each shift is admissible. So every function here that
+returns numbers or triples loads no numpy on Python input. _triple reads the
+triple of rho(x) straight off H, (Re H21/d + 1/2, Im H21/d + 1/2,
+(H11 + x)/d) with d = tr H + 2x, so no rho(x) is built and no computed value
+checked again.
 """
 
 from __future__ import annotations
@@ -56,15 +57,10 @@ class ObservableProbRep(Record):
         _set(self, "p_b", p_b)
 
 
-def _accept_rows(rows, name: str = "matrix") -> tuple[list, float, float]:
-    """The one Hermitian guard on a matrix's entries, and both eigenvalues of what it accepted."""
-    matrix_oracle._check_hermitian(rows, matrix_oracle.HERMITIAN_TOL, name)
-    return (rows, *matrix_oracle._eigenvalues(rows))
-
-
 def _accept(h, name: str = "matrix") -> tuple[list, float, float]:
-    """_accept_rows for any 2x2 matrix a caller passes."""
-    return _accept_rows(matrix_oracle.as_matrix2(h).tolist(), name)
+    """The one Hermitian guard: the accepted matrix's entries, and both of its eigenvalues."""
+    rows = matrix_oracle._hermitian_rows(h, name=name)
+    return (rows, *matrix_oracle._eigenvalues(rows))
 
 
 def _admissible_bound(rows, lam_min: float) -> float:
@@ -127,7 +123,7 @@ def _triple(rows, lam_min: float, x: float) -> ProbTriple:
 def rho_of_x(h, x: float) -> np.ndarray:
     """(H + x*I) / (tr H + 2x): a unit-trace PSD matrix for admissible x."""
     m = matrix_oracle.as_matrix2(h)
-    rows, lam_min, _ = _accept_rows(m.tolist(), "observable")
+    rows, lam_min, _ = _accept(m, "observable")
     x = _as_float(x)
     d = _normalization(rows, lam_min, x)  # first: an admissible d bounds H + x I
     # real and imaginary parts divided apart: numpy's complex / real multiplies by 1/d,

@@ -12,7 +12,6 @@ parts, all summed by math.fsum. Their bits are then the same on every machine.
 
 from __future__ import annotations
 
-import functools
 import math
 from . import matrix_oracle
 from ._numpy import lazy_constants, np
@@ -23,14 +22,9 @@ from .errors import DomainError
 GAMMA = 0.5 + 0.5j
 
 
-@functools.cache
-def _ball_center() -> np.ndarray:
-    return np.array([0.5, 0.5, 0.5])
-
-
 # BALL_CENTER: the triple of the maximally mixed state, the center of the
 # physical ball, as an array built on first access
-__getattr__ = lazy_constants(globals(), BALL_CENTER=_ball_center)
+__getattr__ = lazy_constants(globals(), BALL_CENTER=lambda: np.array([0.5, 0.5, 0.5]))
 
 # Veltkamp's splitting constant 2^27 + 1: _SPLIT * x splits a double into two 26-bit halves.
 _SPLIT = 134217729.0

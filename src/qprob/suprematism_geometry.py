@@ -4,7 +4,9 @@ Each probability places a vertex on one side of a fixed equilateral triangle
 of side sqrt(2); squares erected on the three chords between consecutive
 vertices summarize the triple, and the summed square area has a closed form
 in the probabilities. The coordinate construction and the closed form are
-kept as two independent routes that must agree.
+kept as two independent routes that must agree. Both run on Python floats:
+a picture's vertices are three (x, y) pairs, and only REFERENCE_CORNERS,
+read on request, is an array.
 """
 
 from __future__ import annotations
@@ -23,18 +25,18 @@ SIDE = math.sqrt(2.0)
 # Counterclockwise corners of the reference equilateral triangle.
 _CORNERS = ((0.0, 0.0), (SIDE, 0.0), (0.5 * SIDE, 0.5 * math.sqrt(6.0)))
 
-# REFERENCE_CORNERS: the corners as a (3, 2) array, built on first access
+# REFERENCE_CORNERS: the corners as a read-only (3, 2) array, built on first access
 __getattr__ = lazy_constants(globals(), REFERENCE_CORNERS=lambda: np.array(_CORNERS))
 
 CUBE_SLACK = 1e-12
 
 
 class TrianglePicture(Record):
-    """Vertices on the reference triangle plus the squares over their chords."""
+    """Vertices on the reference triangle, as three (x, y) float pairs, plus the squares over their chords."""
 
     __slots__ = ("vertices", "side_lengths", "square_areas", "total_area")
 
-    def __init__(self, vertices: np.ndarray, side_lengths: tuple[float, float, float],
+    def __init__(self, vertices: tuple[tuple[float, float], ...], side_lengths: tuple[float, float, float],
                  square_areas: tuple[float, float, float], total_area: float):
         _set(self, "vertices", vertices)
         _set(self, "side_lengths", side_lengths)
@@ -48,31 +50,26 @@ def _require_cube(p: ProbTriple) -> None:
         raise DomainError(reason)
 
 
-def _chords(p: ProbTriple) -> tuple[list, tuple[float, float, float]]:
-    """The vertex rows and chord lengths of a cube triple, as Python floats.
+def _chords(p: ProbTriple) -> tuple[tuple, tuple[float, float, float]]:
+    """The three vertices (x, y) and the chord lengths of a cube triple, as Python floats.
 
     Vertex k sits on the side from reference corner k to corner k+1 (cyclic)
     at fraction p_k along it; chord k joins vertex k to vertex k+1.
     """
-    rows = []
+    vertices = []
     for k, p_k in enumerate((float(p.p1), float(p.p2), float(p.p3))):
         (x0, y0), (x1, y1) = _CORNERS[k], _CORNERS[(k + 1) % 3]
-        rows.append([x0 + p_k * (x1 - x0), y0 + p_k * (y1 - y0)])
-    return rows, tuple(math.dist(rows[k], rows[(k + 1) % 3]) for k in range(3))
-
-
-def _cube_chords(p: ProbTriple) -> tuple[list, tuple[float, float, float]]:
-    """_chords of a triple that must lie in the unit cube (to CUBE_SLACK)."""
-    _require_cube(p)
-    return _chords(p)
+        vertices.append((x0 + p_k * (x1 - x0), y0 + p_k * (y1 - y0)))
+    return tuple(vertices), tuple(math.dist(vertices[k], vertices[(k + 1) % 3]) for k in range(3))
 
 
 def triangle_picture(p: ProbTriple) -> TrianglePicture:
-    """Place the three vertices and measure the squares on their chords, as _chords does."""
-    rows, lengths = _cube_chords(p)
+    """Place the three vertices and measure the squares on their chords, for a triple in the unit cube."""
+    _require_cube(p)
+    vertices, lengths = _chords(p)
     areas = tuple(length * length for length in lengths)
     return TrianglePicture(
-        vertices=np.array(rows),
+        vertices=vertices,
         side_lengths=lengths,
         square_areas=areas,
         total_area=float(sum(areas)),

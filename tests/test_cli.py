@@ -743,6 +743,14 @@ def test_figures_degenerate_golden_bytes(tmp_path, capsys):
     assert (tmp_path / "squares.svg").read_bytes() == (GOLDEN / "degenerate_squares.svg").read_bytes()
 
 
+def test_figures_state_golden_bytes(tmp_path, capsys):
+    # a plain physical triple: both files a triple document writes
+    code, _, err = run_cli(["figures", "--in", str(GOLDEN / "state.json"), "--out", str(tmp_path)], capsys=capsys)
+    assert code == 0 and err == ""
+    for name in ("triangle.svg", "squares.svg"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / f"state_{name}").read_bytes()
+
+
 # cube values: the quarter grid makes degenerate (collinear or coincident) triangles, and the
 # values within 2e-12 of it land chords and sides in the renderer's 1e-12 tie band
 cube_value = st.one_of(
@@ -756,7 +764,7 @@ cube_triple = st.builds(ProbTriple, cube_value, cube_value, cube_value)
 @settings(max_examples=150, deadline=None)
 @given(p=cube_triple, q=cube_triple)
 def test_figures_command_writes_render_svg_bytes(p, q):
-    # the command draws from _chords' rows without numpy; render_svg from triangle_picture's array
+    # the command renders with render_svg too: this pins which pictures go into which file
     pic_p, pic_q = triangle_picture(p), triangle_picture(q)
     expected = {
         "triangle.svg": render_svg([pic_p]),

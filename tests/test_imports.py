@@ -1,6 +1,7 @@
 """The import contract: qprob loads numpy only for the library calls that build arrays.
 
-No CLI command loads numpy, and importing the CLI loads neither dataclasses nor inspect.
+No CLI command loads numpy, no function that returns numbers or triples loads it on Python
+input, and importing the CLI loads neither dataclasses nor inspect.
 """
 
 import ast
@@ -61,6 +62,27 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert result.stdout == "[]\n"
 
 
+def test_scalar_valued_functions_on_python_input_load_no_numpy():
+    result = run_python("-c", (
+        "import sys, qprob\n"
+        "h = [[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -0.5]]\n"
+        "rho = ((0.75, 0.25 - 0.125j), (0.25 + 0.125j, 0.25))\n"
+        "qprob.encode_observable(h)\n"
+        "qprob.default_shifts(h)\n"
+        "qprob.admissible_shift_bound(h)\n"
+        "qprob.conservative_shift_bound([[1, 0], [0, -1]])\n"
+        "qprob.observable_tomogram(h, qprob.Direction(1.0, 0.5), 2.0)\n"
+        "qprob.eigenvalues_hermitian(h)\n"
+        "qprob.hermiticity_defect(h)\n"
+        "qprob.build_kinetic(h, 0.0)\n"
+        "qprob.probs_from_density(rho)\n"
+        "qprob.render_svg([qprob.triangle_picture(qprob.ProbTriple(0.7, 0.4, 0.55))], with_squares=True)\n"
+        "print('numpy' in sys.modules)\n"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 FIGURES_REP = {f"fig{k}.svg": f"fig{k}.svg" for k in range(1, 6)}
 EVOLVE_GENERIC = ["evolve", "--t-end", "2.5", "--steps", "10"]
 
@@ -119,6 +141,21 @@ def test_array_constants_keep_their_bytes_and_identity(module, name, expected):
     # a package re-export is the defining module's object
     home = {"BALL_CENTER": qubit_core}.get(name, matrix_oracle) if module is qprob else module
     assert getattr(home, name) is value
+
+
+def test_array_constants_are_read_only():
+    rotation = qprob.rotation_from_unitary(np.eye(2))
+    kinetic_c = qprob.build_kinetic(qprob.SIGMA_Z, 0.0).C
+    constants = [qprob.IDENTITY, qprob.SIGMA_X, qprob.SIGMA_Y, qprob.SIGMA_Z, qprob.BALL_CENTER,
+                 suprematism_geometry.REFERENCE_CORNERS, diagnostics.PROBE_DENSITIES]
+    for value in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 5.0
+        assert not value.flags.writeable
+    again = qprob.rotation_from_unitary(np.eye(2))
+    assert again.L.tobytes() == rotation.L.tobytes() and again.C.tobytes() == rotation.C.tobytes()
+    assert qprob.build_kinetic(qprob.SIGMA_Z, 0.0).C.tobytes() == kinetic_c.tobytes()
+    assert kinetic_c.any()
 
 
 def test_side_keeps_its_bits_and_unknown_names_still_raise():

@@ -1,13 +1,16 @@
 """Reference linear algebra: Pauli identities, eigenvalues, closed-form exponentials."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qprob import DomainError
+from qprob import DomainError, encode_observable
 from qprob.diagnostics import conjugate_by_unitary, expm_hermitian_generator, heisenberg_exact
 from qprob.matrix_oracle import (
+    _entries,
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
@@ -39,6 +42,61 @@ def test_as_matrix2_rejects_other_shapes():
         as_matrix2(np.eye(3))
     with pytest.raises(DomainError):
         as_matrix2([1.0, 2.0])
+
+
+# malformed matrices, each with the problem its DomainError names
+MALFORMED = [
+    ([[1, 2], [3]], "inhomogeneous shape"),
+    ([[1, "a"], [3, 4]], "malformed string"),
+    ([[10**400, 0], [0, 1]], "int too large to convert to float"),
+]
+
+
+@pytest.mark.parametrize("matrix, problem", MALFORMED, ids=["ragged", "string", "huge-int"])
+def test_malformed_matrices_raise_domain_error(matrix, problem):
+    for read in (as_matrix2, _entries, encode_observable):
+        with pytest.raises(DomainError, match=f"^expected a 2x2 matrix of numbers: .*{problem}"):
+            read(matrix)
+
+
+def _read(read, matrix):
+    """read(matrix)'s entries as (type, bytes) pairs, or the type and message of what it raised."""
+    try:
+        rows = read(matrix)
+    except Exception as exc:  # the property compares whatever either reader raises
+        return type(exc), str(exc)
+    return [[(type(z), struct.pack("<dd", z.real, z.imag)) for z in row] for row in rows]
+
+
+number = st.one_of(
+    st.integers(),
+    st.integers(min_value=2 ** 1020, max_value=2 ** 1030),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]),
+    st.complex_numbers(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.complex_numbers().map(np.complex128),
+)
+not_a_number = st.one_of(st.none(), st.text(max_size=3), st.sampled_from(["1", "-0", "1+2j", "1e400"]),
+                         st.lists(number, max_size=2), number.map(lambda v: np.array([v], dtype=object)))
+# rows that unpack to two numbers but are not lists or tuples
+not_a_row = st.one_of(st.lists(st.integers(), min_size=2, max_size=2, unique=True).map(dict.fromkeys),
+                      st.text(min_size=2, max_size=2))
+
+
+def _nested(entry, sizes, odd_rows=st.nothing()):
+    row = st.lists(entry, min_size=sizes[0], max_size=sizes[1])
+    rows = st.lists(st.one_of(row, row.map(tuple), odd_rows), min_size=sizes[0], max_size=sizes[1])
+    return st.one_of(rows, rows.map(tuple))
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrix=st.one_of(_nested(number, (2, 2)), _nested(st.one_of(number, not_a_number), (1, 3), not_a_row)))
+def test_entries_read_as_as_matrix2_does(matrix):
+    assert _read(_entries, matrix) == _read(lambda m: as_matrix2(m).tolist(), matrix)
 
 
 def test_hermiticity_defect_and_guard():

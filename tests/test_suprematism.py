@@ -7,9 +7,11 @@ from qprob import (
     DomainError,
     ObservableProbRep,
     ProbTriple,
+    TrianglePicture,
     area_sum,
     encode_observable,
     observable_areas,
+    render_svg,
     triangle_picture,
 )
 from qprob.matrix_oracle import SIGMA_Z
@@ -86,6 +88,28 @@ def test_center_is_the_minimum(rng):
             np.clip(CENTER.as_array() + rng.normal(scale=0.2, size=3), 0.0, 1.0)
         )
         assert area_sum(p) >= 1.5 - 1e-12
+
+
+def test_picture_is_a_hashable_value_of_float_pairs():
+    p = ProbTriple(0.7, 0.4, 0.55)
+    pic = triangle_picture(p)
+    assert pic == triangle_picture(p) and hash(pic) == hash(triangle_picture(p))
+    assert type(pic.vertices) is tuple and len(pic.vertices) == 3
+    assert all(type(v) is tuple and list(map(type, v)) == [float, float] for v in pic.vertices)
+    with pytest.raises(TypeError):
+        pic.vertices[0] = (0.0, 0.0)
+    with pytest.raises(AttributeError):
+        pic.vertices = ()
+
+
+@pytest.mark.parametrize("p", [CENTER, ProbTriple(0.7, 0.4, 0.55), ProbTriple(0.0, 0.0, 0.0),
+                               ProbTriple(1.0, 0.0, 0.5), ProbTriple(0.25, 0.75, 0.5)],
+                         ids=["center", "generic", "corners", "collinear", "quarters"])
+def test_render_svg_draws_array_vertices_as_float_pairs(p):
+    pic = triangle_picture(p)
+    as_array = TrianglePicture(np.array(pic.vertices), pic.side_lengths, pic.square_areas, pic.total_area)
+    for with_squares in (False, True):
+        assert render_svg([as_array, pic], with_squares) == render_svg([pic, pic], with_squares)
 
 
 def test_cube_bounds_enforced():

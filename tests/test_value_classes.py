@@ -53,7 +53,14 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls, args, text, hashable, rejected", CASES, ids=[case[0].__name__ for case in CASES])
+# a picture as triangle_picture makes it: float-pair vertices, so the value hashes
+PAIRS_PICTURE = (TrianglePicture, (((0.0, 0.0), (1.0, 0.0), (0.5, 1.0)), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 3.0),
+                 "TrianglePicture(vertices=((0.0, 0.0), (1.0, 0.0), (0.5, 1.0)), "
+                 "side_lengths=(1.0, 1.0, 1.0), square_areas=(1.0, 1.0, 1.0), total_area=3.0)", True, None)
+
+
+@pytest.mark.parametrize("cls, args, text, hashable, rejected", [*CASES, PAIRS_PICTURE],
+                         ids=[*(case[0].__name__ for case in CASES), "TrianglePicture-pairs"])
 def test_value_class_contract(cls, args, text, hashable, rejected):
     names = cls.__match_args__
     value = cls(*args)
