@@ -21,7 +21,7 @@ the bytecode cache on (x86-64 Linux, Python 3.11).
 
 from . import matrix_oracle, qubit_core
 from ._numpy import lazy_constants
-from .diagnostics import FormulaCheck, expm_hermitian_generator, failed_checks, heisenberg_exact
+from .diagnostics import FormulaCheck, euler_unitary, expm_hermitian_generator, failed_checks, heisenberg_exact
 from .errors import DomainError, FormulaMismatchWarning, NonInvertibleEncodingWarning
 from .evolution import (
     KineticSystem,
@@ -72,7 +72,6 @@ from .tomography_channels import (
     ChannelSpec,
     Direction,
     channel_map,
-    euler_unitary,
     rotation_formula_checks,
     rotation_from_unitary,
     state_tomogram,

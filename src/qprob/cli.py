@@ -26,7 +26,6 @@ import warnings
 from . import (
     evolution,
     figures,
-    matrix_oracle,
     observable_map,
     qubit_core,
     suprematism_geometry,
@@ -285,7 +284,9 @@ def cmd_evolve(doc, args, tol: float) -> str:
         x = args.x
         rows, lam_min, _ = observable_map._accept(parse_matrix(doc["A0"]), "observable")
         p0 = observable_map._triple(rows, lam_min, x)
-        tol = qubit_core.DEFAULT_TOL  # QPROB_TOL is the slack on supplied triples; this one is computed
+        # QPROB_TOL is the slack on supplied triples. This one is computed, but near the admissible
+        # bound tr(A0) + 2x is small and its quotient can leave the cube, so it is still checked.
+        tol = qubit_core.DEFAULT_TOL
     else:
         raise ParseError('evolve input needs "p0" or "A0"')
     system = evolution.build_kinetic(h, x)
@@ -335,8 +336,11 @@ def _triple_report(p: ProbTriple, tol: float) -> dict:
         "ball_residual": qubit_core.check_ball(p),
         "physical": physical,
     }
-    if physical:  # the density of a triple is Hermitian by construction, so no guard runs
-        report["density_eigenvalues"] = list(matrix_oracle._eigenvalues(qubit_core._density_rows(p)))
+    if physical:
+        # rho's eigenvalues are 1/2 -+ |p - center|, and their product is det(rho), which the
+        # ball residual is, correctly rounded; no 2x2 solve, whose det would be a second one
+        lam_max = 0.5 + math.sqrt(-qubit_core._ball_residual(p.p1, p.p2, p.p3, 0.0))
+        report["density_eigenvalues"] = [report["ball_residual"] / lam_max, lam_max]
     if qubit_core._violation(p, suprematism_geometry.CUBE_SLACK, ball=False) is None:
         report["area_sum"] = suprematism_geometry.area_sum(p)
         report["chord_lengths"] = list(suprematism_geometry._chords(p)[1])

@@ -7,8 +7,9 @@ product, read their triples off the stack, and fit the affine map through
 those images. They run for tests, the *_formula_checks reports and a map
 builder given a tolerance, where checked_map compares the twelve components
 of the two routes and warns, naming each failing component, when they
-disagree. The matrix-route references (conjugation, exp(iHt) and the exact
-Heisenberg solution) live here too: only tests and oracles use them.
+disagree. The matrix-route references (conjugation, exp(iHt), the exact
+Heisenberg solution and the measurement-frame unitary of a Direction) live
+here too: only tests and oracles use them.
 """
 
 from __future__ import annotations
@@ -146,12 +147,11 @@ def expm_hermitian_generator(h, t: float) -> np.ndarray:
         raise DomainError(
             f"exp(iHt) needs finite |h| t and h0 t (|h| = {norm:.3e}, h0 = {h0:.3e}, t = {t!r})"
         )
-    phase, identity = np.exp(1j * h0 * t), matrix_oracle._identity()
+    phase, identity = np.exp(1j * h0 * t), matrix_oracle.IDENTITY
     if norm == 0.0:
         return phase * identity
     x, y, z = (h / norm for h in hvec)
-    sigma_x, sigma_y, sigma_z = matrix_oracle._paulis()
-    sigma_axis = x * sigma_x + y * sigma_y + z * sigma_z
+    sigma_axis = x * matrix_oracle.SIGMA_X + y * matrix_oracle.SIGMA_Y + z * matrix_oracle.SIGMA_Z
     return phase * (np.cos(angle) * identity + 1j * np.sin(angle) * sigma_axis)
 
 
@@ -160,3 +160,20 @@ def heisenberg_exact(a0, h, t: float) -> np.ndarray:
     a = matrix_oracle.require_hermitian(a0, name="observable")
     u = expm_hermitian_generator(h, t)
     return u @ a @ u.conj().T
+
+
+def euler_unitary(direction) -> np.ndarray:
+    """Measurement-frame rotation for a Direction's Euler angles (determinant one).
+
+    Composed as exp(i psi sigma_z/2) exp(i theta sigma_y/2) exp(i phi sigma_z/2),
+    with the azimuth phi innermost: the diagonal of u rho u^dagger then gives
+    the tomogram along the direction's unit vector for every psi.
+    """
+    half = 0.5 * direction.theta
+    c, s = np.cos(half), np.sin(half)
+    e_plus = np.exp(0.5j * (direction.psi + direction.phi))
+    e_minus = np.exp(0.5j * (direction.psi - direction.phi))
+    return np.array(
+        [[c * e_plus, s * e_minus], [-s * np.conj(e_minus), c * np.conj(e_plus)]],
+        dtype=complex,
+    )

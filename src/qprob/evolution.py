@@ -193,7 +193,7 @@ def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
     p0 = observable_map._triple(rows, lam_min, x)
     pt = _evolve_at(build_kinetic(h, x).omega, p0, t)
     denom = (rows[0][0].real + rows[1][1].real) + 2.0 * x
-    return denom * qubit_core._density(pt) - x * matrix_oracle._identity()
+    return denom * qubit_core._density(pt) - x * matrix_oracle.IDENTITY
 
 
 def _grid_inputs(p0: ProbTriple, t_end: float, steps: int, tol: float) -> tuple[float, int]:

@@ -3,25 +3,27 @@
 Everything here is computed straight from matrix entries (trace, determinant,
 Pauli decomposition), with no knowledge of the probability parametrizations
 built on top. The matrix-route references the closed forms are checked
-against (conjugation, exp(iHt), exact Heisenberg evolution) are in
-diagnostics, with the other oracles.
+against (conjugation, exp(iHt), exact Heisenberg evolution, the Euler-angle
+frame unitary) are in diagnostics, with the other oracles.
 
 Each public function validates its argument once (shape, then Hermiticity or
 unitarity). A matrix's entries are read in one place, _entries: nested lists
 or tuples of Python numbers become Python complex numbers without numpy,
 and anything else goes through as_matrix2, which raises DomainError for
-every malformed input. The private kernels (_check_hermitian, _eigenvalues,
-_pauli) take those entries ((a, b), (c, d)) and return Python numbers, so a
-function that returns numbers loads no numpy on Python input. Callers
-elsewhere in the package that already hold accepted entries call the kernels
-directly, so one public call checks each input matrix once. Vector lengths,
-here and elsewhere in the package, are math.hypot or math.dist: they scale
-by powers of two inside, so they neither overflow nor underflow.
+every malformed input. The private kernels (_check_hermitian,
+_unitarity_defect, _eigenvalues, _pauli) take those entries ((a, b), (c, d))
+and return Python numbers, so a function that returns numbers loads no numpy
+on Python input. Callers elsewhere in the package that already hold accepted
+entries call the kernels directly, so one public call checks each input
+matrix once. _sum_of_products rounds a short dot once, correctly: the
+eigenvalue solve's determinant here, and the ball residual, the tomogram's
+w+ and evolution's k1 and k2 elsewhere. Vector lengths, here and
+elsewhere in the package, are math.hypot or math.dist: they scale by powers
+of two inside, so they neither overflow nor underflow.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from ._numpy import lazy_constants, np
@@ -30,29 +32,60 @@ from .errors import DomainError
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 
-
-@functools.cache
-def _identity() -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
-@functools.cache
-def _paulis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    )
-
-
 # IDENTITY and SIGMA_X, SIGMA_Y, SIGMA_Z: complex arrays, built on first access
 __getattr__ = lazy_constants(
     globals(),
-    IDENTITY=_identity,
-    SIGMA_X=lambda: _paulis()[0],
-    SIGMA_Y=lambda: _paulis()[1],
-    SIGMA_Z=lambda: _paulis()[2],
+    IDENTITY=lambda: np.eye(2, dtype=complex),
+    SIGMA_X=lambda: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    SIGMA_Y=lambda: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    SIGMA_Z=lambda: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+
+# Veltkamp's splitting constant 2^27 + 1: _SPLIT * x splits a double into two 26-bit halves.
+_SPLIT = 134217729.0
+# Past |x_hi * y_hi| = 2^-967 the products of the halves, multiples of ulp(x) ulp(y), are all representable.
+_TINY_PRODUCT = 2.0 ** -967
+
+
+def _sum_of_products(c: float, pairs) -> float:
+    """c + sum of x * y over a sequence of pairs, correctly rounded while every factor is below 2^996.
+
+    Veltkamp's split writes each factor as the sum of two halves of 26
+    significant bits, so the four products of the halves are exact and sum
+    to x * y exactly (Dekker, Numer. Math. 18, 1971); math.fsum adds c and
+    all of them exactly before its one rounding (Shewchuk, DCG 18, 1997).
+    Where a product nears underflow, so that a product of halves could
+    round, the terms are summed as exact fractions instead. Where a factor
+    or a product leaves the float range, or the sum does, the plain
+    left-to-right sum is returned: +-inf or NaN, with no exception.
+    """
+    terms = [c]
+    for x, y in pairs:
+        t = _SPLIT * x
+        x_hi = t - (t - x)
+        x_lo = x - x_hi
+        t = _SPLIT * y
+        y_hi = t - (t - y)
+        y_lo = y - y_hi
+        high = x_hi * y_hi
+        if -_TINY_PRODUCT < high < _TINY_PRODUCT and x and y:
+            terms = None
+            break
+        terms += (high, x_hi * y_lo, x_lo * y_hi, x_lo * y_lo)
+    try:
+        if terms is None:
+            from fractions import Fraction  # imported here: only products near underflow need it
+
+            total = float(sum((Fraction(x) * Fraction(y) for x, y in pairs), Fraction(c)))
+        else:
+            total = math.fsum(terms)
+    except (OverflowError, ValueError):  # overflow, inf - inf among the terms, or a non-finite Fraction
+        total = math.nan
+    if math.isfinite(total):
+        return total
+    for x, y in pairs:
+        c += x * y
+    return c
 
 
 def as_matrix2(matrix) -> np.ndarray:
@@ -115,15 +148,23 @@ def _largest_part(rows) -> float:
     return _nan_max(tuple(map(abs, (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag))))
 
 
-def _unitarity_defect(m: np.ndarray, name: str = "matrix") -> float:
-    size = _largest_part(m.tolist())
+def _unitarity_defect(rows, name: str = "matrix") -> float:
+    """max |(m m^dagger - I)_ij| over the entries: |aa* + bb* - 1|, |ac* + bd*| and |cc* + dd* - 1|.
+
+    Entries past 2^510, whose squares can overflow, and NaN entries raise
+    DomainError, naming the matrix.
+    """
+    size = _largest_part(rows)
     if not size <= 2.0 ** 510:  # past this m m^dagger can overflow; NaN fails too
         raise DomainError(f"{name} is not unitary (entries up to {size:.3e}; a unitary's are at most 1)")
-    return float(np.max(np.abs(m @ m.conj().T - _identity())))
+    (a, b), (c, d) = rows
+    return _nan_max((_modulus(a * a.conjugate() + b * b.conjugate() - 1.0),
+                     _modulus(a * c.conjugate() + b * d.conjugate()),
+                     _modulus(c * c.conjugate() + d * d.conjugate() - 1.0)))
 
 
 def unitarity_defect(matrix) -> float:
-    return _unitarity_defect(as_matrix2(matrix))
+    return _unitarity_defect(_entries(matrix))
 
 
 def _check_hermitian(rows, tol: float, name: str) -> None:
@@ -153,7 +194,7 @@ def _hermitian_rows(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") ->
 
 def require_unitary(matrix, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
     m = as_matrix2(matrix)
-    defect = _unitarity_defect(m, name)
+    defect = _unitarity_defect(m.tolist(), name)
     if not defect <= tol:
         raise DomainError(f"{name} is not unitary (defect {defect:.3e} exceeds {tol:.1e})")
     return m
@@ -184,21 +225,23 @@ def _eigenvalues(rows) -> tuple[float, float]:
     Uses the quadratic formula with the numerically stable branch: the root of
     larger magnitude comes from the formula, the other from the determinant.
     The gap sqrt(tr^2 - 4 det) is formed as hypot(h11 - h22, 2 |h21|), which
-    does not cancel when the eigenvalues nearly coincide. As in LAPACK's
-    DLAEV2, the entries are first scaled by the power of two that brings the
-    largest into [1/2, 1), so det neither underflows nor overflows; exact
-    scaling changes no bit of a normal-range result.
+    does not cancel when the eigenvalues nearly coincide, and det =
+    h11 h22 - Re(h12 h21) is rounded once, correctly, so the smaller root
+    keeps its relative accuracy when det cancels (Kahan's 2x2 determinant).
+    As in LAPACK's DLAEV2, the entries are first scaled by the power of two
+    that brings the largest into [1/2, 1), so det neither underflows nor
+    overflows; exact scaling changes no bit of a normal-range result.
     """
     (a, b), (c, d) = rows
     parts = (a.real, d.real, b.real, b.imag, c.real, c.imag)
     k = math.frexp(max(map(abs, parts)))[1]
     h11, h22, b_re, b_im, c_re, c_im = map(math.ldexp, parts, (-k,) * 6)
     tr = h11 + h22
-    det = h11 * h22 - (b_re * c_re - b_im * c_im)
+    det = _sum_of_products(0.0, ((h11, h22), (-b_re, c_re), (b_im, c_im)))
     # abs of a complex number is C's hypot, as np.hypot is, without a numpy call
     root = abs(complex(h11 - h22, 2.0 * abs(complex(c_re, c_im))))
     big = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
-    small = det / big if big != 0.0 else 0.0
+    small = det / big if det else 0.0  # an exact zero eigenvalue is +0.0
     lo, hi = (small, big) if small <= big else (big, small)
     # scaled back in two exact steps, which give inf past the float range where ldexp raises
     up, rest = 2.0 ** (k // 2), 2.0 ** (k - k // 2)

@@ -128,7 +128,7 @@ def rho_of_x(h, x: float) -> np.ndarray:
     d = _normalization(rows, lam_min, x)  # first: an admissible d bounds H + x I
     # real and imaginary parts divided apart: numpy's complex / real multiplies by 1/d,
     # which overflows when d is subnormal
-    return ((m + x * matrix_oracle._identity()).view(float) / d).view(complex)
+    return ((m + x * matrix_oracle.IDENTITY).view(float) / d).view(complex)
 
 
 def _encode(rows, lam_min: float, lam_max: float, a: float | None,

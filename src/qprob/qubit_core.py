@@ -5,9 +5,11 @@ along the x, y, and z axes. Physical triples fill the closed ball of radius
 1/2 around (1/2, 1/2, 1/2); the boundary sphere carries the pure states, and
 the ball residual equals the determinant of the corresponding density matrix.
 
-The ball residual and the tomogram's dot product go through _sum_of_products,
-which rounds c + sum x*y once, correctly: each product split into exact
-parts, all summed by math.fsum. Their bits are then the same on every machine.
+The ball residual and the tomogram's dot product go through
+matrix_oracle's _sum_of_products, which rounds c + sum x*y once, correctly:
+each product split into exact parts, all summed by math.fsum. Their bits are
+then the same on every machine. A raw 3-vector (a triple, a direction) is
+read in one place, _floats3.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from . import matrix_oracle
 from ._numpy import lazy_constants, np
 from ._record import Record, _set
 from .errors import DomainError
+from .matrix_oracle import _sum_of_products
 
 # Off-diagonal reference constant: rho21 = (p1 + i p2) - GAMMA.
 GAMMA = 0.5 + 0.5j
@@ -25,11 +28,6 @@ GAMMA = 0.5 + 0.5j
 # BALL_CENTER: the triple of the maximally mixed state, the center of the
 # physical ball, as an array built on first access
 __getattr__ = lazy_constants(globals(), BALL_CENTER=lambda: np.array([0.5, 0.5, 0.5]))
-
-# Veltkamp's splitting constant 2^27 + 1: _SPLIT * x splits a double into two 26-bit halves.
-_SPLIT = 134217729.0
-# Past |x_hi * y_hi| = 2^-967 the products of the halves, multiples of ulp(x) ulp(y), are all representable.
-_TINY_PRODUCT = 2.0 ** -967
 
 # Default slack for physicality checks (ball residual and cube bounds).
 DEFAULT_TOL = 1e-10
@@ -43,45 +41,20 @@ def _as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _sum_of_products(c: float, pairs) -> float:
-    """c + sum of x * y over a sequence of pairs, correctly rounded while every factor is below 2^996.
+def _floats3(values, what: str) -> tuple[float, float, float]:
+    """tuple(map(_as_float, np.asarray(values).tolist())) for a vector of three numbers.
 
-    Veltkamp's split writes each factor as the sum of two halves of 26
-    significant bits, so the four products of the halves are exact and sum
-    to x * y exactly (Dekker, Numer. Math. 18, 1971); math.fsum adds c and
-    all of them exactly before its one rounding (Shewchuk, DCG 18, 1997).
-    Where a product nears underflow, so that a product of halves could
-    round, the terms are summed as exact fractions instead. Where a factor
-    or a product leaves the float range, or the sum does, the plain
-    left-to-right sum is returned: +-inf or NaN, with no exception.
+    A list or tuple of three Python ints or floats (bools included) is read
+    without numpy, to the same bits; anything else goes through np.asarray,
+    and a shape other than (3,) raises DomainError: "<what>, got shape ...".
     """
-    terms = [c]
-    for x, y in pairs:
-        t = _SPLIT * x
-        x_hi = t - (t - x)
-        x_lo = x - x_hi
-        t = _SPLIT * y
-        y_hi = t - (t - y)
-        y_lo = y - y_hi
-        high = x_hi * y_hi
-        if -_TINY_PRODUCT < high < _TINY_PRODUCT and x and y:
-            terms = None
-            break
-        terms += (high, x_hi * y_lo, x_lo * y_hi, x_lo * y_lo)
-    try:
-        if terms is None:
-            from fractions import Fraction  # imported here: only products near underflow need it
-
-            total = float(sum((Fraction(x) * Fraction(y) for x, y in pairs), Fraction(c)))
-        else:
-            total = math.fsum(terms)
-    except (OverflowError, ValueError):  # overflow, inf - inf among the terms, or a non-finite Fraction
-        total = math.nan
-    if math.isfinite(total):
-        return total
-    for x, y in pairs:
-        c += x * y
-    return c
+    if not (isinstance(values, (list, tuple)) and len(values) == 3
+            and all(isinstance(v, (int, float)) for v in values)):
+        array = np.asarray(values)  # no dtype: an integer past the float range stays an integer
+        if array.shape != (3,):
+            raise DomainError(f"{what}, got shape {array.shape}")
+        values = array.tolist()
+    return tuple(map(_as_float, values))
 
 
 class ProbTriple(Record):
@@ -103,10 +76,7 @@ class ProbTriple(Record):
 
     @staticmethod
     def from_array(values) -> "ProbTriple":
-        v = np.asarray(values)  # no dtype: an integer past the float range stays an integer
-        if v.shape != (3,):
-            raise DomainError(f"a probability triple needs exactly 3 components, got shape {v.shape}")
-        return ProbTriple(*map(_as_float, v.tolist()))
+        return ProbTriple(*_floats3(values, "a probability triple needs exactly 3 components"))
 
 
 def check_ball(p: ProbTriple) -> float:
@@ -118,9 +88,21 @@ def check_ball(p: ProbTriple) -> float:
     return _ball_residual(_as_float(p.p1), _as_float(p.p2), _as_float(p.p3))
 
 
-def _ball_residual(p1: float, p2: float, p3: float) -> float:
+def _ball_residual(p1: float, p2: float, p3: float, c: float = 0.25) -> float:
+    """c - sum_k (p_k - 1/2)^2, correctly rounded.
+
+    p - 1/2 is exact for p in [1/4, 1] (Sterbenz). Outside, it can round to
+    d, and Knuth's TwoSum gives the error e, p - 1/2 = d + e exactly, so
+    -(2 d e + e^2) joins the sum; a non-finite p leaves e NaN, and out.
+    """
     d1, d2, d3 = p1 - 0.5, p2 - 0.5, p3 - 0.5
-    return _sum_of_products(0.25, ((d1, -d1), (d2, -d2), (d3, -d3)))
+    pairs = [(d1, -d1), (d2, -d2), (d3, -d3)]
+    if not (0.25 <= p1 <= 1.0 and 0.25 <= p2 <= 1.0 and 0.25 <= p3 <= 1.0):
+        for p, d in ((p1, d1), (p2, d2), (p3, d3)):
+            e = (p - (d - (d - p))) - (0.5 + (d - p))
+            if 0.0 < abs(e) < math.inf:
+                pairs += ((d, -2.0 * e), (e, -e))
+    return _sum_of_products(c, pairs)
 
 
 def _violation(p: ProbTriple, tol: float, ball: bool = True) -> str | None:

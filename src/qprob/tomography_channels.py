@@ -1,4 +1,4 @@
-"""Spin tomograms, measurement-frame unitaries, and unitary-mixture channels.
+"""Spin tomograms, measurement directions, and unitary-mixture channels.
 
 A unitary rotation of the measurement frame acts on probability triples as an
 affine map p' = L p + C: L is the SO(3) adjoint rotation
@@ -19,7 +19,7 @@ from ._numpy import np
 from ._record import Record, _set
 from .diagnostics import FormulaCheck, checked_map, component_checks, rotation_oracle
 from .errors import DomainError
-from .qubit_core import ProbTriple, _as_float, _sum_of_products
+from .qubit_core import ProbTriple, _as_float, _floats3, _sum_of_products
 
 TWO_PI = 2.0 * math.pi
 ROTATION_FORMULA_TOL = 1e-9
@@ -61,31 +61,11 @@ def _unit_vector(direction) -> tuple[float, float, float]:
     """A Direction's unit vector, or a raw length-3 vector checked for unit length, as three floats."""
     if isinstance(direction, Direction):
         return direction._unit()
-    v = np.asarray(direction)  # no dtype: an integer past the float range stays an integer
-    if v.shape != (3,):
-        raise DomainError(f"direction must be a Direction or a length-3 vector, got shape {v.shape}")
-    n = tuple(map(_as_float, v.tolist()))
+    n = _floats3(direction, "direction must be a Direction or a length-3 vector")
     norm = math.hypot(*n)
     if not abs(norm - 1.0) <= DIRECTION_NORM_TOL:
         raise DomainError(f"direction vector must have unit length, got |n| = {norm!r}")
     return n
-
-
-def euler_unitary(direction: Direction) -> np.ndarray:
-    """Measurement-frame rotation for the given Euler angles (determinant one).
-
-    Composed as exp(i psi sigma_z/2) exp(i theta sigma_y/2) exp(i phi sigma_z/2),
-    with the azimuth phi innermost: the diagonal of u rho u^dagger then gives
-    the tomogram along the direction's unit vector for every psi.
-    """
-    half = 0.5 * direction.theta
-    c, s = np.cos(half), np.sin(half)
-    e_plus = np.exp(0.5j * (direction.psi + direction.phi))
-    e_minus = np.exp(0.5j * (direction.psi - direction.phi))
-    return np.array(
-        [[c * e_plus, s * e_minus], [-s * np.conj(e_minus), c * np.conj(e_plus)]],
-        dtype=complex,
-    )
 
 
 def state_tomogram(p: ProbTriple, direction, tol: float = qubit_core.DEFAULT_TOL) -> tuple[float, float]:
@@ -124,7 +104,7 @@ class AffineMap3(Record):
 
 @functools.cache
 def _pauli_stack() -> np.ndarray:
-    return np.stack(matrix_oracle._paulis())
+    return np.stack((matrix_oracle.SIGMA_X, matrix_oracle.SIGMA_Y, matrix_oracle.SIGMA_Z))
 
 
 def _adjoint_rotation(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from qprob import ProbTriple, encode_observable, sample_trajectory, build_kinetic, state_tomogram, Direction
 from qprob import render_svg, triangle_picture
+from qprob import admissible_shift_bound, qubit_core
 from qprob.cli import MAX_STEPS, _dump_json, _dump_trajectory, main, matrix_to_json, parse_matrix, triple_to_json
 from qprob.diagnostics import heisenberg_exact
 from qprob.errors import DomainError
@@ -70,14 +71,15 @@ def test_encode_validates_h_once(guard_counts, monkeypatch, capsys):
 
 
 def test_check_validates_each_triple_once(guard_counts, monkeypatch, capsys):
-    # the accepted triple's density is Hermitian by construction: no guard, one eigenvalue solve
+    # the accepted triple's density is Hermitian by construction, and its eigenvalues are
+    # read off the triple: no guard, no eigenvalue solve
     guarded, solved = guard_counts
     code, out, _ = run_cli(
         ["check"], stdin_text=json.dumps(STATE_X_JSON), monkeypatch=monkeypatch, capsys=capsys
     )
     assert code == 0 and json.loads(out)["density_eigenvalues"] == [0.0, 1.0]
     assert guarded == []
-    assert len(solved) == 1
+    assert solved == []
 
 
 def test_encode_default_shifts(monkeypatch, capsys):
@@ -411,6 +413,40 @@ def test_evolve_observable_start(monkeypatch, capsys):
     # sigma_z commutes with itself: the embedded triple (1/2, 1/2, 3/4) never moves
     for row in doc["probs"]:
         assert row == [0.5, 0.5, 0.75]
+
+
+@pytest.mark.parametrize("args, infile", [
+    (["--t-end", "2.5", "--steps", "10"], "evolve_generic_in.json"),
+    (["--x", "2", "--t-end", "2.5", "--steps", "10"], "evolve_a0_in.json"),
+], ids=["p0", "A0"])
+def test_evolve_checks_its_start_once(args, infile, monkeypatch, capsys):
+    calls = []
+    require_physical = qubit_core.require_physical
+
+    def counting_check(p, tol):
+        calls.append(p)
+        require_physical(p, tol)
+
+    monkeypatch.setattr(qubit_core, "require_physical", counting_check)
+    code, out, err = run_cli(["evolve", *args, "--in", str(GOLDEN / infile)], capsys=capsys)
+    assert (code, err) == (0, "") and len(calls) == 1
+
+
+def test_evolve_rejects_an_observable_start_rounded_out_of_the_cube(monkeypatch, capsys):
+    # at the admissible bound tr(A0) + 2x is about 5e-10, so the rounding of lambda_min
+    # grows by |x| / 5e-10 in the computed triple and p1 lands above 1
+    eps = 2.4532112507341666e-10
+    a0 = [[1.0, eps], [eps, 1.0]]
+    payload = {"H": SIGMA_Z_JSON, "A0": matrix_to_json(a0)}
+    x = admissible_shift_bound(a0)
+    code, out, err = run_cli(
+        ["evolve", "--x", repr(x), "--t-end", "1.0", "--steps", "2"],
+        stdin_text=json.dumps(payload),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, out) == (3, "")
+    assert "violates 0 <= p1 <= 1" in err
 
 
 def test_evolve_requires_x_with_observable(monkeypatch, capsys):

@@ -77,6 +77,10 @@ def test_scalar_valued_functions_on_python_input_load_no_numpy():
         "qprob.build_kinetic(h, 0.0)\n"
         "qprob.probs_from_density(rho)\n"
         "qprob.render_svg([qprob.triangle_picture(qprob.ProbTriple(0.7, 0.4, 0.55))], with_squares=True)\n"
+        "qprob.unitarity_defect([[0.0, 1.0], [1.0, 0.0]])\n"
+        "qprob.state_tomogram(qprob.ProbTriple(0.7, 0.4, 0.55), [0.0, 0.0, 1.0])\n"
+        "qprob.observable_tomogram(h, [0.0, 0.0, 1.0], 2.0)\n"
+        "qprob.ProbTriple.from_array([0.5, 0.5, 1.0])\n"
         "print('numpy' in sys.modules)\n"
     ))
     assert result.returncode == 0, result.stderr

@@ -1,5 +1,6 @@
 """Reference linear algebra: Pauli identities, eigenvalues, closed-form exponentials."""
 
+import re
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from qprob.matrix_oracle import (
     hermiticity_defect,
     pauli_components,
     require_hermitian,
+    UNITARY_TOL,
     require_unitary,
     unitarity_defect,
 )
@@ -144,6 +146,46 @@ def test_unitarity_guard():
         require_unitary(2.0 * IDENTITY)
     phase = np.diag([np.exp(0.3j), np.exp(-1.1j)])
     np.testing.assert_array_equal(require_unitary(phase), phase)
+
+
+def matmul_defect(m: np.ndarray) -> float:
+    """The matrix route to the unitarity defect: max |(m m^dagger - I)_ij|."""
+    return float(np.max(np.abs(m @ m.conj().T - np.eye(2))))
+
+
+def test_unitarity_defect_from_entries_matches_the_matmul(rng):
+    # near-unitaries whose defects straddle UNITARY_TOL, at every scale from 1e-17 to 1e-8
+    for _ in range(20_000):
+        u = random_unitary(rng) * (1.0 + 10.0 ** rng.uniform(-17.0, -8.0) * rng.normal(size=(2, 2)))
+        reference = matmul_defect(u)
+        defect = unitarity_defect(u)
+        assert abs(defect - reference) <= 4.5e-16
+        assert (defect <= UNITARY_TOL) == (reference <= UNITARY_TOL)
+        assert unitarity_defect(u.tolist()) == defect
+
+
+@pytest.mark.parametrize("m", [
+    1e100 * np.eye(2), 2.0 ** 510 * np.eye(2), 2.0 ** 510 * SIGMA_Y, [[0.0, 1.0], [1.0, 0.0]],
+    [[2.0 ** -600, 0.0], [0.0, 1.0]], [[0.5, 0.5j], [0.5j, 0.5]],
+], ids=["1e100-I", "2^510-I", "2^510-Y", "X", "tiny", "half"])
+def test_unitarity_defect_keeps_its_large_entry_values(m):
+    assert unitarity_defect(m) == matmul_defect(np.asarray(m, dtype=complex))
+
+
+@pytest.mark.parametrize("bad, size", [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"), (2.0 ** 510 * (1.0 + 2.0 ** -52), "3.352e+153"),
+])
+def test_unitarity_defect_names_entries_it_cannot_square(bad, size):
+    for position in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        m = np.eye(2, dtype=complex)
+        m[position] = bad
+        message = f"is not unitary (entries up to {size}; a unitary's are at most 1)"
+        with pytest.raises(DomainError, match=f"^{re.escape('matrix ' + message)}$"):
+            unitarity_defect(m)
+        with pytest.raises(DomainError, match=f"^{re.escape('matrix ' + message)}$"):
+            unitarity_defect(m.tolist())
+        with pytest.raises(DomainError, match=f"^{re.escape('gate ' + message)}$"):
+            require_unitary(m, name="gate")
 
 
 def test_guards_reject_non_finite_entries():

@@ -235,7 +235,7 @@ def test_observable_tomogram_frozen():
 
 
 def test_observable_tomogram_matches_density_diagonal(rng):
-    from qprob.tomography_channels import euler_unitary
+    from qprob.diagnostics import euler_unitary
 
     for _ in range(50):
         h = random_hermitian(rng)

@@ -1,6 +1,7 @@
 """Probability-triple coordinates: ball geometry and the density-matrix bijection."""
 
 import math
+import struct
 import warnings
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qprob import DomainError, ProbTriple, check_ball, density_from_probs, is_physical, probs_from_density
-from qprob.qubit_core import BALL_CENTER, GAMMA, _sum_of_products, require_physical
+from qprob.qubit_core import BALL_CENTER, GAMMA, _as_float, _floats3, _sum_of_products, require_physical
 
 from conftest import random_physical_triple
 
@@ -106,6 +107,62 @@ def test_from_array_shape_check():
     assert (p.p1, p.p2, p.p3) == (0.1, 0.2, 0.3)
 
 
+def reference_floats3(values, what: str) -> tuple:
+    """The numpy route: np.asarray, its shape checked, then tolist() read through _as_float."""
+    array = np.asarray(values)
+    if array.shape != (3,):
+        raise DomainError(f"{what}, got shape {array.shape}")
+    return tuple(map(_as_float, array.tolist()))
+
+
+def outcome(read, values):
+    """What read(values, ...) gives: the floats' types and bytes, or the exception's type and message."""
+    try:
+        floats = read(values, "a vector needs 3 components")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [type(v) for v in floats], struct.pack("<3d", *floats)
+
+
+huge_ints = st.builds(lambda sign, digits: sign * 10 ** digits, st.sampled_from((-1, 1)), st.integers(15, 400))
+python_numbers = st.one_of(
+    st.floats(), st.sampled_from((0.0, -0.0)), st.integers(), huge_ints,
+    st.integers(2 ** 52, 2 ** 65).map(lambda k: k * (-1) ** k), st.booleans(),
+)
+numpy_scalars = st.one_of(
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+)
+numbers = st.one_of(python_numbers, numpy_scalars)
+vectors = st.one_of(
+    st.lists(python_numbers, min_size=3, max_size=3),
+    st.tuples(python_numbers, python_numbers, python_numbers),
+    st.lists(numbers, min_size=0, max_size=5),
+    st.lists(numbers, min_size=0, max_size=5).map(tuple),
+    st.lists(st.floats(), min_size=0, max_size=4).map(np.array),
+    st.lists(st.lists(st.floats(), min_size=1, max_size=1), min_size=3, max_size=3),
+    numbers,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=vectors)
+@example(values=[0, -0.0, 1])
+@example(values=(10 ** 400, 0.5, -10 ** 400))
+@example(values=[True, 0.5, False])
+@example(values=[2 ** 53 + 1, 0.5, 2 ** 64 - 1])
+@example(values=[np.float64(-0.0), 0.5, 1])
+@example(values=[np.float32(0.1), 0.5, 0.5])
+@example(values=np.array([0.25, 0.5, 1.0]))
+@example(values=[[0.5], [0.5], [0.5]])
+@example(values=[0.5, 0.5])
+@example(values=0.5)
+def test_floats3_reads_what_numpy_reads(values):
+    expected = outcome(reference_floats3, values)
+    assert outcome(_floats3, values) == expected
+    assert (expected[0] is DomainError) == (np.shape(values) != (3,))
+
+
 # an offset d = p - 1/2 with |d| from 1e-9 to 1e9; p = 1/2 + d then gives back d exactly as p - 1/2
 offsets = st.builds(lambda sign, log: sign * 10.0 ** log, st.sampled_from((-1.0, 1.0)), st.floats(-9.0, 9.0))
 
@@ -131,6 +188,19 @@ def test_check_ball_is_correctly_rounded(d):
         assert value == float(exact)
     else:  # past the float range: the plain formula's infinity or NaN
         assert value == plain or (math.isnan(value) and math.isnan(plain))
+
+
+# any float up to 1e150, so p - 1/2 can round (below 1/4 and above 1); the typed decimals 0.1 and 0.8 among them
+components = st.floats(-1e150, 1e150) | st.floats(-0.5, 1.5) | st.sampled_from((0.1, 0.8, 5e-324, 0.2499999999999999))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.tuples(components, components, components))
+@example(p=(0.1, 0.5, 0.8))
+@example(p=(0.046, 0.68, 0.6071634265969503))  # near pure: the residual, 2.06e-17, needs the e^2 term
+def test_check_ball_is_correctly_rounded_where_p_minus_a_half_rounds(p):
+    exact = Fraction(1, 4) - sum((Fraction(v) - Fraction(1, 2)) ** 2 for v in p)
+    assert check_ball(ProbTriple(*p)).hex() == float(exact).hex()
 
 
 # factors near 2^-530, so every product, and so a product of their halves, lies near or below 2^-1022
