@@ -232,6 +232,9 @@ def cmd_encode(doc, args, tol: float) -> str:
         raise ParseError("--a and --b must be given together")
     rows, lam_min, lam_max = observable_map._accept(h, "observable")
     rep = observable_map._encode(rows, lam_min, lam_max, args.a, args.b)
+    # near the admissible bound tr H + 2x is small and a computed triple can round out of the cube
+    qubit_core.require_physical(rep.p_a, qubit_core.DEFAULT_TOL)
+    qubit_core.require_physical(rep.p_b, qubit_core.DEFAULT_TOL)
     warns = []
     if observable_map._carries_no_trace(rep):
         warns.append(

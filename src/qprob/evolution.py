@@ -8,7 +8,9 @@ rotation, in Rodrigues' closed form: one prelude (|omega|, k1, k2) on Python
 floats, then one row per time. build_kinetic reads a Hamiltonian given as
 nested lists without numpy. evolve, evolve_observable and the CLI's grid
 form their rows on Python floats; sample_trajectory forms the same rows, bit
-for bit, as (n, 3) arrays over a numpy time grid. The oracle, in diagnostics,
+for bit, as a read-only (n, 3) array over a numpy time grid, filled one
+column at a time by length-n ufuncs. Its peak memory is 56 bytes a sample:
+the times, the rows and three length-n buffers. The oracle, in diagnostics,
 fits the exact derivatives i[H, rho] at four probe states; it runs given
 fd_tol, and a mismatch warns, while omega stays 2h.
 """
@@ -225,7 +227,8 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
     accumulation of step error; refining the grid never moves shared times.
     Each row equals evolve() at its time, bit for bit. Only the inputs and the
     grid's times are checked: each row is a rotation of the accepted p0 about
-    the ball center and keeps its ball residual.
+    the ball center and keeps its ball residual. The times and the (n, 3)
+    rows are read-only arrays.
     """
     t_end, steps = _grid_inputs(p0, t_end, steps, tol)
     # near the float maximum, linspace's step * (num - 1) overflows before it sets the last time to t_end
@@ -235,13 +238,24 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
         raise DomainError(_COLLAPSED_GRID)
     norm, p, k1, k2 = _rodrigues_terms(system.omega, p0, t_end)
     if k1 is None:
-        return Trajectory(times=times, probs=np.tile(p, (times.size, 1)), x=system.x)
-    # only (n,) and (n, 3) arrays, and each time gets exactly _row's arithmetic
-    angle = norm * times
-    half_sin = np.sin(0.5 * angle)
-    probs = np.sin(angle)[:, None] * k1
-    probs += (2.0 * half_sin * half_sin)[:, None] * k2
-    probs += p
+        probs = np.tile(p, (times.size, 1))
+    else:
+        # _row's arithmetic at every time, built one column at a time by length-n ufuncs
+        # (a broadcast against a 3-vector runs n loops of length 3); one length-n buffer
+        # holds the angle, then sin(angle/2), then each column's k2 term
+        scratch = norm * times
+        s = np.sin(scratch)
+        h = np.sin(np.multiply(0.5, scratch, out=scratch), out=scratch)
+        hh = 2.0 * h
+        hh *= h
+        probs = np.empty((times.size, 3))
+        for j in range(3):
+            column = probs[:, j]
+            np.multiply(s, k1[j], out=column)
+            column += np.multiply(hh, k2[j], out=scratch)
+            column += p[j]
+    times.flags.writeable = False
+    probs.flags.writeable = False
     return Trajectory(times=times, probs=probs, x=system.x)
 
 

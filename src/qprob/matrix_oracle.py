@@ -230,9 +230,14 @@ def _eigenvalues(rows) -> tuple[float, float]:
     keeps its relative accuracy when det cancels (Kahan's 2x2 determinant).
     As in LAPACK's DLAEV2, the entries are first scaled by the power of two
     that brings the largest into [1/2, 1), so det neither underflows nor
-    overflows; exact scaling changes no bit of a normal-range result.
+    overflows; exact scaling changes no bit of a normal-range result. A
+    diagonal matrix returns its diagonal entries, so no scaling can push the
+    smaller one into the subnormals.
     """
     (a, b), (c, d) = rows
+    if b == 0 and c == 0:
+        lo, hi = a.real + 0.0, d.real + 0.0  # an exact zero eigenvalue is +0.0
+        return (lo, hi) if lo <= hi else (hi, lo)
     parts = (a.real, d.real, b.real, b.imag, c.real, c.imag)
     k = math.frexp(max(map(abs, parts)))[1]
     h11, h22, b_re, b_im, c_re, c_im = map(math.ldexp, parts, (-k,) * 6)

@@ -104,11 +104,17 @@ def _normalization(rows, lam_min: float, x: float) -> float:
     denom = tr + 2.0 * x
     if math.isinf(denom) and math.isfinite(x):
         raise DomainError(f"normalization tr H + 2x overflows at x = {x!r}")
-    # a NaN shift fails both comparisons, so it is inadmissible too
-    if not (denom > DENOM_GUARD * (abs(tr) + 2.0 * abs(x)) and lam_min + x >= -ADMISSIBLE_SLACK * denom):
+    # a NaN or infinite shift is inadmissible too
+    if not (math.isfinite(x) and lam_min + x >= -ADMISSIBLE_SLACK * denom):
         raise DomainError(
             f"shift x = {x!r} is inadmissible for this matrix; "
             f"need x >= {_admissible_bound(rows, lam_min)!r} (strictly above for identity multiples)"
+        )
+    # at or just above the bound, a nearly degenerate H can leave d at the rounding error of its terms
+    if not denom > DENOM_GUARD * (abs(tr) + 2.0 * abs(x)):
+        raise DomainError(
+            f"shift x = {x!r} is inadmissible for this matrix; tr H + 2x = {denom!r} "
+            f"is within rounding of zero, so a larger x is needed"
         )
     return denom
 

@@ -77,7 +77,12 @@ def test_eigenvalues_keep_their_relative_accuracy(rng):
     ([[0.0, 0.0], [0.0, -1.0]], (-1.0, 0.0)),
     ([[-1.0, 1.0], [1.0, -1.0]], (-2.0, 0.0)),
     ([[1.0, 1.0], [1.0, 1.0]], (0.0, 2.0)),
-], ids=["3I", "tiny-I", "huge-I", "diag(-1,0)", "diag(0,-1)", "singular-negative", "singular-positive"])
+    # the diagonal is the spectrum, however far apart: no scaling pushes the smaller into the subnormals
+    ([[1e300, 0.0], [0.0, 1e-10]], (1e-10, 1e300)),
+    ([[1e300, 0.0], [0.0, 3e-300]], (3e-300, 1e300)),
+    ([[-0.0, 0.0], [0.0, -1.0]], (-1.0, 0.0)),
+], ids=["3I", "tiny-I", "huge-I", "diag(-1,0)", "diag(0,-1)", "singular-negative", "singular-positive",
+        "diag(1e300,1e-10)", "diag(1e300,3e-300)", "diag(-0,-1)"])
 def test_degenerate_and_singular_spectra_are_exact(h, expected):
     # an exact zero eigenvalue is +0.0, whatever the sign of the other
     got = eigenvalues_hermitian(h)

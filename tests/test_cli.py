@@ -218,6 +218,22 @@ def test_encode_rejects_inadmissible_shift(monkeypatch, capsys):
     assert "inadmissible" in err
 
 
+def test_encode_rejects_a_triple_rounded_out_of_the_cube(monkeypatch, capsys):
+    # at the admissible bound tr H + 2a is about 5e-10, so the rounding of lambda_min
+    # grows by |a| / 5e-10 in P_a, and p1 lands above 1
+    eps = 2.4532112507341666e-10
+    h = [[1.0, eps], [eps, 1.0]]
+    a = admissible_shift_bound(h)
+    code, out, err = run_cli(
+        ["encode", "--a", repr(a), "--b", repr(a + 1.0)],
+        stdin_text=json.dumps(matrix_to_json(h)),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, out) == (3, "")
+    assert "violates 0 <= p1 <= 1" in err
+
+
 def test_encode_requires_shift_pair(monkeypatch, capsys):
     code, _, err = run_cli(
         ["encode", "--a", "2"],

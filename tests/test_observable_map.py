@@ -1,6 +1,7 @@
 """Observable encoding: shifts, the two-triple representation, and its inverse."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -87,6 +88,20 @@ def test_rho_of_x_sigma_z_diagonal_family():
         assert abs(rho[0, 0] - (0.5 + 0.5 / x)) <= 1e-15
         assert abs(rho[1, 1] - (0.5 - 0.5 / x)) <= 1e-15
         assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0
+
+
+def test_a_vanishing_normalization_names_its_cause():
+    # at the bound of a nearly degenerate H, tr H + 2x is left at the rounding of its terms:
+    # the message says so, where it used to ask for x >= the x it was given
+    h = [[1.0, 1e-13], [1e-13, 1.0]]
+    x = admissible_shift_bound(h)
+    message = (f"^shift x = {re.escape(repr(x))} is inadmissible for this matrix; tr H \\+ 2x = "
+               f"[-+.e0-9]+ is within rounding of zero, so a larger x is needed$")
+    for call in (lambda: rho_of_x(h, x), lambda: encode_observable(h, x, 1.0)):
+        with pytest.raises(DomainError, match=message):
+            call()
+    with pytest.raises(DomainError, match="^shift x = -1.0 .* tr H \\+ 2x = 0.0 is within rounding of zero"):
+        rho_of_x(IDENTITY, -1.0)
 
 
 def test_rho_of_x_rejects_inadmissible():
