@@ -231,14 +231,21 @@ def _eigenvalues(rows) -> tuple[float, float]:
     As in LAPACK's DLAEV2, the entries are first scaled by the power of two
     that brings the largest into [1/2, 1), so det neither underflows nor
     overflows; exact scaling changes no bit of a normal-range result. A
-    diagonal matrix returns its diagonal entries, so no scaling can push the
-    smaller one into the subnormals.
+    matrix whose off-diagonal moves each eigenvalue by less than half an ulp
+    of its diagonal entry returns its diagonal entries, so no scaling can
+    push the smaller one into the subnormals. That shift is at most
+    |h12 h21| / |h11 - h22|, so the test is |h12| (|h21| / ulp) <=
+    |h11 - h22| / 2, with the ulp of the smaller diagonal entry, in an order
+    where no square underflows and no difference overflows; a diagonal
+    matrix passes it with 0 <= 0.
     """
     (a, b), (c, d) = rows
-    if b == 0 and c == 0:
-        lo, hi = a.real + 0.0, d.real + 0.0  # an exact zero eigenvalue is +0.0
+    h11, h22 = a.real, d.real
+    ulp = math.ulp(h11 if abs(h11) < abs(h22) else h22)
+    if abs(b) * (abs(c) / ulp) <= abs(0.5 * h11 - 0.5 * h22):
+        lo, hi = h11 + 0.0, h22 + 0.0  # an exact zero eigenvalue is +0.0
         return (lo, hi) if lo <= hi else (hi, lo)
-    parts = (a.real, d.real, b.real, b.imag, c.real, c.imag)
+    parts = (h11, h22, b.real, b.imag, c.real, c.imag)
     k = math.frexp(max(map(abs, parts)))[1]
     h11, h22, b_re, b_im, c_re, c_im = map(math.ldexp, parts, (-k,) * 6)
     tr = h11 + h22

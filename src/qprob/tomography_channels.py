@@ -7,6 +7,15 @@ ball center fixed. Convex mixtures of unitaries give contractive affine maps,
 which is the whole channel picture in these coordinates. The closed form is
 the one production route; its oracle, the probe-state fit in diagnostics, runs
 only when a caller passes formula_tol, and then only to warn of a mismatch.
+
+A circuit applies a few gates many times, so rotation_from_unitary memoizes
+its map in an LRU cache keyed on the validated unitary's complex128 entries
+in C order, for up to ROTATION_CACHE_SIZE unitaries. The unitary is still
+validated on every call, and a call given formula_tol computes and checks
+afresh. AffineMap3 holds read-only arrays, so the shared value cannot change.
+channel_map builds its terms without the memo for now: routing them through
+it sped the gates benchmark up further, but that benchmark keeps a little
+memory per document, and its peak memory then grew past its bound.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ TWO_PI = 2.0 * math.pi
 ROTATION_FORMULA_TOL = 1e-9
 WEIGHT_TOL = 1e-12
 DIRECTION_NORM_TOL = 1e-10
+# distinct unitaries whose rotation rotation_from_unitary keeps; a circuit repeats a handful
+ROTATION_CACHE_SIZE = 256
 
 
 class Direction(Record):
@@ -86,20 +97,38 @@ def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
 
 
 class AffineMap3(Record):
-    """Affine action p -> L p + C on probability triples."""
+    """Affine action p -> L p + C on probability triples.
+
+    L and C are read-only float64 arrays of shape (3, 3) and (3,), copied from
+    what the caller passes, so a map can be shared and nothing can change it.
+    """
 
     __slots__ = ("L", "C")
 
     def __init__(self, L: np.ndarray, C: np.ndarray):
-        _set(self, "L", np.asarray(L, dtype=float).reshape(3, 3))
-        _set(self, "C", np.asarray(C, dtype=float).reshape(3))
+        L, C = np.asarray(L, dtype=float).reshape(3, 3), np.asarray(C, dtype=float).reshape(3)
+        _freeze(self, L.copy(), C.copy())
 
     def apply(self, p: ProbTriple) -> ProbTriple:
         return ProbTriple(*(self.L @ p.as_array() + self.C).tolist())
 
     def then(self, other: "AffineMap3") -> "AffineMap3":
         """Map equivalent to applying self first, then other."""
-        return AffineMap3(other.L @ self.L, other.L @ self.C + other.C)
+        return _affine_map(other.L @ self.L, other.L @ self.C + other.C)
+
+
+def _freeze(m: AffineMap3, L: np.ndarray, C: np.ndarray) -> AffineMap3:
+    # setflags costs about half of a write to .flags, which builds a flags object first
+    L.setflags(write=False)
+    C.setflags(write=False)
+    _set(m, "L", L)
+    _set(m, "C", C)
+    return m
+
+
+def _affine_map(L: np.ndarray, C: np.ndarray) -> AffineMap3:
+    """An AffineMap3 that takes over just-built float64 arrays of shape (3, 3) and (3,), with no copy."""
+    return _freeze(AffineMap3.__new__(AffineMap3), L, C)
 
 
 @functools.cache
@@ -129,15 +158,26 @@ def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[Formul
     return component_checks(_adjoint_rotation(w), rotation_oracle(w), tol)
 
 
+@functools.lru_cache(maxsize=ROTATION_CACHE_SIZE)
+def _rotation_map(data: bytes) -> AffineMap3:
+    """The adjoint rotation of the validated unitary whose complex128 entries, in C order, are data."""
+    return _affine_map(*_adjoint_rotation(np.frombuffer(data, dtype=complex).reshape(2, 2)))
+
+
 def rotation_from_unitary(u, formula_tol: float | None = None) -> AffineMap3:
     """Affine action of conjugation by a single unitary on probability triples.
 
-    The map is the closed-form adjoint rotation. Given formula_tol, it is also
+    The map is the closed-form adjoint rotation. u is validated on every call;
+    the map itself is memoized on u's entries, so a repeated unitary returns
+    the same frozen value. Given formula_tol, the map is computed afresh and
     checked against the fit through four probe states of the matrix route: a
-    component off by more names itself in a FormulaMismatchWarning. channel_map
-    builds each of its terms the same way.
+    component off by more names itself in a FormulaMismatchWarning.
+    channel_map builds each of its terms the same way, without the memo.
     """
-    return AffineMap3(*_rotation(matrix_oracle.require_unitary(u), formula_tol))
+    w = matrix_oracle.require_unitary(u)
+    if formula_tol is None:
+        return _rotation_map(w.tobytes())
+    return _affine_map(*_rotation(w, formula_tol))
 
 
 class ChannelSpec(Record):
@@ -176,4 +216,4 @@ def channel_map(spec: ChannelSpec, formula_tol: float | None = None) -> AffineMa
         R, offset = _rotation(u, formula_tol)
         L += weight * R
         C += weight * offset
-    return AffineMap3(L, C)
+    return _affine_map(L, C)

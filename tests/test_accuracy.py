@@ -4,7 +4,9 @@ Each bound is stated in ulps of the exact value, over inputs from 1e-9 to 1e9,
 near-degenerate and near-singular spectra and near-pure states:
 
 - eigenvalues_hermitian: the smaller-magnitude eigenvalue within 4 ulp, the
-  larger within 2.5 ulp;
+  larger within 2.5 ulp, also for entries from 1e-300 to 1e300 whose
+  off-diagonal moves neither eigenvalue by half an ulp (checked at 5000 bits,
+  enough to resolve that range);
 - qprob check's density_eigenvalues: lambda_min within 3 ulp of the
   smaller eigenvalue of the triple's density matrix and lambda_max within
   2.5 ulp of the larger, also for triples typed as short decimals, whose
@@ -22,6 +24,7 @@ from qprob.cli import _triple_report
 from qprob.qubit_core import DEFAULT_TOL
 
 PREC = 256
+WIDE_PREC = 5000
 SMALL_EIGENVALUE_ULPS = 4.0
 LARGE_EIGENVALUE_ULPS = 2.5
 CHECK_LAMBDA_MIN_ULPS = 3.0
@@ -32,14 +35,14 @@ def ulps(value: float, exact) -> float:
     return float(abs(mpmath.mpf(value) - exact)) / math.ulp(float(exact))
 
 
-def exact_eigenvalues(h11: float, h22: float, c: complex):
-    """Both eigenvalues of [[h11, conj(c)], [c, h22]], smaller magnitude first, at PREC bits."""
-    with mpmath.workprec(PREC):
+def exact_eigenvalues(h11: float, h22: float, c: complex, prec: int = PREC):
+    """Both eigenvalues of [[h11, conj(c)], [c, h22]], smaller magnitude first, at prec bits."""
+    with mpmath.workprec(prec):
         a, d, re, im = map(mpmath.mpf, (h11, h22, c.real, c.imag))
         half = (a + d) / 2
         root = mpmath.sqrt(((a - d) / 2) ** 2 + re * re + im * im)
         big = half + root if half >= 0 else half - root
-        # the determinant of doubles is exact at PREC bits, so the small root is too
+        # the determinant of doubles is exact at prec bits, so the small root is too
         return (a * d - (re * re + im * im)) / big, big
 
 
@@ -59,14 +62,39 @@ def random_hermitian_entries(rng, kind: int) -> tuple[float, float, complex]:
     return float(h11), float(h22), complex(float(re), float(im))
 
 
+def assert_eigenvalues_within_bounds(h11: float, h22: float, c: complex, prec: int = PREC):
+    got = eigenvalues_hermitian([[h11, c.conjugate()], [c, h22]])
+    small, big = exact_eigenvalues(h11, h22, c, prec)
+    got_small, got_big = got if abs(got[0]) <= abs(got[1]) else got[::-1]
+    assert ulps(got_small, small) <= SMALL_EIGENVALUE_ULPS, (h11, h22, c)
+    assert ulps(got_big, big) <= LARGE_EIGENVALUE_ULPS, (h11, h22, c)
+
+
 def test_eigenvalues_keep_their_relative_accuracy(rng):
     for n in range(4000):
-        h11, h22, c = random_hermitian_entries(rng, n % 3)
-        got = eigenvalues_hermitian([[h11, c.conjugate()], [c, h22]])
-        small, big = exact_eigenvalues(h11, h22, c)
-        got_small, got_big = got if abs(got[0]) <= abs(got[1]) else got[::-1]
-        assert ulps(got_small, small) <= SMALL_EIGENVALUE_ULPS, (h11, h22, c)
-        assert ulps(got_big, big) <= LARGE_EIGENVALUE_ULPS, (h11, h22, c)
+        assert_eigenvalues_within_bounds(*random_hermitian_entries(rng, n % 3))
+
+
+@pytest.mark.parametrize("h, expected", [
+    ([[1e300, 1e-200], [1e-200, 1e-10]], (1e-10, 1e300)),
+    ([[1e300, 1e-300], [1e-300, 3e-300]], (3e-300, 1e300)),
+    # the off-diagonal's square underflows, but it moves both eigenvalues far off the diagonal
+    ([[1e-300, 1e-170], [1e-170, 1e-300]], (-1e-170, 1e-170)),
+], ids=["1e300-1e-10", "1e300-3e-300", "tiny-diagonal"])
+def test_wide_range_eigenvalues_are_correctly_rounded(h, expected):
+    (h11, _), (c, h22) = h
+    exact = sorted(exact_eigenvalues(h11, h22, complex(c), WIDE_PREC))
+    assert [float(x) for x in exact] == list(expected)
+    assert eigenvalues_hermitian(h) == expected
+
+
+def test_wide_range_eigenvalues_keep_their_relative_accuracy(rng):
+    # an off-diagonal below the size that moves an eigenvalue by half an ulp of its diagonal entry
+    for _ in range(500):
+        h11, h22 = (float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)) for _ in range(2))
+        threshold = math.sqrt(0.5 * abs(h11 - h22)) * math.sqrt(math.ulp(min(abs(h11), abs(h22))))
+        c = threshold * 10.0 ** rng.uniform(-20.0, -0.5) * complex(*rng.normal(size=2)) / math.sqrt(2.0)
+        assert_eigenvalues_within_bounds(h11, h22, c, WIDE_PREC)
 
 
 @pytest.mark.parametrize("h, expected", [

@@ -30,11 +30,22 @@ from qprob import (
 from qprob.diagnostics import failed_checks
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, unitarity_defect
 from qprob.qubit_core import BALL_CENTER
-from qprob.tomography_channels import ROTATION_FORMULA_TOL, _adjoint_rotation
+from qprob.tomography_channels import ROTATION_CACHE_SIZE, ROTATION_FORMULA_TOL, _adjoint_rotation, _rotation_map
 
 from conftest import random_direction, random_physical_triple, random_unitary
 
 SQRT2 = np.sqrt(2.0)
+
+
+def axis_rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
+    return math.cos(angle / 2) * IDENTITY - 1j * math.sin(angle / 2) * pauli
+
+
+GATE_LIBRARY = (
+    IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, (SIGMA_X + SIGMA_Z) / SQRT2,
+    np.diag([1.0, 1.0j]), np.diag([1.0, np.exp(0.25j * np.pi)]),
+    axis_rotation(SIGMA_X, np.pi / 3), axis_rotation(SIGMA_Y, np.pi / 4), axis_rotation(SIGMA_Z, 2 * np.pi / 5),
+)
 
 
 def channel_image_oracle(spec: ChannelSpec, p: ProbTriple) -> ProbTriple:
@@ -252,8 +263,44 @@ def test_rotation_mismatch_detector_fires(rng):
 
 
 def test_rotation_rejects_non_unitary():
-    with pytest.raises(DomainError, match="not unitary"):
-        rotation_from_unitary(2.0 * IDENTITY)
+    # validation runs on every call, memo or not
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"^matrix is not unitary \(defect 3\.000e\+00 exceeds 1\.0e-12\)$"):
+            rotation_from_unitary(2.0 * IDENTITY)
+
+
+def test_memoized_rotation_is_the_fresh_adjoint_form(rng):
+    unitaries = [*GATE_LIBRARY, *(random_unitary(rng) for _ in range(300))]
+    for u in unitaries:
+        L, C = _adjoint_rotation(u)
+        for given in (np.ascontiguousarray(u), np.asfortranarray(u), u.tolist()):
+            mapping = rotation_from_unitary(given)
+            assert mapping.L.tobytes() == L.tobytes() and mapping.C.tobytes() == C.tobytes()
+            # the fresh form of the array as given, in its own memory order
+            fresh_L, fresh_C = _adjoint_rotation(np.asarray(given, dtype=complex))
+            assert fresh_L.tobytes() == L.tobytes() and fresh_C.tobytes() == C.tobytes()
+
+
+def test_repeated_unitary_returns_the_same_map():
+    for u in GATE_LIBRARY:
+        assert rotation_from_unitary(u) is rotation_from_unitary(u.tolist())
+
+
+def test_rotation_checked_against_its_oracle_warns_on_every_call():
+    u = euler_unitary(Direction(1.0, 0.7, 0.3))
+    rotation_from_unitary(u)
+    for _ in range(2):
+        with pytest.warns(FormulaMismatchWarning, match="rotation"):
+            mapping = rotation_from_unitary(u, formula_tol=-1.0)
+        memoized = rotation_from_unitary(u)
+        assert mapping is not memoized
+        assert mapping.L.tobytes() == memoized.L.tobytes() and mapping.C.tobytes() == memoized.C.tobytes()
+
+
+def test_rotation_memo_is_bounded(rng):
+    for _ in range(2 * ROTATION_CACHE_SIZE):
+        rotation_from_unitary(random_unitary(rng))
+    assert _rotation_map.cache_info().currsize <= ROTATION_CACHE_SIZE
 
 
 def test_channel_single_identity_term():
@@ -410,3 +457,23 @@ def test_channel_spec_holds_its_own_unitaries():
 def test_affine_map_shapes():
     with pytest.raises(ValueError):
         AffineMap3(np.eye(2), np.zeros(3))
+
+
+def test_affine_map_holds_its_own_read_only_arrays():
+    L, C = np.eye(3), np.zeros(3)
+    m = AffineMap3(L, C)
+    L[1, 1] = 5.0
+    C[0] = 5.0
+    np.testing.assert_array_equal(m.L, np.eye(3))
+    np.testing.assert_array_equal(m.C, np.zeros(3))
+    memoized = rotation_from_unitary(SIGMA_Y)
+    composed = m.then(memoized)
+    mixed = channel_map(ChannelSpec(((0.5, SIGMA_X), (0.5, SIGMA_Z))))
+    for mapping in (m, AffineMap3([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 0)), memoized, composed, mixed):
+        assert mapping.L.dtype == mapping.C.dtype == np.float64
+        assert (mapping.L.shape, mapping.C.shape) == ((3, 3), (3,))
+        with pytest.raises(ValueError):
+            mapping.L[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            mapping.C[0] = 7.0
+    np.testing.assert_array_equal(rotation_from_unitary(SIGMA_Y).L, np.diag([-1.0, 1.0, -1.0]))
