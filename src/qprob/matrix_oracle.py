@@ -193,11 +193,16 @@ def _hermitian_rows(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") ->
 
 
 def require_unitary(matrix, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
-    m = as_matrix2(matrix)
-    defect = _unitarity_defect(m.tolist(), name)
+    return as_matrix2(_unitary_rows(matrix, tol, name))
+
+
+def _unitary_rows(matrix, tol: float = UNITARY_TOL, name: str = "matrix") -> list:
+    """The unitarity guard, require_unitary's too: the accepted matrix's entries, or DomainError naming it."""
+    rows = _entries(matrix)
+    defect = _unitarity_defect(rows, name)
     if not defect <= tol:
         raise DomainError(f"{name} is not unitary (defect {defect:.3e} exceeds {tol:.1e})")
-    return m
+    return rows
 
 
 def _pauli(rows) -> tuple[float, tuple[float, float, float]]:

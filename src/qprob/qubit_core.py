@@ -88,18 +88,18 @@ def check_ball(p: ProbTriple) -> float:
     return _ball_residual(_as_float(p.p1), _as_float(p.p2), _as_float(p.p3))
 
 
-def _ball_residual(p1: float, p2: float, p3: float, c: float = 0.25) -> float:
-    """c - sum_k (p_k - 1/2)^2, correctly rounded.
+def _offset_error(p: float) -> float:
+    """e, p - 1/2 = (p - 0.5 rounded) + e exactly by Knuth's TwoSum: 0.0 on [1/4, 1] (Sterbenz), NaN for p not finite."""
+    d = p - 0.5
+    return (p - (d - (d - p))) - (0.5 + (d - p))
 
-    p - 1/2 is exact for p in [1/4, 1] (Sterbenz). Outside, it can round to
-    d, and Knuth's TwoSum gives the error e, p - 1/2 = d + e exactly, so
-    -(2 d e + e^2) joins the sum; a non-finite p leaves e NaN, and out.
-    """
+
+def _ball_residual(p1: float, p2: float, p3: float, c: float = 0.25) -> float:
+    """c - sum_k (p_k - 1/2)^2, correctly rounded: -(2 d e + e^2) joins -d^2 where e is nonzero and finite."""
     d1, d2, d3 = p1 - 0.5, p2 - 0.5, p3 - 0.5
     pairs = [(d1, -d1), (d2, -d2), (d3, -d3)]
-    if not (0.25 <= p1 <= 1.0 and 0.25 <= p2 <= 1.0 and 0.25 <= p3 <= 1.0):
-        for p, d in ((p1, d1), (p2, d2), (p3, d3)):
-            e = (p - (d - (d - p))) - (0.5 + (d - p))
+    if not (0.25 <= p1 <= 1.0 and 0.25 <= p2 <= 1.0 and 0.25 <= p3 <= 1.0):  # else every e is 0.0
+        for d, e in zip((d1, d2, d3), map(_offset_error, (p1, p2, p3))):
             if 0.0 < abs(e) < math.inf:
                 pairs += ((d, -2.0 * e), (e, -e))
     return _sum_of_products(c, pairs)

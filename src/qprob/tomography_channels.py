@@ -7,20 +7,12 @@ ball center fixed. Convex mixtures of unitaries give contractive affine maps,
 which is the whole channel picture in these coordinates. The closed form is
 the one production route; its oracle, the probe-state fit in diagnostics, runs
 only when a caller passes formula_tol, and then only to warn of a mismatch.
-
-A circuit applies a few gates many times, so rotation_from_unitary memoizes
-its map in an LRU cache keyed on the validated unitary's complex128 entries
-in C order, for up to ROTATION_CACHE_SIZE unitaries. The unitary is still
-validated on every call, and a call given formula_tol computes and checks
-afresh. AffineMap3 holds read-only arrays, so the shared value cannot change.
-channel_map builds its terms without the memo for now: routing them through
-it sped the gates benchmark up further, but that benchmark keeps a little
-memory per document, and its peak memory then grew past its bound.
+One kernel, _adjoint_rotation, computes R from a unitary's entries, and the
+maps and channels hold Python numbers, so they load no numpy on Python input.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import matrix_oracle, qubit_core
@@ -28,14 +20,12 @@ from ._numpy import np
 from ._record import Record, _set
 from .diagnostics import FormulaCheck, checked_map, component_checks, rotation_oracle
 from .errors import DomainError
-from .qubit_core import ProbTriple, _as_float, _floats3, _sum_of_products
+from .qubit_core import ProbTriple, _as_float, _floats3, _offset_error, _sum_of_products
 
 TWO_PI = 2.0 * math.pi
 ROTATION_FORMULA_TOL = 1e-9
 WEIGHT_TOL = 1e-12
 DIRECTION_NORM_TOL = 1e-10
-# distinct unitaries whose rotation rotation_from_unitary keeps; a circuit repeats a handful
-ROTATION_CACHE_SIZE = 256
 
 
 class Direction(Record):
@@ -90,114 +80,116 @@ def state_tomogram(p: ProbTriple, direction, tol: float = qubit_core.DEFAULT_TOL
 
 
 def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
-    """w+ = 1/2 + (p - c) . n, correctly rounded, and w- = 1 - w+."""
-    n1, n2, n3 = _unit_vector(direction)
-    w_plus = _sum_of_products(0.5, ((p.p1 - 0.5, n1), (p.p2 - 0.5, n2), (p.p3 - 0.5, n3)))
+    """w+ = 1/2 + (p - c) . n, correctly rounded, with p_k - 1/2 taken exactly, and w- = 1 - w+."""
+    (n1, n2, n3), p1, p2, p3 = _unit_vector(direction), p.p1, p.p2, p.p3
+    pairs = [(p1 - 0.5, n1), (p2 - 0.5, n2), (p3 - 0.5, n3)]
+    if not (0.25 <= p1 <= 1.0 and 0.25 <= p2 <= 1.0 and 0.25 <= p3 <= 1.0):  # else every offset error is 0.0
+        pairs += [(e, n) for e, n in zip(map(_offset_error, (p1, p2, p3)), (n1, n2, n3)) if e]
+    w_plus = _sum_of_products(0.5, pairs)
     return w_plus, 1.0 - w_plus
 
 
 class AffineMap3(Record):
-    """Affine action p -> L p + C on probability triples.
+    """Affine action p -> L p + C on probability triples, held as finite floats.
 
-    L and C are read-only float64 arrays of shape (3, 3) and (3,), copied from
-    what the caller passes, so a map can be shared and nothing can change it.
+    linear is L's three rows and offset is C; L and C are fresh arrays on each access.
     """
 
-    __slots__ = ("L", "C")
+    __slots__ = ("linear", "offset")
 
-    def __init__(self, L: np.ndarray, C: np.ndarray):
-        L, C = np.asarray(L, dtype=float).reshape(3, 3), np.asarray(C, dtype=float).reshape(3)
-        _freeze(self, L.copy(), C.copy())
+    def __init__(self, linear, offset):
+        if not (isinstance(linear, (list, tuple)) and len(linear) == 3):  # nested lists load no numpy
+            linear = np.asarray(linear)
+            if linear.shape != (3, 3):
+                raise DomainError(f"an affine map's L needs shape (3, 3), got shape {linear.shape}")
+        linear = tuple(_floats3(row, "an affine map's L needs shape (3, 3)") for row in linear)
+        _affine_map(linear, _floats3(offset, "an affine map's C needs shape (3,)"), self)
+
+    @property
+    def L(self) -> np.ndarray:
+        return np.array(self.linear)
+
+    @property
+    def C(self) -> np.ndarray:
+        return np.array(self.offset)
 
     def apply(self, p: ProbTriple) -> ProbTriple:
-        return ProbTriple(*(self.L @ p.as_array() + self.C).tolist())
+        x, y, z = map(_as_float, (p.p1, p.p2, p.p3))
+        return ProbTriple(*(l1 * x + l2 * y + l3 * z + c for (l1, l2, l3), c in zip(self.linear, self.offset)))
 
     def then(self, other: "AffineMap3") -> "AffineMap3":
         """Map equivalent to applying self first, then other."""
-        return _affine_map(other.L @ self.L, other.L @ self.C + other.C)
+        columns = (*zip(*self.linear), self.offset)  # L's columns, then C: rows of other times [L | C]
+        rows = [[o1 * a + o2 * b + o3 * c for a, b, c in columns] for o1, o2, o3 in other.linear]
+        return _affine_map(tuple(tuple(r[:3]) for r in rows), tuple(r[3] + c for r, c in zip(rows, other.offset)))
 
 
-def _freeze(m: AffineMap3, L: np.ndarray, C: np.ndarray) -> AffineMap3:
-    # setflags costs about half of a write to .flags, which builds a flags object first
-    L.setflags(write=False)
-    C.setflags(write=False)
-    _set(m, "L", L)
-    _set(m, "C", C)
+def _affine_map(linear: tuple, offset: tuple, m: AffineMap3 | None = None) -> AffineMap3:
+    """m, or a new AffineMap3, set to L's float rows and C, with DomainError if an entry is not finite."""
+    if not all(map(math.isfinite, (*linear[0], *linear[1], *linear[2], *offset))):
+        raise DomainError(f"affine map must be finite, got L = {linear!r}, C = {offset!r}")
+    m = AffineMap3.__new__(AffineMap3) if m is None else m
+    _set(m, "linear", linear)
+    _set(m, "offset", offset)
     return m
 
 
-def _affine_map(L: np.ndarray, C: np.ndarray) -> AffineMap3:
-    """An AffineMap3 that takes over just-built float64 arrays of shape (3, 3) and (3,), with no copy."""
-    return _freeze(AffineMap3.__new__(AffineMap3), L, C)
+def _adjoint_rotation(rows) -> tuple[tuple, tuple[float, float, float]]:
+    """R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 and C = (I - R) c, from the entries ((a, b), (c, d)) of any 2x2 u.
+
+    With P = d a*, Q = c b*, S = a b* - c d* and T = c a* - d b*: R = [[Re(P+Q), Im(Q-P), Re T], [Im(P+Q),
+    Re(P-Q), Im T], [Re S, Im S, (|a|^2 - |b|^2 - |c|^2 + |d|^2) / 2]], each entry one math.fsum of real products.
+    """
+    (a, b), (c, d) = rows
+    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    fsum = math.fsum
+    R = ((fsum((dr * ar, di * ai, cr * br, ci * bi)), fsum((ci * br, -(cr * bi), -(di * ar), dr * ai)),
+          fsum((cr * ar, ci * ai, -(dr * br), -(di * bi)))),
+         (fsum((di * ar, -(dr * ai), ci * br, -(cr * bi))), fsum((dr * ar, di * ai, -(cr * br), -(ci * bi))),
+          fsum((ci * ar, -(cr * ai), -(di * br), dr * bi))),
+         (fsum((ar * br, ai * bi, -(cr * dr), -(ci * di))), fsum((ai * br, -(ar * bi), -(ci * dr), cr * di)),
+          0.5 * fsum((ar * ar, ai * ai, -(br * br), -(bi * bi), -(cr * cr), -(ci * ci), dr * dr, di * di))))
+    return R, tuple(0.5 - 0.5 * ((r1 + r2) + r3) for r1, r2, r3 in R)
 
 
-@functools.cache
-def _pauli_stack() -> np.ndarray:
-    return np.stack((matrix_oracle.SIGMA_X, matrix_oracle.SIGMA_Y, matrix_oracle.SIGMA_Z))
-
-
-def _adjoint_rotation(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form for one unitary: R_ij = Tr(sigma_i u sigma_j u^dagger) / 2 and C = (I - R) c."""
-    paulis, center = _pauli_stack(), qubit_core.BALL_CENTER
-    frames = u @ paulis @ u.conj().T
-    R = 0.5 * np.einsum("iab,jba->ij", paulis, frames).real
-    return R, center - R @ center
-
-
-def _rotation(w: np.ndarray, formula_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _rotation(rows, formula_tol: float | None) -> tuple[tuple, tuple[float, float, float]]:
     """Closed-form (L, C) of one validated unitary, warned about if it fails its probe-fit oracle."""
-    closed = _adjoint_rotation(w)
+    closed = _adjoint_rotation(rows)
     if formula_tol is not None:
-        checked_map(closed, rotation_oracle(w), formula_tol, "rotation")
+        checked_map(closed, rotation_oracle(np.array(rows)), formula_tol, "rotation")
     return closed
 
 
 def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[FormulaCheck]:
     """Compare every closed-form (L, C) component against the probe construction."""
-    w = matrix_oracle.require_unitary(u)
-    return component_checks(_adjoint_rotation(w), rotation_oracle(w), tol)
-
-
-@functools.lru_cache(maxsize=ROTATION_CACHE_SIZE)
-def _rotation_map(data: bytes) -> AffineMap3:
-    """The adjoint rotation of the validated unitary whose complex128 entries, in C order, are data."""
-    return _affine_map(*_adjoint_rotation(np.frombuffer(data, dtype=complex).reshape(2, 2)))
+    rows = matrix_oracle._unitary_rows(u)
+    return component_checks(_adjoint_rotation(rows), rotation_oracle(np.array(rows)), tol)
 
 
 def rotation_from_unitary(u, formula_tol: float | None = None) -> AffineMap3:
     """Affine action of conjugation by a single unitary on probability triples.
 
-    The map is the closed-form adjoint rotation. u is validated on every call;
-    the map itself is memoized on u's entries, so a repeated unitary returns
-    the same frozen value. Given formula_tol, the map is computed afresh and
-    checked against the fit through four probe states of the matrix route: a
-    component off by more names itself in a FormulaMismatchWarning.
-    channel_map builds each of its terms the same way, without the memo.
+    The map is the closed-form adjoint rotation of u's entries; given formula_tol,
+    it is also checked against the fit through four probe states of the matrix
+    route: a component off by more names itself in a FormulaMismatchWarning.
     """
-    w = matrix_oracle.require_unitary(u)
-    if formula_tol is None:
-        return _rotation_map(w.tobytes())
-    return _affine_map(*_rotation(w, formula_tol))
+    return _affine_map(*_rotation(matrix_oracle._unitary_rows(u), formula_tol))
 
 
 class ChannelSpec(Record):
-    """Convex mixture of unitary conjugations as (weight, unitary) pairs."""
+    """Convex mixture of unitary conjugations as (weight, entries) pairs, each unitary's rows of complex numbers."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[float, np.ndarray], ...]):
+    def __init__(self, terms):
         if len(terms) == 0:
             raise DomainError("a channel needs at least one (weight, unitary) term")
-        cleaned = []
-        total = 0.0
+        cleaned, total = [], 0.0
         for k, (weight, u) in enumerate(terms):
             w = _as_float(weight)
             if not w >= -WEIGHT_TOL:
                 raise DomainError(f"channel weight {k} is negative or NaN ({w!r})")
-            # a read-only copy, so that channel_map can use it without checking it again
-            unitary = matrix_oracle.require_unitary(u, name=f"channel unitary {k}").copy()
-            unitary.flags.writeable = False
-            cleaned.append((w, unitary))
+            cleaned.append((w, tuple(map(tuple, matrix_oracle._unitary_rows(u, name=f"channel unitary {k}")))))
             total += w
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise DomainError(f"channel weights must sum to 1, got {total!r}")
@@ -211,9 +203,8 @@ def channel_map(spec: ChannelSpec, formula_tol: float | None = None) -> AffineMa
     rotation_from_unitary, formula_tol and all, and the sum adds w * R and
     w * C term by term from zero.
     """
-    L, C = np.zeros((3, 3)), np.zeros(3)
-    for weight, u in spec.terms:
-        R, offset = _rotation(u, formula_tol)
-        L += weight * R
-        C += weight * offset
-    return _affine_map(L, C)
+    total = [0.0] * 12
+    for weight, rows in spec.terms:
+        (r1, r2, r3), offset = _rotation(rows, formula_tol)
+        total = [x + weight * v for x, v in zip(total, (*r1, *r2, *r3, *offset))]
+    return _affine_map((tuple(total[0:3]), tuple(total[3:6]), tuple(total[6:9])), tuple(total[9:]))

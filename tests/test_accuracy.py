@@ -1,7 +1,8 @@
 """Error bounds of the kernels whose small results cancel, against mpmath at 256 bits.
 
-Each bound is stated in ulps of the exact value, over inputs from 1e-9 to 1e9,
-near-degenerate and near-singular spectra and near-pure states:
+Each bound is stated against the exact value of the float inputs: in ulps,
+over inputs from 1e-9 to 1e9, near-degenerate and near-singular spectra and
+near-pure states, or absolute where the result is a rotation entry:
 
 - eigenvalues_hermitian: the smaller-magnitude eigenvalue within 4 ulp, the
   larger within 2.5 ulp, also for entries from 1e-300 to 1e300 whose
@@ -10,7 +11,14 @@ near-degenerate and near-singular spectra and near-pure states:
 - qprob check's density_eigenvalues: lambda_min within 3 ulp of the
   smaller eigenvalue of the triple's density matrix and lambda_max within
   2.5 ulp of the larger, also for triples typed as short decimals, whose
-  p_k - 1/2 rounds.
+  p_k - 1/2 rounds;
+- rotation_from_unitary: every entry R_ij of the adjoint rotation within
+  1.7e-16 and every C_i within 5e-16, over random unitaries and the gates of
+  the benchmark's gate library. Each R_ij is one math.fsum of rounded
+  products whose magnitudes sum to at most 1, so it is off by at most
+  2^-53 + 2^-54;
+- check_ball and the tomogram's w+: within 0.5 ulp, that is, correctly
+  rounded, also with coordinates down to 1e-9, where p_k - 1/2 rounds.
 """
 
 import math
@@ -19,8 +27,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from qprob import ProbTriple, eigenvalues_hermitian
+from qprob import Direction, ProbTriple, check_ball, eigenvalues_hermitian, rotation_from_unitary, state_tomogram
 from qprob.cli import _triple_report
+from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
 from qprob.qubit_core import DEFAULT_TOL
 
 PREC = 256
@@ -28,6 +37,9 @@ WIDE_PREC = 5000
 SMALL_EIGENVALUE_ULPS = 4.0
 LARGE_EIGENVALUE_ULPS = 2.5
 CHECK_LAMBDA_MIN_ULPS = 3.0
+ROTATION_ENTRY_ERROR = 1.7e-16
+ROTATION_OFFSET_ERROR = 5e-16
+CORRECTLY_ROUNDED_ULPS = 0.5
 
 
 def ulps(value: float, exact) -> float:
@@ -160,3 +172,89 @@ def test_check_lambda_min_keeps_its_relative_accuracy(rng):
 def test_check_lambda_min_of_typed_pure_states(p):
     # each p_k - 1/2 below 1/4 rounds, by as much as the exact det of the typed floats
     assert check_lambda_min_ulps(ProbTriple(*p)) <= CHECK_LAMBDA_MIN_ULPS
+
+
+def _gate(pauli, angle: float) -> np.ndarray:
+    return math.cos(angle / 2) * IDENTITY - 1j * math.sin(angle / 2) * pauli
+
+
+# the gate library of the benchmark's gates workload, built as it builds it
+GATES = (
+    SIGMA_X, SIGMA_Y, SIGMA_Z, (SIGMA_X + SIGMA_Z) / math.sqrt(2.0),
+    np.diag([1.0, 1.0j]), np.diag([1.0, np.exp(0.25j * math.pi)]),
+    _gate(SIGMA_X, math.pi / 3), _gate(SIGMA_Y, math.pi / 4), _gate(SIGMA_Z, 2 * math.pi / 5),
+)
+
+
+def exact_rotation(u) -> tuple[list, list]:
+    """R_ij = Re Tr(sigma_i u sigma_j u^dagger) / 2 and C_i = 1/2 - sum_j R_ij / 2 of the float entries of u, at PREC bits."""
+    def product(x, y):
+        return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+    with mpmath.workprec(PREC):
+        m = [[mpmath.mpc(z.real, z.imag) for z in row] for row in np.asarray(u, dtype=complex).tolist()]
+        dagger = [[mpmath.conj(m[j][i]) for j in range(2)] for i in range(2)]
+        paulis = [[[mpmath.mpc(z.real, z.imag) for z in row] for row in s.tolist()] for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+        frames = [product(product(m, s), dagger) for s in paulis]
+        R = [[mpmath.re(sum(s[a][b] * f[b][a] for a in range(2) for b in range(2))) / 2 for f in frames] for s in paulis]
+        return R, [mpmath.mpf(0.5) - sum(row) / 2 for row in R]
+
+
+def random_unitaries(rng, n: int):
+    """QR of a complex Gaussian matrix, times a random global phase."""
+    for _ in range(n):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        yield np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * q
+
+
+def test_rotation_entries_are_within_their_bound(rng):
+    worst_R = worst_C = 0.0
+    for u in (*GATES, *random_unitaries(rng, 2000)):
+        mapping = rotation_from_unitary(u)
+        R, C = exact_rotation(u)
+        for got, exact in zip((*mapping.linear[0], *mapping.linear[1], *mapping.linear[2]), (*R[0], *R[1], *R[2])):
+            worst_R = max(worst_R, float(abs(mpmath.mpf(got) - exact)))
+        for got, exact in zip(mapping.offset, C):
+            worst_C = max(worst_C, float(abs(mpmath.mpf(got) - exact)))
+    assert worst_R <= ROTATION_ENTRY_ERROR and worst_C <= ROTATION_OFFSET_ERROR, (worst_R, worst_C)
+
+
+def small_coordinate_triple(rng) -> ProbTriple:
+    """A physical triple with one coordinate from 1e-9 to 1/4, where p - 1/2 rounds, and the others inside the ball."""
+    small = float(10.0 ** rng.uniform(-9.0, math.log10(0.25)))
+    room = math.sqrt(max(0.0, 0.25 - (small - 0.5) ** 2)) * rng.uniform(0.0, 0.999)
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    p = [small, 0.5 + room * math.cos(angle), 0.5 + room * math.sin(angle)]
+    rng.shuffle(p)
+    return ProbTriple(*p)
+
+
+def exact_offsets(p: ProbTriple) -> list:
+    return [mpmath.mpf(v) - mpmath.mpf(0.5) for v in (p.p1, p.p2, p.p3)]
+
+
+def test_check_ball_is_correctly_rounded(rng):
+    for n in range(3000):
+        p = (small_coordinate_triple(rng), near_pure_triple(rng, n), ProbTriple(*rng.uniform(-1.0, 2.0, 3)))[n % 3]
+        with mpmath.workprec(PREC):
+            exact = mpmath.mpf(0.25) - sum(d * d for d in exact_offsets(p))
+        assert ulps(check_ball(p), exact) <= CORRECTLY_ROUNDED_ULPS, p
+
+
+def tomogram_inputs(rng, count: int):
+    """(triple, unit vector) pairs: triples with a small coordinate or near the pure-state sphere."""
+    for n in range(count):
+        p = small_coordinate_triple(rng) if n % 2 else near_pure_triple(rng, n)
+        theta, phi = float(np.arccos(rng.uniform(-1.0, 1.0))), rng.uniform(0.0, 2.0 * math.pi)
+        yield p, Direction(theta, phi).unit_vector().tolist()
+
+
+def test_tomogram_is_correctly_rounded(rng):
+    # along x, w+ of (p1, 1/2, 1/2) is p1 itself, also where p1 - 1/2 rounds
+    pinned = [(ProbTriple(p1, 0.5, 0.5), [1.0, 0.0, 0.0]) for p1 in (1e-6, 0.1, 1e-9)]
+    for p, n_vec in (*pinned, *tomogram_inputs(rng, 3000)):
+        w_plus, w_minus = state_tomogram(p, n_vec, tol=1e-9)
+        with mpmath.workprec(PREC):
+            exact = mpmath.mpf(0.5) + sum(d * mpmath.mpf(m) for d, m in zip(exact_offsets(p), n_vec))
+        assert ulps(w_plus, exact) <= CORRECTLY_ROUNDED_ULPS, (p, n_vec)
+        assert w_minus == 1.0 - w_plus

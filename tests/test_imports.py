@@ -1,7 +1,7 @@
 """The import contract: qprob loads numpy only for the library calls that build arrays.
 
-No CLI command loads numpy, no function that returns numbers or triples loads it on Python
-input, and importing the CLI loads neither dataclasses nor inspect.
+No CLI command loads numpy, no function that returns numbers, triples, maps or channels loads
+it on Python input, and importing the CLI loads neither dataclasses nor inspect.
 """
 
 import ast
@@ -81,6 +81,11 @@ def test_scalar_valued_functions_on_python_input_load_no_numpy():
         "qprob.state_tomogram(qprob.ProbTriple(0.7, 0.4, 0.55), [0.0, 0.0, 1.0])\n"
         "qprob.observable_tomogram(h, [0.0, 0.0, 1.0], 2.0)\n"
         "qprob.ProbTriple.from_array([0.5, 0.5, 1.0])\n"
+        "x, z = [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]\n"
+        "spec = qprob.ChannelSpec(((0.5, x), (0.5, z)))\n"
+        "m = qprob.rotation_from_unitary(x).then(qprob.channel_map(spec))\n"
+        "m.apply(qprob.ProbTriple(0.7, 0.4, 0.55))\n"
+        "qprob.AffineMap3([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 0))\n"
         "print('numpy' in sys.modules)\n"
     ))
     assert result.returncode == 0, result.stderr

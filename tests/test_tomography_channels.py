@@ -30,7 +30,7 @@ from qprob import (
 from qprob.diagnostics import failed_checks
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, unitarity_defect
 from qprob.qubit_core import BALL_CENTER
-from qprob.tomography_channels import ROTATION_CACHE_SIZE, ROTATION_FORMULA_TOL, _adjoint_rotation, _rotation_map
+from qprob.tomography_channels import ROTATION_FORMULA_TOL, _adjoint_rotation
 
 from conftest import random_direction, random_physical_triple, random_unitary
 
@@ -49,10 +49,11 @@ GATE_LIBRARY = (
 
 
 def channel_image_oracle(spec: ChannelSpec, p: ProbTriple) -> ProbTriple:
-    """Matrix-route image: probabilities of sum_s w_s u_s rho u_s^dagger."""
+    """Matrix-route image: probabilities of sum_s w_s u_s rho u_s^dagger, from the spec's entry tuples."""
     rho = density_from_probs(p)
     out = np.zeros((2, 2), dtype=complex)
-    for weight, u in spec.terms:
+    for weight, entries in spec.terms:
+        u = np.asarray(entries)
         out += weight * (u @ rho @ u.conj().T)
     return probs_from_density(out)
 
@@ -251,9 +252,9 @@ def test_rotation_is_the_adjoint_form_without_warning(entries, phase):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mapping = rotation_from_unitary(u, formula_tol=ROTATION_FORMULA_TOL)
-    L, C = _adjoint_rotation(u)
-    assert mapping.L.tobytes() == L.tobytes()
-    assert mapping.C.tobytes() == C.tobytes()
+    L, C = _adjoint_rotation(u.tolist())
+    assert mapping.linear == L and mapping.L.tobytes() == np.array(L).tobytes()
+    assert mapping.offset == C and mapping.C.tobytes() == np.array(C).tobytes()
 
 
 def test_rotation_mismatch_detector_fires(rng):
@@ -263,27 +264,24 @@ def test_rotation_mismatch_detector_fires(rng):
 
 
 def test_rotation_rejects_non_unitary():
-    # validation runs on every call, memo or not
+    # validation runs on every call
     for _ in range(2):
         with pytest.raises(DomainError, match=r"^matrix is not unitary \(defect 3\.000e\+00 exceeds 1\.0e-12\)$"):
             rotation_from_unitary(2.0 * IDENTITY)
 
 
-def test_memoized_rotation_is_the_fresh_adjoint_form(rng):
+def test_rotation_is_the_same_for_every_memory_order(rng):
     unitaries = [*GATE_LIBRARY, *(random_unitary(rng) for _ in range(300))]
     for u in unitaries:
-        L, C = _adjoint_rotation(u)
+        L, C = (np.array(part).tobytes() for part in _adjoint_rotation(u.tolist()))
         for given in (np.ascontiguousarray(u), np.asfortranarray(u), u.tolist()):
             mapping = rotation_from_unitary(given)
-            assert mapping.L.tobytes() == L.tobytes() and mapping.C.tobytes() == C.tobytes()
-            # the fresh form of the array as given, in its own memory order
-            fresh_L, fresh_C = _adjoint_rotation(np.asarray(given, dtype=complex))
-            assert fresh_L.tobytes() == L.tobytes() and fresh_C.tobytes() == C.tobytes()
+            assert mapping.L.tobytes() == L and mapping.C.tobytes() == C
 
 
 def test_repeated_unitary_returns_the_same_map():
     for u in GATE_LIBRARY:
-        assert rotation_from_unitary(u) is rotation_from_unitary(u.tolist())
+        assert rotation_from_unitary(u) == rotation_from_unitary(u.tolist())
 
 
 def test_rotation_checked_against_its_oracle_warns_on_every_call():
@@ -292,15 +290,8 @@ def test_rotation_checked_against_its_oracle_warns_on_every_call():
     for _ in range(2):
         with pytest.warns(FormulaMismatchWarning, match="rotation"):
             mapping = rotation_from_unitary(u, formula_tol=-1.0)
-        memoized = rotation_from_unitary(u)
-        assert mapping is not memoized
-        assert mapping.L.tobytes() == memoized.L.tobytes() and mapping.C.tobytes() == memoized.C.tobytes()
-
-
-def test_rotation_memo_is_bounded(rng):
-    for _ in range(2 * ROTATION_CACHE_SIZE):
-        rotation_from_unitary(random_unitary(rng))
-    assert _rotation_map.cache_info().currsize <= ROTATION_CACHE_SIZE
+        closed = rotation_from_unitary(u)
+        assert mapping.L.tobytes() == closed.L.tobytes() and mapping.C.tobytes() == closed.C.tobytes()
 
 
 def test_channel_single_identity_term():
@@ -449,31 +440,52 @@ def test_channel_spec_holds_its_own_unitaries():
     u = SIGMA_X.copy()
     spec = ChannelSpec(((1.0, u),))
     u[:] = 2.0 * IDENTITY
-    with pytest.raises(ValueError):
-        spec.terms[0][1][0, 0] = 2.0
-    np.testing.assert_array_equal(channel_map(spec).L, rotation_from_unitary(SIGMA_X).L)
+    assert spec.terms == ((1.0, ((0j, 1 + 0j), (1 + 0j, 0j))),)
+    assert all(type(z) is complex for z in (*spec.terms[0][1][0], *spec.terms[0][1][1]))
+    with pytest.raises(TypeError):
+        spec.terms[0][1][0][0] = 2.0
+    assert channel_map(spec) == rotation_from_unitary(SIGMA_X)
 
 
 def test_affine_map_shapes():
-    with pytest.raises(ValueError):
-        AffineMap3(np.eye(2), np.zeros(3))
+    # a misshaped or non-finite L or C is a DomainError, as KineticSystem's omega is
+    cases = [
+        (np.eye(2), np.zeros(3), r"^an affine map's L needs shape \(3, 3\), got shape \(2, 2\)$"),
+        ([[1, 0, 0], [0, 1, 0]], (0, 0, 0), r"^an affine map's L needs shape \(3, 3\), got shape \(2, 3\)$"),
+        ([[1, 0], [0, 1], [0, 0]], (0, 0, 0), r"^an affine map's L needs shape \(3, 3\), got shape \(2,\)$"),
+        (np.eye(3), np.zeros(2), r"^an affine map's C needs shape \(3,\), got shape \(2,\)$"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, math.inf]], (0, 0, 0), r"^affine map must be finite, got L = .*inf.*, C = "),
+        (np.eye(3), (0.0, math.nan, 0.0), r"^affine map must be finite, got L = .*, C = \(0\.0, nan, 0\.0\)$"),
+    ]
+    for L, C, message in cases:
+        with pytest.raises(DomainError, match=message):
+            AffineMap3(L, C)
 
 
-def test_affine_map_holds_its_own_read_only_arrays():
+def test_composed_map_past_the_float_range_is_rejected():
+    huge = AffineMap3(np.eye(3) * 1e200, np.zeros(3))
+    with pytest.raises(DomainError, match="affine map must be finite"):
+        huge.then(huge)
+
+
+def test_affine_map_holds_its_own_floats():
     L, C = np.eye(3), np.zeros(3)
     m = AffineMap3(L, C)
     L[1, 1] = 5.0
     C[0] = 5.0
     np.testing.assert_array_equal(m.L, np.eye(3))
     np.testing.assert_array_equal(m.C, np.zeros(3))
-    memoized = rotation_from_unitary(SIGMA_Y)
-    composed = m.then(memoized)
+    rotation = rotation_from_unitary(SIGMA_Y)
+    composed = m.then(rotation)
     mixed = channel_map(ChannelSpec(((0.5, SIGMA_X), (0.5, SIGMA_Z))))
-    for mapping in (m, AffineMap3([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 0)), memoized, composed, mixed):
+    for mapping in (m, AffineMap3([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 0)), rotation, composed, mixed):
+        assert all(type(x) is float for x in (*mapping.linear[0], *mapping.linear[1], *mapping.linear[2]))
+        assert all(type(x) is float for x in mapping.offset)
         assert mapping.L.dtype == mapping.C.dtype == np.float64
         assert (mapping.L.shape, mapping.C.shape) == ((3, 3), (3,))
-        with pytest.raises(ValueError):
-            mapping.L[0, 0] = 7.0
-        with pytest.raises(ValueError):
-            mapping.C[0] = 7.0
-    np.testing.assert_array_equal(rotation_from_unitary(SIGMA_Y).L, np.diag([-1.0, 1.0, -1.0]))
+        # L and C are fresh arrays: writing into one leaves the map as it was
+        before = (mapping.linear, mapping.offset)
+        mapping.L[0, 0] = 7.0
+        mapping.C[0] = 7.0
+        assert (mapping.linear, mapping.offset) == before
+    assert rotation_from_unitary(SIGMA_Y) == AffineMap3(np.diag([-1.0, 1.0, -1.0]), (1.0, 0.0, 1.0))

@@ -1,6 +1,7 @@
 """The value classes: construction, validation, equality, hashing, repr, immutability, pickling and matching."""
 
 import copy
+import math
 import pickle
 import re
 
@@ -18,6 +19,7 @@ from qprob import (
     ProbTriple,
     Trajectory,
     TrianglePicture,
+    rotation_from_unitary,
 )
 
 P = ProbTriple(0.7, 0.4, 0.55)
@@ -32,11 +34,13 @@ CASES = [
     # psi defaults to 0.0, and the angles are read as floats
     (Direction, (1, 0.5), "Direction(theta=1.0, phi=0.5, psi=0.0)", True,
      ((4.0, 0.5), "theta = 4.0 outside [0, pi]")),
+    # held as Python floats and complex numbers, whatever array-like they are given
     (AffineMap3, (np.eye(3), [0.0, 0.0, 0.0]),
-     "AffineMap3(L=array([[1., 0., 0.],\n       [0., 1., 0.],\n       [0., 0., 1.]]), C=array([0., 0., 0.]))",
-     False, None),
+     "AffineMap3(linear=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), offset=(0.0, 0.0, 0.0))", True,
+     (([[1, 0, 0], [0, 1, 0], [0, 0, math.inf]], (0, 0, 0)),
+      "affine map must be finite, got L = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, inf)), C = (0.0, 0.0, 0.0)")),
     (ChannelSpec, (((1.0, np.eye(2)),),),
-     "ChannelSpec(terms=((1.0, array([[1.+0.j, 0.+0.j],\n       [0.+0.j, 1.+0.j]])),))", False,
+     "ChannelSpec(terms=((1.0, (((1+0j), 0j), (0j, (1+0j)))),))", True,
      (((),), "a channel needs at least one (weight, unitary) term")),
     (KineticSystem, ((1, 0.0, 2.0), 0), "KineticSystem(omega=(1.0, 0.0, 2.0), x=0.0)", True,
      (((1.0, 2.0), 0.0), "kinetic angular velocity omega needs 3 components, got 2")),
@@ -107,3 +111,15 @@ def test_value_class_contract(cls, args, text, hashable, rejected):
 def test_value_classes_hold_no_instance_dict():
     for cls, args, *_ in CASES:
         assert not hasattr(cls(*args), "__dict__")
+
+
+def test_maps_and_channels_compare_by_their_numbers():
+    by_hand = AffineMap3([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 0))
+    for u in (np.eye(2), [[1, 0], [0, 1]], np.asfortranarray(np.eye(2, dtype=complex))):
+        rotation = rotation_from_unitary(u)
+        assert rotation == by_hand and hash(rotation) == hash(by_hand)
+    assert rotation_from_unitary([[0, 1], [1, 0]]) != by_hand
+    assert len({by_hand, rotation_from_unitary(np.eye(2)), AffineMap3(np.eye(3), np.zeros(3))}) == 1
+    spec = ChannelSpec(((0.5, np.eye(2)), (0.5, [[1, 0], [0, -1]])))
+    same = ChannelSpec(((0.5, [[1, 0], [0, 1]]), (0.5, np.diag([1.0, -1.0]))))
+    assert spec == same and hash(spec) == hash(same)
