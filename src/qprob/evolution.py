@@ -73,6 +73,16 @@ class Trajectory(Record):
         _set(self, "probs", probs)
         _set(self, "x", x)
 
+    def __eq__(self, other):
+        # the arrays compare as wholes, so a trajectory is equal to another of the same shift, shape
+        # and numbers; it stays unhashable, as its arrays are
+        if other.__class__ is self.__class__:
+            return (self.x == other.x and np.array_equal(self.times, other.times)
+                    and np.array_equal(self.probs, other.probs))
+        return NotImplemented
+
+    __hash__ = None
+
     def triples(self) -> list[ProbTriple]:
         return [ProbTriple(*row) for row in self.probs.tolist()]
 

@@ -4,6 +4,13 @@ Output bytes depend only on the input pictures: fixed-precision coordinate
 formatting, no timestamps, no randomness. render_svg reads each picture's
 vertices as three (x, y) float pairs, which triangle_picture gives without
 numpy; vertices held as an array give the same bytes.
+
+Each document is one % format. Its template joins constant line templates:
+the header, then for each picture one per shape, that is, each square whose
+chord has a length, the reference triangle, the picture's triangle and its
+three vertex dots. Its values are the width and height, three times over
+for the header, and then every shape's pixel coordinates in drawing order,
+each written as %.6f, which formats a float as format(value, ".6f") does.
 """
 
 from __future__ import annotations
@@ -15,7 +22,21 @@ from .suprematism_geometry import _CORNERS
 _SCALE = 220.0
 _MARGIN = 0.18
 _PANEL_GAP = 0.6
-_SQUARE_FILLS = ("#111111", "#c8102e", "#fafafa")
+
+_HEAD = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="%.6f" height="%.6f" viewBox="0 0 %.6f %.6f">\n'
+    '<rect width="%.6f" height="%.6f" fill="#ffffff"/>'
+)
+_SQUARE_LINES = tuple(
+    f'<polygon points="%.6f,%.6f %.6f,%.6f %.6f,%.6f %.6f,%.6f" fill="{fill}" stroke="#111111" stroke-width="1"/>'
+    for fill in ("#111111", "#c8102e", "#fafafa")
+)
+_DOT = '<circle cx="%.6f" cy="%.6f" r="3.5" fill="#1f4e8c"/>'
+_PANEL_LINES = (
+    '<polygon points="%.6f,%.6f %.6f,%.6f %.6f,%.6f" fill="none" stroke="#999999" stroke-width="1.5"/>',
+    '<polygon points="%.6f,%.6f %.6f,%.6f %.6f,%.6f" fill="none" stroke="#1f4e8c" stroke-width="2"/>',
+    _DOT, _DOT, _DOT,
+)
 
 
 def _centroid(rows) -> tuple[float, float]:
@@ -25,10 +46,6 @@ def _centroid(rows) -> tuple[float, float]:
 
 
 _REF_CENTROID = _centroid(_CORNERS)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
 
 
 def _side(normal, mid, centroid) -> float:
@@ -55,62 +72,40 @@ def _square_corners(p, q, centroid) -> list | None:
     return [p, q, (q[0] + ox, q[1] + oy), (p[0] + ox, p[1] + oy)]
 
 
-def _panel_shapes(vertices, with_squares: bool) -> list[tuple[str, tuple | list, dict]]:
-    shapes: list[tuple[str, tuple | list, dict]] = []
-    if with_squares:
-        centroid = _centroid(vertices)
-        for k in range(3):
-            corners = _square_corners(vertices[k], vertices[(k + 1) % 3], centroid)
-            if corners is not None:
-                shapes.append(("polygon", corners, {
-                    "fill": _SQUARE_FILLS[k], "stroke": "#111111", "stroke-width": "1",
-                }))
-    shapes.append(("polygon", _CORNERS, {
-        "fill": "none", "stroke": "#999999", "stroke-width": "1.5",
-    }))
-    shapes.append(("polygon", vertices, {
-        "fill": "none", "stroke": "#1f4e8c", "stroke-width": "2",
-    }))
-    for k in range(3):
-        shapes.append(("circle", [vertices[k]], {"r": "3.5", "fill": "#1f4e8c"}))
-    return shapes
-
-
 def render_svg(pics, with_squares: bool = False) -> str:
     """One SVG document with the given pictures laid out side by side."""
-    all_shapes: list[tuple[str, list, dict]] = []
+    lines = [_HEAD]
+    xs: list[float] = []
+    ys: list[float] = []
     cursor = 0.0
     for pic in pics:
         vertices = [(float(x), float(y)) for x, y in pic.vertices]
-        shapes = _panel_shapes(vertices, with_squares)
-        xs = [x for _, pts, _ in shapes for x, _ in pts]
-        x_lo, x_hi = min(xs), max(xs)
-        all_shapes.extend((kind, [(x + (cursor - x_lo), y) for x, y in pts], attrs) for kind, pts, attrs in shapes)
+        points = []
+        if with_squares:
+            centroid = _centroid(vertices)
+            for k in range(3):
+                corners = _square_corners(vertices[k], vertices[(k + 1) % 3], centroid)
+                if corners is not None:
+                    points += corners
+                    lines.append(_SQUARE_LINES[k])
+        points += _CORNERS
+        points += vertices  # the picture's triangle
+        points += vertices  # its three vertex dots
+        lines += _PANEL_LINES
+        px, py = zip(*points)
+        x_lo, x_hi = min(px), max(px)
+        shift = cursor - x_lo
+        xs += [x + shift for x in px]
+        ys += py
         cursor += (x_hi - x_lo) + _PANEL_GAP
+    lines.append("</svg>\n")
 
-    xs = [x for _, pts, _ in all_shapes for x, _ in pts]
-    ys = [y for _, pts, _ in all_shapes for _, y in pts]
     xmin, ymin = min(xs) - _MARGIN, min(ys) - _MARGIN
     xmax, ymax = max(xs) + _MARGIN, max(ys) + _MARGIN
     width = (xmax - xmin) * _SCALE
     height = (ymax - ymin) * _SCALE
-
-    def to_px(x: float, y: float) -> tuple[str, str]:
-        # SVG y grows downward; flip the geometry's y axis
-        return _fmt((x - xmin) * _SCALE), _fmt((ymax - y) * _SCALE)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
-    ]
-    for kind, pts, attrs in all_shapes:
-        attr_text = " ".join(f'{key}="{value}"' for key, value in attrs.items())
-        if kind == "polygon":
-            coords = " ".join(",".join(to_px(x, y)) for x, y in pts)
-            parts.append(f'<polygon points="{coords}" {attr_text}/>')
-        else:
-            cx, cy = to_px(*pts[0])
-            parts.append(f'<circle cx="{cx}" cy="{cy}" {attr_text}/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    values = [width, height] * (len(xs) + 3)
+    # SVG y grows downward; flip the geometry's y axis
+    values[6::2] = [(x - xmin) * _SCALE for x in xs]
+    values[7::2] = [(ymax - y) * _SCALE for y in ys]
+    return "\n".join(lines) % tuple(values)

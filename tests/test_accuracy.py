@@ -18,7 +18,15 @@ near-pure states, or absolute where the result is a rotation entry:
   products whose magnitudes sum to at most 1, so it is off by at most
   2^-53 + 2^-54;
 - check_ball and the tomogram's w+: within 0.5 ulp, that is, correctly
-  rounded, also with coordinates down to 1e-9, where p_k - 1/2 rounds.
+  rounded, also with coordinates down to 1e-9, where p_k - 1/2 rounds;
+- encode_observable at its default shifts: p1 and p2 within 2 ulp and p3
+  within 4 ulp. The default shifts put every coordinate in [1/4, 3/4] and
+  make |tr H| <= d, so d = tr H + 2x, rounded twice, is within 2u of exact
+  (u = 2^-53). H21/d adds one rounding, so it is within 3u relative, that is,
+  3u/4 absolute; the + 1/2 adds half an ulp of the result, and on
+  [1/4, 1/2), where an ulp is u/2, the sum is 2 ulp. p3 = (H11 + x)/d has
+  one rounding more, in its numerator: 4u relative, which on [1/4, 1/2) is
+  4 ulp.
 """
 
 import math
@@ -27,7 +35,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from qprob import Direction, ProbTriple, check_ball, eigenvalues_hermitian, rotation_from_unitary, state_tomogram
+from qprob import (
+    Direction,
+    ProbTriple,
+    check_ball,
+    eigenvalues_hermitian,
+    encode_observable,
+    rotation_from_unitary,
+    state_tomogram,
+)
 from qprob.cli import _triple_report
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
 from qprob.qubit_core import DEFAULT_TOL
@@ -40,6 +56,8 @@ CHECK_LAMBDA_MIN_ULPS = 3.0
 ROTATION_ENTRY_ERROR = 1.7e-16
 ROTATION_OFFSET_ERROR = 5e-16
 CORRECTLY_ROUNDED_ULPS = 0.5
+ENCODE_OFF_DIAGONAL_ULPS = 2.0
+ENCODE_DIAGONAL_ULPS = 4.0
 
 
 def ulps(value: float, exact) -> float:
@@ -258,3 +276,22 @@ def test_tomogram_is_correctly_rounded(rng):
             exact = mpmath.mpf(0.5) + sum(d * mpmath.mpf(m) for d, m in zip(exact_offsets(p), n_vec))
         assert ulps(w_plus, exact) <= CORRECTLY_ROUNDED_ULPS, (p, n_vec)
         assert w_minus == 1.0 - w_plus
+
+
+def test_encode_triples_are_within_their_bound(rng):
+    for n in range(2000):
+        if n % 4 == 3:  # traceless, so the triple at a reaches out to |p - c| = 1/4
+            v = rng.normal(size=3)
+            v *= 10.0 ** rng.uniform(-9.0, 9.0) / np.linalg.norm(v)
+            h11, h22, c = float(v[2]), float(-v[2]), complex(float(v[0]), float(v[1]))
+        else:
+            h11, h22, c = random_hermitian_entries(rng, n % 4)
+        rep = encode_observable([[h11, c.conjugate()], [c, h22]])
+        for x, p in ((rep.a, rep.p_a), (rep.b, rep.p_b)):
+            with mpmath.workprec(PREC):
+                d = mpmath.mpf(h11) + mpmath.mpf(h22) + 2 * mpmath.mpf(x)
+                exact = (c.real / d + 0.5, c.imag / d + 0.5, (mpmath.mpf(h11) + x) / d)
+            assert all(0.25 <= e <= 0.75 for e in exact), (h11, h22, c)
+            bounds = (ENCODE_OFF_DIAGONAL_ULPS, ENCODE_OFF_DIAGONAL_ULPS, ENCODE_DIAGONAL_ULPS)
+            for got, e, bound in zip((p.p1, p.p2, p.p3), exact, bounds):
+                assert ulps(got, e) <= bound, (h11, h22, c, x)

@@ -549,10 +549,11 @@ _ANGLES = ["--theta", "1.0471975511965976", "--phi", "0.7853981633974483"]
     (["encode"], "generic_h.json", "generic_rep.json"),
     (["decode"], "generic_rep.json", "generic_decode_out.json"),
     (["check"], "generic_rep.json", "generic_check_out.json"),
+    (["check"], "generic_state.json", "generic_state_check_out.json"),
     (["tomogram", *_ANGLES, "--x", "2"], "generic_h.json", "generic_observable_tomogram_out.json"),
     (["tomogram", *_ANGLES], "generic_state.json", "generic_tomogram_out.json"),
 ], ids=["encode-default-shifts", "observable-tomogram", "generic-encode", "generic-decode", "generic-check",
-        "generic-observable-tomogram", "generic-state-tomogram"])
+        "generic-state-check", "generic-observable-tomogram", "generic-state-tomogram"])
 def test_observable_golden_bytes(args, infile, golden, capsys):
     # sigma_z runs the eigenvalue solve (default shifts, the admissibility of x) on exact
     # values; the generic H and triple have nonzero off-diagonals and inexact dots, so the

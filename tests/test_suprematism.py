@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprob import (
     DomainError,
@@ -14,8 +16,9 @@ from qprob import (
     render_svg,
     triangle_picture,
 )
+from qprob.figures import _MARGIN, _PANEL_GAP, _SCALE, _centroid, _square_corners
 from qprob.matrix_oracle import SIGMA_Z
-from qprob.suprematism_geometry import REFERENCE_CORNERS, SIDE
+from qprob.suprematism_geometry import _CORNERS, REFERENCE_CORNERS, SIDE
 
 from conftest import random_cube_triple
 
@@ -110,6 +113,94 @@ def test_render_svg_draws_array_vertices_as_float_pairs(p):
     as_array = TrianglePicture(np.array(pic.vertices), pic.side_lengths, pic.square_areas, pic.total_area)
     for with_squares in (False, True):
         assert render_svg([as_array, pic], with_squares) == render_svg([pic, pic], with_squares)
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.6f}"
+
+
+def _panel_shapes(vertices, with_squares: bool) -> list[tuple[str, tuple | list, dict]]:
+    shapes: list[tuple[str, tuple | list, dict]] = []
+    if with_squares:
+        centroid = _centroid(vertices)
+        for k in range(3):
+            corners = _square_corners(vertices[k], vertices[(k + 1) % 3], centroid)
+            if corners is not None:
+                shapes.append(("polygon", corners, {
+                    "fill": ("#111111", "#c8102e", "#fafafa")[k], "stroke": "#111111", "stroke-width": "1",
+                }))
+    shapes.append(("polygon", _CORNERS, {
+        "fill": "none", "stroke": "#999999", "stroke-width": "1.5",
+    }))
+    shapes.append(("polygon", vertices, {
+        "fill": "none", "stroke": "#1f4e8c", "stroke-width": "2",
+    }))
+    for k in range(3):
+        shapes.append(("circle", [vertices[k]], {"r": "3.5", "fill": "#1f4e8c"}))
+    return shapes
+
+
+def reference_render_svg(pics, with_squares: bool = False) -> str:
+    """render_svg as it was before its one-template form: one f-string per number, shape and attribute."""
+    all_shapes: list[tuple[str, list, dict]] = []
+    cursor = 0.0
+    for pic in pics:
+        vertices = [(float(x), float(y)) for x, y in pic.vertices]
+        shapes = _panel_shapes(vertices, with_squares)
+        xs = [x for _, pts, _ in shapes for x, _ in pts]
+        x_lo, x_hi = min(xs), max(xs)
+        all_shapes.extend((kind, [(x + (cursor - x_lo), y) for x, y in pts], attrs) for kind, pts, attrs in shapes)
+        cursor += (x_hi - x_lo) + _PANEL_GAP
+
+    xs = [x for _, pts, _ in all_shapes for x, _ in pts]
+    ys = [y for _, pts, _ in all_shapes for _, y in pts]
+    xmin, ymin = min(xs) - _MARGIN, min(ys) - _MARGIN
+    xmax, ymax = max(xs) + _MARGIN, max(ys) + _MARGIN
+    width = (xmax - xmin) * _SCALE
+    height = (ymax - ymin) * _SCALE
+
+    def to_px(x: float, y: float) -> tuple[str, str]:
+        # SVG y grows downward; flip the geometry's y axis
+        return _fmt((x - xmin) * _SCALE), _fmt((ymax - y) * _SCALE)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
+    ]
+    for kind, pts, attrs in all_shapes:
+        attr_text = " ".join(f'{key}="{value}"' for key, value in attrs.items())
+        if kind == "polygon":
+            coords = " ".join(",".join(to_px(x, y)) for x, y in pts)
+            parts.append(f'<polygon points="{coords}" {attr_text}/>')
+        else:
+            cx, cy = to_px(*pts[0])
+            parts.append(f'<circle cx="{cx}" cy="{cy}" {attr_text}/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# uniform cube coordinates, and the quarter grid nudged past it by 1e-13: there a chord can have
+# zero length (no square) or lie on the reference triangle's side (the collinear orientation tests)
+_coordinates = st.one_of(
+    st.floats(0.0, 1.0),
+    st.builds(float.__add__, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.sampled_from([0.0, 1e-13, -1e-13])),
+)
+
+
+def _picture(p1, p2, p3, as_array):
+    pic = triangle_picture(ProbTriple(p1, p2, p3))
+    if as_array:
+        return TrianglePicture(np.array(pic.vertices), pic.side_lengths, pic.square_areas, pic.total_area)
+    return pic
+
+
+@settings(max_examples=500, deadline=None)
+@given(pics=st.lists(st.builds(_picture, _coordinates, _coordinates, _coordinates, st.booleans()),
+                     min_size=1, max_size=3),
+       with_squares=st.booleans())
+def test_render_svg_is_the_reference_renderer_byte_for_byte(pics, with_squares):
+    assert render_svg(pics, with_squares) == reference_render_svg(pics, with_squares)
 
 
 def test_cube_bounds_enforced():

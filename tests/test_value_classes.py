@@ -19,7 +19,9 @@ from qprob import (
     ProbTriple,
     Trajectory,
     TrianglePicture,
+    build_kinetic,
     rotation_from_unitary,
+    sample_trajectory,
 )
 
 P = ProbTriple(0.7, 0.4, 0.55)
@@ -123,3 +125,16 @@ def test_maps_and_channels_compare_by_their_numbers():
     spec = ChannelSpec(((0.5, np.eye(2)), (0.5, [[1, 0], [0, -1]])))
     same = ChannelSpec(((0.5, [[1, 0], [0, 1]]), (0.5, np.diag([1.0, -1.0]))))
     assert spec == same and hash(spec) == hash(same)
+
+
+def test_trajectories_compare_by_their_numbers():
+    system = build_kinetic([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]], 0.0)
+    trajectory = sample_trajectory(system, Q, 1.0, 4)
+    same = sample_trajectory(system, Q, 1.0, 4)
+    assert trajectory == same and not trajectory != same
+    assert trajectory != Trajectory(trajectory.times, trajectory.probs, 1.0)
+    changed = trajectory.probs.copy()
+    changed[2, 1] = np.nextafter(changed[2, 1], 1.0)
+    assert trajectory != Trajectory(trajectory.times, changed, trajectory.x)
+    # arrays of another shape are unequal, not broadcast
+    assert trajectory != Trajectory(trajectory.times[:1], trajectory.probs[:1], trajectory.x)
