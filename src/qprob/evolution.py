@@ -134,14 +134,14 @@ def _turn(u, v) -> tuple[float, float, float]:
     Each row of K has two nonzero entries, and OpenBLAS's FMA kernels round
     their two products as one fused multiply-add, fma(a, b, c * d), then add
     it into a zeroed y (so a result that rounds to zero is +0). Python 3.11
-    has no math.fma; _sum_of_products(c * d, ((a, b),)) rounds c * d + a * b
+    has no math.fma; _sum_of_products([c * d], ((a, b),)) rounds c * d + a * b
     once, as fma does, so these bits are the same on every machine.
     """
     (u0, u1, u2), (v0, v1, v2) = u, v
     return (
-        _sum_of_products(u2 * v1, ((-u1, v2),)) + 0.0,
-        _sum_of_products(-u2 * v0, ((u0, v2),)) + 0.0,
-        _sum_of_products(-u0 * v1, ((u1, v0),)) + 0.0,
+        _sum_of_products([u2 * v1], ((-u1, v2),)) + 0.0,
+        _sum_of_products([-u2 * v0], ((u0, v2),)) + 0.0,
+        _sum_of_products([-u0 * v1], ((u1, v0),)) + 0.0,
     )
 
 

@@ -1,9 +1,7 @@
 """Deterministic SVG rendering of triangle pictures and their squares.
 
 Output bytes depend only on the input pictures: fixed-precision coordinate
-formatting, no timestamps, no randomness. render_svg reads each picture's
-vertices as three (x, y) float pairs, which triangle_picture gives without
-numpy; vertices held as an array give the same bytes.
+formatting, no timestamps, no randomness, and no numpy.
 
 Each document is one % format. Its template joins constant line templates:
 the header, then for each picture one per shape, that is, each square whose
@@ -17,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
 from .suprematism_geometry import _CORNERS
 
 _SCALE = 220.0
@@ -79,18 +78,17 @@ def render_svg(pics, with_squares: bool = False) -> str:
     ys: list[float] = []
     cursor = 0.0
     for pic in pics:
-        vertices = [(float(x), float(y)) for x, y in pic.vertices]
         points = []
         if with_squares:
-            centroid = _centroid(vertices)
+            centroid = _centroid(pic.vertices)
             for k in range(3):
-                corners = _square_corners(vertices[k], vertices[(k + 1) % 3], centroid)
+                corners = _square_corners(pic.vertices[k], pic.vertices[(k + 1) % 3], centroid)
                 if corners is not None:
                     points += corners
                     lines.append(_SQUARE_LINES[k])
         points += _CORNERS
-        points += vertices  # the picture's triangle
-        points += vertices  # its three vertex dots
+        points += pic.vertices  # the picture's triangle
+        points += pic.vertices  # its three vertex dots
         lines += _PANEL_LINES
         px, py = zip(*points)
         x_lo, x_hi = min(px), max(px)
@@ -98,6 +96,8 @@ def render_svg(pics, with_squares: bool = False) -> str:
         xs += [x + shift for x in px]
         ys += py
         cursor += (x_hi - x_lo) + _PANEL_GAP
+    if not xs:
+        raise DomainError("an SVG document needs at least one picture")
     lines.append("</svg>\n")
 
     xmin, ymin = min(xs) - _MARGIN, min(ys) - _MARGIN

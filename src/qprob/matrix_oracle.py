@@ -15,11 +15,11 @@ _unitarity_defect, _eigenvalues, _pauli) take those entries ((a, b), (c, d))
 and return Python numbers, so a function that returns numbers loads no numpy
 on Python input. Callers elsewhere in the package that already hold accepted
 entries call the kernels directly, so one public call checks each input
-matrix once. _sum_of_products rounds a short dot once, correctly: the
-eigenvalue solve's determinant here, and the ball residual, the tomogram's
-w+ and evolution's k1 and k2 elsewhere. Vector lengths, here and
-elsewhere in the package, are math.hypot or math.dist: they scale by powers
-of two inside, so they neither overflow nor underflow.
+matrix once. _sum_of_products rounds addends plus a short dot once, correctly
+wherever it is finite: the eigenvalue solve's determinant here, and the ball
+residual, the tomogram's w+ and evolution's k1 and k2 elsewhere. Vector
+lengths, here and elsewhere in the package, are math.hypot or math.dist:
+they scale by powers of two inside, so they neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -47,19 +47,19 @@ _SPLIT = 134217729.0
 _TINY_PRODUCT = 2.0 ** -967
 
 
-def _sum_of_products(c: float, pairs) -> float:
-    """c + sum of x * y over a sequence of pairs, correctly rounded while every factor is below 2^996.
+def _sum_of_products(terms: list, pairs) -> float:
+    """sum(terms) + sum of x * y over a sequence of pairs, correctly rounded wherever the exact sum is finite.
 
-    Veltkamp's split writes each factor as the sum of two halves of 26
-    significant bits, so the four products of the halves are exact and sum
-    to x * y exactly (Dekker, Numer. Math. 18, 1971); math.fsum adds c and
-    all of them exactly before its one rounding (Shewchuk, DCG 18, 1997).
-    Where a product nears underflow, so that a product of halves could
-    round, the terms are summed as exact fractions instead. Where a factor
-    or a product leaves the float range, or the sum does, the plain
-    left-to-right sum is returned: +-inf or NaN, with no exception.
+    terms, a fresh list of addends, is extended by the four products of
+    each pair's halves: Veltkamp's split makes them exact, with x * y their
+    sum (Dekker, Numer. Math. 18, 1971), and math.fsum rounds the total once
+    (Shewchuk, DCG 18, 1997). What fsum cannot round, a product near
+    underflow, a factor past 2^996 whose split overflows, a sum that
+    overflows fsum, is summed as exact fractions. Only a non-finite input or
+    an exact sum past the float range gives the plain left-to-right sum,
+    +-inf or NaN, with no exception.
     """
-    terms = [c]
+    n = len(terms)
     for x, y in pairs:
         t = _SPLIT * x
         x_hi = t - (t - x)
@@ -69,23 +69,24 @@ def _sum_of_products(c: float, pairs) -> float:
         y_lo = y - y_hi
         high = x_hi * y_hi
         if -_TINY_PRODUCT < high < _TINY_PRODUCT and x and y:
-            terms = None
             break
         terms += (high, x_hi * y_lo, x_lo * y_hi, x_lo * y_lo)
-    try:
-        if terms is None:
-            from fractions import Fraction  # imported here: only products near underflow need it
-
-            total = float(sum((Fraction(x) * Fraction(y) for x, y in pairs), Fraction(c)))
-        else:
+    else:
+        try:
             total = math.fsum(terms)
-    except (OverflowError, ValueError):  # overflow, inf - inf among the terms, or a non-finite Fraction
-        total = math.nan
-    if math.isfinite(total):
+        except (OverflowError, ValueError):  # overflow inside fsum, or inf - inf among the terms
+            total = math.nan
+        if math.isfinite(total):
+            return total
+    from fractions import Fraction  # imported here: only the inputs above need it
+
+    try:
+        return float(sum(map(Fraction, terms[:n])) + sum(Fraction(x) * Fraction(y) for x, y in pairs))
+    except (OverflowError, ValueError):  # a non-finite input, or an exact sum past the float range
+        total = 0.0
+        for t in [*terms[:n], *(x * y for x, y in pairs)]:
+            total += t
         return total
-    for x, y in pairs:
-        c += x * y
-    return c
 
 
 def as_matrix2(matrix) -> np.ndarray:
@@ -254,7 +255,7 @@ def _eigenvalues(rows) -> tuple[float, float]:
     k = math.frexp(max(map(abs, parts)))[1]
     h11, h22, b_re, b_im, c_re, c_im = map(math.ldexp, parts, (-k,) * 6)
     tr = h11 + h22
-    det = _sum_of_products(0.0, ((h11, h22), (-b_re, c_re), (b_im, c_im)))
+    det = _sum_of_products([0.0], ((h11, h22), (-b_re, c_re), (b_im, c_im)))
     # abs of a complex number is C's hypot, as np.hypot is, without a numpy call
     root = abs(complex(h11 - h22, 2.0 * abs(complex(c_re, c_im))))
     big = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)

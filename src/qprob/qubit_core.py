@@ -5,11 +5,10 @@ along the x, y, and z axes. Physical triples fill the closed ball of radius
 1/2 around (1/2, 1/2, 1/2); the boundary sphere carries the pure states, and
 the ball residual equals the determinant of the corresponding density matrix.
 
-The ball residual and the tomogram's dot product go through
-matrix_oracle's _sum_of_products, which rounds c + sum x*y once, correctly:
-each product split into exact parts, all summed by math.fsum. Their bits are
-then the same on every machine. A raw 3-vector (a triple, a direction) is
-read in one place, _floats3.
+The ball residual is one call of matrix_oracle's _sum_of_products, correctly
+rounded wherever it is finite, on exact terms: -3/4 + sum p_k - sum p_k^2,
+never p_k - 1/2, which rounds outside [1/4, 1]. A raw 3-vector (a triple, a
+direction) is read in one place, _floats3.
 """
 
 from __future__ import annotations
@@ -88,21 +87,13 @@ def check_ball(p: ProbTriple) -> float:
     return _ball_residual(_as_float(p.p1), _as_float(p.p2), _as_float(p.p3))
 
 
-def _offset_error(p: float) -> float:
-    """e, p - 1/2 = (p - 0.5 rounded) + e exactly by Knuth's TwoSum: 0.0 on [1/4, 1] (Sterbenz), NaN for p not finite."""
-    d = p - 0.5
-    return (p - (d - (d - p))) - (0.5 + (d - p))
-
-
 def _ball_residual(p1: float, p2: float, p3: float, c: float = 0.25) -> float:
-    """c - sum_k (p_k - 1/2)^2, correctly rounded: -(2 d e + e^2) joins -d^2 where e is nonzero and finite."""
+    """c - sum_k (p_k - 1/2)^2 as c - 3/4 + sum p_k - sum p_k^2, correctly rounded, or else the plain -inf or NaN."""
+    residual = _sum_of_products([c, -0.75, p1, p2, p3], ((p1, -p1), (p2, -p2), (p3, -p3)))
+    if math.isfinite(residual):
+        return residual
     d1, d2, d3 = p1 - 0.5, p2 - 0.5, p3 - 0.5
-    pairs = [(d1, -d1), (d2, -d2), (d3, -d3)]
-    if not (0.25 <= p1 <= 1.0 and 0.25 <= p2 <= 1.0 and 0.25 <= p3 <= 1.0):  # else every e is 0.0
-        for d, e in zip((d1, d2, d3), map(_offset_error, (p1, p2, p3))):
-            if 0.0 < abs(e) < math.inf:
-                pairs += ((d, -2.0 * e), (e, -e))
-    return _sum_of_products(c, pairs)
+    return c - d1 * d1 - d2 * d2 - d3 * d3
 
 
 def _violation(p: ProbTriple, tol: float, ball: bool = True) -> str | None:

@@ -38,7 +38,11 @@ class TrianglePicture(Record):
 
     def __init__(self, vertices: tuple[tuple[float, float], ...], side_lengths: tuple[float, float, float],
                  square_areas: tuple[float, float, float], total_area: float):
-        _set(self, "vertices", vertices)
+        if not isinstance(vertices, (list, tuple)):  # pairs load no numpy
+            vertices = np.asarray(vertices).tolist()
+        if not (len(vertices) == 3 and all(len(v) == 2 for v in vertices)):
+            raise DomainError(f"a picture needs three (x, y) vertices, got {vertices!r}")
+        _set(self, "vertices", tuple((float(x), float(y)) for x, y in vertices))
         _set(self, "side_lengths", side_lengths)
         _set(self, "square_areas", square_areas)
         _set(self, "total_area", total_area)

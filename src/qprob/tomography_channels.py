@@ -20,7 +20,7 @@ from ._numpy import np
 from ._record import Record, _set
 from .diagnostics import FormulaCheck, checked_map, component_checks, rotation_oracle
 from .errors import DomainError
-from .qubit_core import ProbTriple, _as_float, _floats3, _offset_error, _sum_of_products
+from .qubit_core import ProbTriple, _as_float, _floats3, _sum_of_products
 
 TWO_PI = 2.0 * math.pi
 ROTATION_FORMULA_TOL = 1e-9
@@ -80,12 +80,15 @@ def state_tomogram(p: ProbTriple, direction, tol: float = qubit_core.DEFAULT_TOL
 
 
 def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
-    """w+ = 1/2 + (p - c) . n, correctly rounded, with p_k - 1/2 taken exactly, and w- = 1 - w+."""
-    (n1, n2, n3), p1, p2, p3 = _unit_vector(direction), p.p1, p.p2, p.p3
-    pairs = [(p1 - 0.5, n1), (p2 - 0.5, n2), (p3 - 0.5, n3)]
-    if not (0.25 <= p1 <= 1.0 and 0.25 <= p2 <= 1.0 and 0.25 <= p3 <= 1.0):  # else every offset error is 0.0
-        pairs += [(e, n) for e, n in zip(map(_offset_error, (p1, p2, p3)), (n1, n2, n3)) if e]
-    w_plus = _sum_of_products(0.5, pairs)
+    """w+ = 1/2 + (p - c) . n as 1/2 + p . n - sum_k n_k / 2, one exact sum correctly rounded, and w- = 1 - w+."""
+    n = _unit_vector(direction)
+    terms, pairs = [0.5], [(p.p1, n[0]), (p.p2, n[1]), (p.p3, n[2])]
+    for n_k in n:  # -n_k / 2 rounds only near the subnormals, where the product n_k * (-1/2) stays exact
+        if -0.5 * n_k * -2.0 == n_k:
+            terms.append(-0.5 * n_k)
+        else:
+            pairs.append((n_k, -0.5))
+    w_plus = _sum_of_products(terms, pairs)
     return w_plus, 1.0 - w_plus
 
 

@@ -534,13 +534,13 @@ def test_trajectory_steps_must_be_an_integer():
 @pytest.mark.skipif(not hasattr(math, "fma"), reason="math.fma is new in Python 3.13")
 def test_turn_is_the_fused_multiply_add(rng):
     # _turn emulates fma(a, b, c * d) with a correctly rounded sum; where the interpreter
-    # has math.fma, the two agree bit for bit, down to products in the subnormals. v is an
-    # offset from the ball center in use; here it spans 1e-320 to 1e290, inside the 2^996
-    # bound on the factors under which _sum_of_products rounds correctly
+    # has math.fma, the two agree bit for bit, down to products in the subnormals and up to
+    # factors near the float max. v is an offset from the ball center in use; here it spans
+    # 1e-320 to 1e307
     for _ in range(20000):
         u = rng.normal(size=3)
         u = (u / np.linalg.norm(u)).tolist()
-        v = (rng.normal(size=3) * 10.0 ** rng.uniform(-320.0, 290.0)).tolist()
+        v = (rng.normal(size=3) * 10.0 ** rng.uniform(-320.0, 307.0)).tolist()
         (u0, u1, u2), (v0, v1, v2) = u, v
         fused = (math.fma(-u1, v2, u2 * v1) + 0.0, math.fma(u0, v2, -u2 * v0) + 0.0, math.fma(u1, v0, -u0 * v1) + 0.0)
         assert [x.hex() for x in _turn(u, v)] == [x.hex() for x in fused], (u, v)

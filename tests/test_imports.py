@@ -1,7 +1,8 @@
 """The import contract: qprob loads numpy only for the library calls that build arrays.
 
 No CLI command loads numpy, no function that returns numbers, triples, maps or channels loads
-it on Python input, and importing the CLI loads neither dataclasses nor inspect.
+it on Python input, and importing the CLI loads neither dataclasses nor inspect. No CLI command
+loads fractions on its golden input.
 """
 
 import ast
@@ -127,7 +128,8 @@ def test_array_free_commands_load_no_numpy(tmp_path, args, infile, env, golden):
         for name, expected in golden.items():
             assert (tmp_path / name).read_bytes() == (GOLDEN / expected).read_bytes()
     modules = imported_modules(result.stderr)
-    assert "qprob" in modules and "numpy" not in modules
+    # no golden input takes _sum_of_products' exact-fraction fallback, which imports fractions
+    assert "qprob" in modules and "numpy" not in modules and "fractions" not in modules
 
 
 @pytest.mark.parametrize("module, name, expected", [

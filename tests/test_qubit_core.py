@@ -213,6 +213,33 @@ near_underflow = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-560, -
 @example(c=0.0, pairs=[(-5e-324 / 0.4, 0.2155)])  # rounds to -0.0, as the exact value's sign asks
 def test_sum_of_products_is_correctly_rounded_near_underflow(c, pairs):
     exact = Fraction(c) + sum(Fraction(x) * Fraction(y) for x, y in pairs)
-    value = _sum_of_products(c, pairs)
+    value = _sum_of_products([c], pairs)
     assert value == float(exact) and math.copysign(1.0, value) == math.copysign(1.0, float(exact))
+
+
+# any finite float: the zeros, the subnormals and every binade up to the float max
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(terms=st.lists(finite, max_size=4), pairs=st.lists(st.tuples(finite, finite), max_size=4))
+@example(terms=[-1e308], pairs=[(1.5e307, 10.0)])  # the split of 1.5e307 overflows
+@example(terms=[-1.7e308], pairs=[(1.3407807929942596e154, 1.3407807929942596e154)])  # so does x_hi * y_hi
+@example(terms=[1.7e308, 1.7e308, -1.7e308], pairs=[])  # fsum overflows on the way to a finite sum
+@example(terms=[1e308], pairs=[(1e308, 1e308), (-1e308, 1e308)])
+@example(terms=[-0.0], pairs=[(-0.0, 1.0)])  # an exact zero is +0.0
+@example(terms=[0.0], pairs=[(-5e-324, 0.5)])  # a negative sum that rounds to zero is -0.0
+@example(terms=[1e308], pairs=[(1e308, 2.0)])  # past the float range: the plain sum's inf
+def test_sum_of_products_is_correctly_rounded(terms, pairs):
+    exact = sum(map(Fraction, terms)) + sum(Fraction(x) * Fraction(y) for x, y in pairs)
+    value = _sum_of_products(list(terms), pairs)
+    try:
+        expected = float(exact)
+    except OverflowError:  # past the float range: the plain left-to-right sum
+        expected = 0.0
+        for t in terms:
+            expected += t
+        for x, y in pairs:
+            expected += x * y
+    assert value.hex() == expected.hex()
 

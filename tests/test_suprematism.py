@@ -111,8 +111,15 @@ def test_picture_is_a_hashable_value_of_float_pairs():
 def test_render_svg_draws_array_vertices_as_float_pairs(p):
     pic = triangle_picture(p)
     as_array = TrianglePicture(np.array(pic.vertices), pic.side_lengths, pic.square_areas, pic.total_area)
+    assert as_array == pic and hash(as_array) == hash(pic)
     for with_squares in (False, True):
         assert render_svg([as_array, pic], with_squares) == render_svg([pic, pic], with_squares)
+
+
+def test_render_svg_needs_a_picture():
+    for pics in ([], iter(())):
+        with pytest.raises(DomainError, match="^an SVG document needs at least one picture$"):
+            render_svg(pics)
 
 
 def _fmt(value: float) -> str:

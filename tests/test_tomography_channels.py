@@ -151,6 +151,11 @@ def test_state_tomogram_is_correctly_rounded(d, theta, phi):
     assert state_tomogram(p, Direction(theta, phi)) == (w_plus, w_minus)
 
 
+def test_state_tomogram_keeps_a_subnormal_direction_entry_exact():
+    # n1 = 5e-324 has no exact half; with -n1/2 rounded to -0.0, w+ would round from 7.5e-324 to 1e-323
+    assert state_tomogram(ProbTriple(0.5, 0.5, 5e-324), Direction(5e-324, 0.0)) == (5e-324, 1.0)
+
+
 def test_state_tomogram_rejects_unphysical():
     with pytest.raises(DomainError):
         state_tomogram(ProbTriple(0.9, 0.9, 0.9), Direction(0.0, 0.0))
