@@ -153,15 +153,22 @@ def _unitarity_defect(rows, name: str = "matrix") -> float:
     """max |(m m^dagger - I)_ij| over the entries: |aa* + bb* - 1|, |ac* + bd*| and |cc* + dd* - 1|.
 
     Entries past 2^510, whose squares can overflow, and NaN entries raise
-    DomainError, naming the matrix.
+    DomainError, naming the matrix. The size scan runs only on a defect
+    above 1, or NaN, because no other defect can come from such entries: a
+    defect of at most 1 bounds |a|^2 + |b|^2 and |c|^2 + |d|^2 by 2, so every
+    entry by sqrt(2), while an entry past 2^510 puts its row's diagonal term
+    past 2^1020, or at inf or NaN where the complex product overflows, and a
+    NaN entry gives a NaN or infinite defect.
     """
-    size = _largest_part(rows)
-    if not size <= 2.0 ** 510:  # past this m m^dagger can overflow; NaN fails too
-        raise DomainError(f"{name} is not unitary (entries up to {size:.3e}; a unitary's are at most 1)")
     (a, b), (c, d) = rows
-    return _nan_max((_modulus(a * a.conjugate() + b * b.conjugate() - 1.0),
-                     _modulus(a * c.conjugate() + b * d.conjugate()),
-                     _modulus(c * c.conjugate() + d * d.conjugate() - 1.0)))
+    defect = _nan_max((_modulus(a * a.conjugate() + b * b.conjugate() - 1.0),
+                       _modulus(a * c.conjugate() + b * d.conjugate()),
+                       _modulus(c * c.conjugate() + d * d.conjugate() - 1.0)))
+    if not defect <= 1.0:
+        size = _largest_part(rows)
+        if not size <= 2.0 ** 510:  # past this m m^dagger can overflow; NaN fails too
+            raise DomainError(f"{name} is not unitary (entries up to {size:.3e}; a unitary's are at most 1)")
+    return defect
 
 
 def unitarity_defect(matrix) -> float:

@@ -98,12 +98,13 @@ def _ball_residual(p1: float, p2: float, p3: float, c: float = 0.25) -> float:
 
 def _violation(p: ProbTriple, tol: float, ball: bool = True) -> str | None:
     """Why p lies outside the physical region at slack tol, or None; ball=False tests the cube alone."""
-    for k, v in enumerate((p.p1, p.p2, p.p3), start=1):
+    p1, p2, p3 = _as_float(p.p1), _as_float(p.p2), _as_float(p.p3)
+    for k, v in enumerate((p1, p2, p3), start=1):
         if not -tol <= v <= 1.0 + tol:  # NaN is outside
-            return f"p{k} = {_as_float(v)!r} violates 0 <= p{k} <= 1"
+            return f"p{k} = {v!r} violates 0 <= p{k} <= 1"
     if not ball:
         return None
-    residual = _ball_residual(p.p1, p.p2, p.p3)  # p and tol are finite past the cube test, so < is NaN-safe
+    residual = _ball_residual(p1, p2, p3)  # p and tol are finite past the cube test, so < is NaN-safe
     if residual < -tol:
         return ("triple violates (p1-1/2)^2 + (p2-1/2)^2 + (p3-1/2)^2 <= 1/4 "
                 f"(ball residual {residual:.3e})")

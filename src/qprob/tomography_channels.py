@@ -9,6 +9,11 @@ the one production route; its oracle, the probe-state fit in diagnostics, runs
 only when a caller passes formula_tol, and then only to warn of a mismatch.
 One kernel, _adjoint_rotation, computes R from a unitary's entries, and the
 maps and channels hold Python numbers, so they load no numpy on Python input.
+AffineMap3.apply, AffineMap3.then and channel_map are straight-line float
+arithmetic on the unpacked entries: each result is the same float operations,
+in the same order, as the row sums L p + C, the product of other's rows with
+self's [L | C], and the weighted sum from zero in term order, so each bit is
+what those sums give.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ def state_tomogram(p: ProbTriple, direction, tol: float = qubit_core.DEFAULT_TOL
 def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
     """w+ = 1/2 + (p - c) . n as 1/2 + p . n - sum_k n_k / 2, one exact sum correctly rounded, and w- = 1 - w+."""
     n = _unit_vector(direction)
-    terms, pairs = [0.5], [(p.p1, n[0]), (p.p2, n[1]), (p.p3, n[2])]
+    terms, pairs = [0.5], [(_as_float(p.p1), n[0]), (_as_float(p.p2), n[1]), (_as_float(p.p3), n[2])]
     for n_k in n:  # -n_k / 2 rounds only near the subnormals, where the product n_k * (-1/2) stays exact
         if -0.5 * n_k * -2.0 == n_k:
             terms.append(-0.5 * n_k)
@@ -117,14 +122,24 @@ class AffineMap3(Record):
         return np.array(self.offset)
 
     def apply(self, p: ProbTriple) -> ProbTriple:
-        x, y, z = map(_as_float, (p.p1, p.p2, p.p3))
-        return ProbTriple(*(l1 * x + l2 * y + l3 * z + c for (l1, l2, l3), c in zip(self.linear, self.offset)))
+        (l11, l12, l13), (l21, l22, l23), (l31, l32, l33) = self.linear
+        c1, c2, c3 = self.offset
+        x, y, z = _as_float(p.p1), _as_float(p.p2), _as_float(p.p3)
+        return ProbTriple(l11 * x + l12 * y + l13 * z + c1, l21 * x + l22 * y + l23 * z + c2,
+                          l31 * x + l32 * y + l33 * z + c3)
 
     def then(self, other: "AffineMap3") -> "AffineMap3":
-        """Map equivalent to applying self first, then other."""
-        columns = (*zip(*self.linear), self.offset)  # L's columns, then C: rows of other times [L | C]
-        rows = [[o1 * a + o2 * b + o3 * c for a, b, c in columns] for o1, o2, o3 in other.linear]
-        return _affine_map(tuple(tuple(r[:3]) for r in rows), tuple(r[3] + c for r, c in zip(rows, other.offset)))
+        """Map equivalent to applying self first, then other: other's rows times self's [L | C], plus other's C."""
+        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = self.linear
+        c1, c2, c3 = self.offset
+        (o11, o12, o13), (o21, o22, o23), (o31, o32, o33) = other.linear
+        k1, k2, k3 = other.offset
+        return _affine_map(
+            ((o11 * a11 + o12 * a21 + o13 * a31, o11 * a12 + o12 * a22 + o13 * a32, o11 * a13 + o12 * a23 + o13 * a33),
+             (o21 * a11 + o22 * a21 + o23 * a31, o21 * a12 + o22 * a22 + o23 * a32, o21 * a13 + o22 * a23 + o23 * a33),
+             (o31 * a11 + o32 * a21 + o33 * a31, o31 * a12 + o32 * a22 + o33 * a32, o31 * a13 + o32 * a23 + o33 * a33)),
+            ((o11 * c1 + o12 * c2 + o13 * c3) + k1, (o21 * c1 + o22 * c2 + o23 * c3) + k2,
+             (o31 * c1 + o32 * c2 + o33 * c3) + k3))
 
 
 def _affine_map(linear: tuple, offset: tuple, m: AffineMap3 | None = None) -> AffineMap3:
@@ -206,8 +221,19 @@ def channel_map(spec: ChannelSpec, formula_tol: float | None = None) -> AffineMa
     rotation_from_unitary, formula_tol and all, and the sum adds w * R and
     w * C term by term from zero.
     """
-    total = [0.0] * 12
-    for weight, rows in spec.terms:
-        (r1, r2, r3), offset = _rotation(rows, formula_tol)
-        total = [x + weight * v for x, v in zip(total, (*r1, *r2, *r3, *offset))]
-    return _affine_map((tuple(total[0:3]), tuple(total[3:6]), tuple(total[6:9])), tuple(total[9:]))
+    l11 = l12 = l13 = l21 = l22 = l23 = l31 = l32 = l33 = c1 = c2 = c3 = 0.0
+    for w, rows in spec.terms:
+        ((r11, r12, r13), (r21, r22, r23), (r31, r32, r33)), (k1, k2, k3) = _rotation(rows, formula_tol)
+        l11 += w * r11
+        l12 += w * r12
+        l13 += w * r13
+        l21 += w * r21
+        l22 += w * r22
+        l23 += w * r23
+        l31 += w * r31
+        l32 += w * r32
+        l33 += w * r33
+        c1 += w * k1
+        c2 += w * k2
+        c3 += w * k3
+    return _affine_map(((l11, l12, l13), (l21, l22, l23), (l31, l32, l33)), (c1, c2, c3))

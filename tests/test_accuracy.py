@@ -26,10 +26,23 @@ near-pure states, or absolute where the result is a rotation entry:
   3u/4 absolute; the + 1/2 adds half an ulp of the result, and on
   [1/4, 1/2), where an ulp is u/2, the sum is 2 ulp. p3 = (H11 + x)/d has
   one rounding more, in its numerator: 4u relative, which on [1/4, 1/2) is
-  4 ulp.
+  4 ulp;
+- decode_observable of an encoding at the default shifts: every entry within
+  1.1e-14 max|H_ij| of the exact decode of its float triples. The shifts
+  make sigma = b - a the largest |lambda|, a <= 2 sigma and |tr H| <= 2 sigma,
+  and put D = s - 1 = 2 sigma / (tr H + 2a) in [1/3, 1]. r = 2p - 1 is exact
+  (Sterbenz), s = r_a . r_b / |r_b|^2 is within 7u relative (3u for each
+  sum of three products of parallel vectors, u for the quotient), and
+  s - 1 is exact. tr = 2 (b - a s) / (s - 1), whose derivative in s is
+  -2 sigma / D^2, is then within 14 sigma s u / D^2 + 2 a s u / D + 2 |tr| u,
+  at most 188 sigma u, at D = 1/3. half = (tr + 2a) / 2 adds (tr + 2a) u / 2,
+  and each entry one or two roundings more. Maximized over every spectrum
+  and axis, this first-order bound is 95u max|H_ij|, at H = sigma I; the
+  stated 1.1e-14 is 99u.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -37,8 +50,10 @@ import pytest
 
 from qprob import (
     Direction,
+    NonInvertibleEncodingWarning,
     ProbTriple,
     check_ball,
+    decode_observable,
     eigenvalues_hermitian,
     encode_observable,
     rotation_from_unitary,
@@ -58,6 +73,7 @@ ROTATION_OFFSET_ERROR = 5e-16
 CORRECTLY_ROUNDED_ULPS = 0.5
 ENCODE_OFF_DIAGONAL_ULPS = 2.0
 ENCODE_DIAGONAL_ULPS = 4.0
+DECODE_ENTRY_ERROR = 1.1e-14
 
 
 def ulps(value: float, exact) -> float:
@@ -278,14 +294,19 @@ def test_tomogram_is_correctly_rounded(rng):
         assert w_minus == 1.0 - w_plus
 
 
-def test_encode_triples_are_within_their_bound(rng):
-    for n in range(2000):
+def encoded_matrices(rng, count: int):
+    """(h11, h22, h21) at a norm from 1e-9 to 1e9: random_hermitian_entries' three kinds, and traceless."""
+    for n in range(count):
         if n % 4 == 3:  # traceless, so the triple at a reaches out to |p - c| = 1/4
             v = rng.normal(size=3)
             v *= 10.0 ** rng.uniform(-9.0, 9.0) / np.linalg.norm(v)
-            h11, h22, c = float(v[2]), float(-v[2]), complex(float(v[0]), float(v[1]))
+            yield float(v[2]), float(-v[2]), complex(float(v[0]), float(v[1]))
         else:
-            h11, h22, c = random_hermitian_entries(rng, n % 4)
+            yield random_hermitian_entries(rng, n % 4)
+
+
+def test_encode_triples_are_within_their_bound(rng):
+    for h11, h22, c in encoded_matrices(rng, 2000):
         rep = encode_observable([[h11, c.conjugate()], [c, h22]])
         for x, p in ((rep.a, rep.p_a), (rep.b, rep.p_b)):
             with mpmath.workprec(PREC):
@@ -295,3 +316,34 @@ def test_encode_triples_are_within_their_bound(rng):
             bounds = (ENCODE_OFF_DIAGONAL_ULPS, ENCODE_OFF_DIAGONAL_ULPS, ENCODE_DIAGONAL_ULPS)
             for got, e, bound in zip((p.p1, p.p2, p.p3), exact, bounds):
                 assert ulps(got, e) <= bound, (h11, h22, c, x)
+
+
+def exact_decode(rep) -> list:
+    """decode_observable's H11, H21 and H22 of rep's float triples and shifts, at PREC bits."""
+    with mpmath.workprec(PREC):
+        r_a, r_b = ([2 * mpmath.mpf(x) - 1 for x in (p.p1, p.p2, p.p3)] for p in (rep.p_a, rep.p_b))
+        a, b = mpmath.mpf(rep.a), mpmath.mpf(rep.b)
+        s = sum(x * y for x, y in zip(r_a, r_b)) / sum(y * y for y in r_b)
+        trace = 2 * (b - a * s) / (s - 1)
+        half = (trace + 2 * a) / 2
+        return [trace / 2 + half * r_a[2], half * mpmath.mpc(r_a[0], r_a[1]), trace / 2 - half * r_a[2]]
+
+
+def test_decode_is_within_its_bound(rng):
+    # near multiples of the identity, from random_hermitian_entries' kind 1, come closest to the bound
+    decoded = 0
+    for h11, h22, c in encoded_matrices(rng, 2000):
+        rep = encode_observable([[h11, c.conjugate()], [c, h22]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonInvertibleEncodingWarning)
+            try:
+                got = decode_observable(rep)
+            except NonInvertibleEncodingWarning:  # both triples at the centre: the zero matrix, by design
+                continue
+        exact = exact_decode(rep)
+        with mpmath.workprec(PREC):
+            size = max(abs(e) for e in exact)
+            error = max(abs(mpmath.mpc(g.real, g.imag) - e) for g, e in zip((got[0, 0], got[1, 0], got[1, 1]), exact))
+        assert error <= DECODE_ENTRY_ERROR * size, (h11, h22, c)
+        decoded += 1
+    assert decoded > 1900

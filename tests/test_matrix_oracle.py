@@ -1,5 +1,6 @@
 """Reference linear algebra: Pauli identities, eigenvalues, closed-form exponentials."""
 
+import math
 import re
 import struct
 
@@ -12,6 +13,9 @@ from qprob import DomainError, encode_observable
 from qprob.diagnostics import conjugate_by_unitary, expm_hermitian_generator, heisenberg_exact
 from qprob.matrix_oracle import (
     _entries,
+    _largest_part,
+    _modulus,
+    _nan_max,
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
@@ -174,6 +178,7 @@ def test_unitarity_defect_keeps_its_large_entry_values(m):
 
 @pytest.mark.parametrize("bad, size", [
     (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"), (2.0 ** 510 * (1.0 + 2.0 ** -52), "3.352e+153"),
+    (2.0 ** 511, "6.704e+153"),
 ])
 def test_unitarity_defect_names_entries_it_cannot_square(bad, size):
     for position in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -203,6 +208,84 @@ def test_guards_reject_non_finite_entries():
             np.testing.assert_equal(defect, elementwise)
             with pytest.raises(DomainError, match=f"not Hermitian \\(defect {elementwise:.3e}"):
                 require_hermitian(m)
+
+
+def reference_unitarity_defect(rows, name: str = "matrix") -> float:
+    """_unitarity_defect as it was with its size scan first, verbatim."""
+    size = _largest_part(rows)
+    if not size <= 2.0 ** 510:  # past this m m^dagger can overflow; NaN fails too
+        raise DomainError(f"{name} is not unitary (entries up to {size:.3e}; a unitary's are at most 1)")
+    (a, b), (c, d) = rows
+    return _nan_max((_modulus(a * a.conjugate() + b * b.conjugate() - 1.0),
+                     _modulus(a * c.conjugate() + b * d.conjugate()),
+                     _modulus(c * c.conjugate() + d * d.conjugate() - 1.0)))
+
+
+def defect_outcome(defect, rows):
+    """defect(rows)'s bits, or its exception's type and message."""
+    try:
+        return defect([list(row) for row in rows]).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def near_unitary(theta: float, alpha: float, beta: float, phase: float, scale: float) -> list:
+    """scale times the unitary e^(i phase) [[cos t e^(i a), -sin t e^(-i b)], [sin t e^(i b), cos t e^(-i a)]]."""
+    c, s = scale * math.cos(theta), scale * math.sin(theta)
+    e = complex(math.cos(phase), math.sin(phase))
+    return [[e * c * complex(math.cos(alpha), math.sin(alpha)), -e * s * complex(math.cos(beta), -math.sin(beta))],
+            [e * s * complex(math.cos(beta), math.sin(beta)), e * c * complex(math.cos(alpha), -math.sin(alpha))]]
+
+
+# real and imaginary parts: any float up to 1e307, each binade as likely, NaN, the infinities, and the
+# size scan's threshold 2^510 with its neighbours
+parts = st.one_of(
+    st.floats(-1e307, 1e307),
+    st.builds(lambda sign, log: sign * 10.0 ** log, st.sampled_from((-1.0, 1.0)), st.floats(-320.0, 307.0)),
+    st.sampled_from((0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, 2.0 ** 510, 2.0 ** 511,
+                     math.nextafter(2.0 ** 510, math.inf))),
+)
+entries = st.builds(complex, parts, parts)
+angles = st.floats(0.0, 2.0 * math.pi)
+unitary_rows = st.one_of(
+    st.tuples(st.tuples(entries, entries), st.tuples(entries, entries)),
+    # near-unitaries: a defect of at most 1, which skips the size scan
+    st.builds(near_unitary, angles, angles, angles, angles, st.floats(-17.0, 0.0).map(lambda log: 1.0 + 10.0 ** log)),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(rows=unitary_rows)
+@example(rows=[[2.0 ** 510, 0j], [0j, 1 + 0j]])
+@example(rows=[[2.0 ** 511, 0j], [0j, 1 + 0j]])
+@example(rows=[[0j, 2.0 ** 510 * 1j], [1 + 0j, 0j]])
+@example(rows=[[complex(math.nan, 0.0), 0j], [0j, 1 + 0j]])
+@example(rows=[[1 + 0j, 0j], [complex(0.0, math.nan), 1 + 0j]])
+@example(rows=[[1 + 0j, 0j], [0j, complex(math.inf, 0.0)]])
+@example(rows=[[1 + 0j, complex(-math.inf, 0.0)], [0j, 1 + 0j]])
+@example(rows=[[2 + 0j, 0j], [0j, 1 + 0j]])
+@example(rows=[[1.5 + 0j, 0j], [0j, 1 + 0j]])
+@example(rows=near_unitary(0.9272952180016122, 0.0, math.pi / 2, 0.0, 1.0 + 1e-13))
+@example(rows=[[complex(1e200, 1e200), 0j], [0j, 1 + 0j]])  # |a|^2 overflows the complex product: inf + NaN j
+def test_unitarity_defect_is_the_reference_form(rows):
+    # the size scan runs only on a defect above 1, and every value and message is as with the scan first
+    assert defect_outcome(unitarity_defect, rows) == defect_outcome(reference_unitarity_defect, rows)
+
+
+@pytest.mark.parametrize("m, defect", [
+    ([[2, 0], [0, 1]], 3.0),
+    ([[1.5, 0], [0, 1]], 1.25),
+    ((1.0 + 1e-13) * np.array([[0.6, 0.8j], [0.8j, 0.6]]), 1.9984014443252818e-13),
+], ids=["diag(2,1)", "diag(1.5,1)", "scaled-unitary"])
+def test_unitarity_guard_names_a_defect_of_small_entries(m, defect):
+    # entries the size scan passes: a defect above 1 is named as a defect, not as a size
+    assert unitarity_defect(m) == defect
+    if defect <= UNITARY_TOL:
+        np.testing.assert_array_equal(require_unitary(m), np.asarray(m, dtype=complex))
+    else:
+        message = f"matrix is not unitary (defect {defect:.3e} exceeds 1.0e-12)"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            require_unitary(m)
 
 
 def test_pauli_components_reconstruct():

@@ -29,8 +29,8 @@ from qprob import (
 )
 from qprob.diagnostics import failed_checks
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, unitarity_defect
-from qprob.qubit_core import BALL_CENTER
-from qprob.tomography_channels import ROTATION_FORMULA_TOL, _adjoint_rotation
+from qprob.qubit_core import BALL_CENTER, _as_float
+from qprob.tomography_channels import ROTATION_FORMULA_TOL, _adjoint_rotation, _affine_map, _rotation
 
 from conftest import random_direction, random_physical_triple, random_unitary
 
@@ -494,3 +494,106 @@ def test_affine_map_holds_its_own_floats():
         mapping.C[0] = 7.0
         assert (mapping.linear, mapping.offset) == before
     assert rotation_from_unitary(SIGMA_Y) == AffineMap3(np.diag([-1.0, 1.0, -1.0]), (1.0, 0.0, 1.0))
+
+
+def reference_apply(self: AffineMap3, p: ProbTriple) -> ProbTriple:
+    """AffineMap3.apply as it was before its straight-line form, verbatim."""
+    x, y, z = map(_as_float, (p.p1, p.p2, p.p3))
+    return ProbTriple(*(l1 * x + l2 * y + l3 * z + c for (l1, l2, l3), c in zip(self.linear, self.offset)))
+
+
+def reference_then(self: AffineMap3, other: AffineMap3) -> AffineMap3:
+    """AffineMap3.then as it was before its straight-line form, verbatim."""
+    columns = (*zip(*self.linear), self.offset)  # L's columns, then C: rows of other times [L | C]
+    rows = [[o1 * a + o2 * b + o3 * c for a, b, c in columns] for o1, o2, o3 in other.linear]
+    return _affine_map(tuple(tuple(r[:3]) for r in rows), tuple(r[3] + c for r, c in zip(rows, other.offset)))
+
+
+def reference_channel_map(spec: ChannelSpec, formula_tol: float | None = None) -> AffineMap3:
+    """channel_map as it was before its twelve accumulators, verbatim."""
+    total = [0.0] * 12
+    for weight, rows in spec.terms:
+        (r1, r2, r3), offset = _rotation(rows, formula_tol)
+        total = [x + weight * v for x, v in zip(total, (*r1, *r2, *r3, *offset))]
+    return _affine_map((tuple(total[0:3]), tuple(total[3:6]), tuple(total[6:9])), tuple(total[9:]))
+
+
+def bits(compute):
+    """The hex of every float compute() returns, so signed zeros differ, or its exception's type and message."""
+    try:
+        value = compute()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, ProbTriple):
+        return tuple(float.hex(v) for v in (value.p1, value.p2, value.p3))
+    return tuple(float.hex(v) for v in (*value.linear[0], *value.linear[1], *value.linear[2], *value.offset))
+
+
+# maps and triples with entries of one size, whose sums round differently in another order, or
+# with entries from the subnormals to 1e300, each binade as likely, signed zeros included
+same_size = st.floats(-2.0, 2.0)
+any_size = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.builds(lambda sign, log: sign * 10.0 ** log, st.sampled_from((-1.0, 1.0)), st.floats(-323.5, 300.0)),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0)),
+)
+triples = st.one_of(*(st.tuples(entry, entry, entry) for entry in (same_size, any_size)))
+affine_maps = st.one_of(*(st.builds(AffineMap3, st.tuples(rows, rows, rows), rows)
+                          for rows in (st.tuples(entry, entry, entry) for entry in (same_size, any_size))))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(first=affine_maps, second=affine_maps, p=triples)
+@example(first=AffineMap3(np.eye(3) * 1e200, np.zeros(3)), second=AffineMap3(np.eye(3) * 1e200, np.zeros(3)),
+         p=(0.5, 0.5, 0.5))  # L L overflows
+@example(first=AffineMap3(np.eye(3), (1e300, 0.0, 0.0)), second=AffineMap3(np.eye(3) * 1e10, np.zeros(3)),
+         p=(1e300, 0.0, 0.0))  # only C overflows, and so does the image
+@example(first=AffineMap3(np.eye(3), (0.0, -0.0, 0.0)), second=AffineMap3(-np.eye(3), (-0.0, -0.0, 0.0)),
+         p=(-0.0, 0.0, -0.0))  # signed zeros
+def test_apply_and_then_are_the_reference_forms_bit_for_bit(first, second, p):
+    triple = ProbTriple(*p)
+    assert bits(lambda: first.apply(triple)) == bits(lambda: reference_apply(first, triple))
+    assert bits(lambda: first.then(second)) == bits(lambda: reference_then(first, second))
+
+
+def unit_quaternion_unitary(q) -> list:
+    """The SU(2) entries [[w - iz, -y - ix], [y - ix, w + iz]] of a quaternion, normalized."""
+    w, x, y, z = (v / math.hypot(*q) for v in q)
+    return [[complex(w, -z), complex(-y, -x)], [complex(y, -x), complex(w, z)]]
+
+
+quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: math.hypot(*q) > 1e-3)
+weights = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(terms=st.lists(st.tuples(weights, quaternions), min_size=1, max_size=4).filter(
+    lambda terms: sum(w for w, _ in terms) > 0.0))
+@example(terms=[(1.0, (1.0, 0.0, 0.0, 0.0))])
+@example(terms=[(0.5, (0.0, 1.0, 0.0, 0.0)), (0.5, (0.0, 0.0, 0.0, 1.0))])
+@example(terms=[(1.0, (0.3, 0.1, 0.0, 0.2)), (5e-324, (0.0, 0.0, 1.0, 0.0)), (0.0, (1.0, 1.0, 1.0, 1.0))])
+def test_channel_map_is_the_reference_form_bit_for_bit(terms):
+    total = sum(w for w, _ in terms)
+    spec = ChannelSpec(tuple((w / total, unit_quaternion_unitary(q)) for w, q in terms))
+    assert bits(lambda: channel_map(spec)) == bits(lambda: reference_channel_map(spec))
+
+
+def test_float32_fields_give_the_tomogram_and_physicality_of_their_floats():
+    # a numpy float32 field is read as the float it holds; computed in float32, Veltkamp's split is wrong
+    p = ProbTriple(*np.float32([0.7, 0.4, 0.55]))
+    assert state_tomogram(p, Direction(1.0, 0.5))[0] == 0.6343648998454589
+    # a float32 point 1.1e-8 inside the sphere; a float32 residual put it 6.5e-9 outside
+    near = ProbTriple(*np.float32([0.8094919919967651, 0.11245014518499374, 0.5634019374847412]))
+    assert is_physical(near, tol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.tuples(*[st.floats(0.0, 1.0, width=32)] * 3), theta=st.floats(0.0, math.pi),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_float32_triples_read_as_their_floats(p, theta, phi):
+    single, double = ProbTriple(*np.float32(p)), ProbTriple(*map(float, p))
+    for tol in (0.0, 1e-10):
+        assert is_physical(single, tol) == is_physical(double, tol)
+    if is_physical(double):
+        direction = Direction(theta, phi)
+        assert state_tomogram(single, direction) == state_tomogram(double, direction)
