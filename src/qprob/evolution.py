@@ -151,11 +151,11 @@ def _rodrigues_terms(omega, p0: ProbTriple, t_last: float):
     With K = L/|omega| and angle = |omega| t, Rodrigues' formula gives
     exp(L t) - I = sin(angle) K + 2 sin^2(angle/2) K^2. No term cancels, so
     the one formula holds at every angle: a row is p + sin(angle) k1 +
-    2 sin^2(angle/2) k2 with p = p0 as floats, k1 = K(p - c) and k2 = K k1,
-    which is p exactly at t = 0. At omega = 0, k1 and k2 are None and every
-    row is p.
+    2 sin^2(angle/2) k2 with p = p0's fields, which ProbTriple holds as floats,
+    k1 = K(p - c) and k2 = K k1, which is p exactly at t = 0. At omega = 0,
+    k1 and k2 are None and every row is p.
     """
-    p = (float(p0.p1), float(p0.p2), float(p0.p3))
+    p = (p0.p1, p0.p2, p0.p3)
     norm = math.hypot(*omega)
     # the largest |t| is at an end of the grid
     if not math.isfinite(norm * abs(t_last)):

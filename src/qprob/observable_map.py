@@ -41,16 +41,19 @@ ADMISSIBLE_SLACK = 1e-12
 
 
 class ObservableProbRep(Record):
-    """Observable encoded as shift parameters (a, b) and per-shift triples."""
+    """Observable encoded as shift parameters (a, b), held as Python floats, and per-shift triples."""
 
     __slots__ = ("a", "b", "p_a", "p_b")
 
     def __init__(self, a: float, b: float, p_a: ProbTriple, p_b: ProbTriple):
-        fa, fb = _as_float(a), _as_float(b)  # checked as floats; the fields keep a and b as given
-        if not (math.isfinite(fa) and math.isfinite(fb)):
-            raise DomainError(f"encoding shifts must be finite, got a = {fa!r}, b = {fb!r}")
-        if fa == fb:
+        a, b = _as_float(a), _as_float(b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"encoding shifts must be finite, got a = {a!r}, b = {b!r}")
+        if a == b:
             raise DomainError("encoding shifts must differ (a == b repeats one equation)")
+        for name, p in (("p_a", p_a), ("p_b", p_b)):
+            if not isinstance(p, ProbTriple):
+                raise DomainError(f"{name} must be a ProbTriple, got {p!r}")
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "p_a", p_a)

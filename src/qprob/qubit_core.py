@@ -5,6 +5,12 @@ along the x, y, and z axes. Physical triples fill the closed ball of radius
 1/2 around (1/2, 1/2, 1/2); the boundary sphere carries the pure states, and
 the ball residual equals the determinant of the corresponding density matrix.
 
+A triple holds Python floats, each read once, in its constructor, through
+_as_float, as an encoding, a direction, a map, a channel and a kinetic
+system hold theirs: ProbTriple(np.float32(0.7), 1, True).p1 is the float
+0.699999988079071, and ProbTriple(10**400, 0, 0).p1 is inf. So no reader of
+a triple converts its fields, and none computes in float32.
+
 The ball residual is one call of matrix_oracle's _sum_of_products, correctly
 rounded wherever it is finite, on exact terms: -3/4 + sum p_k - sum p_k^2,
 never p_k - 1/2, which rounds outside [1/4, 1]. A raw 3-vector (a triple, a
@@ -57,18 +63,21 @@ def _floats3(values, what: str) -> tuple[float, float, float]:
 
 
 class ProbTriple(Record):
-    """Probabilities of spin projection +1/2 along x, y, and z.
+    """Probabilities of spin projection +1/2 along x, y, and z, held as Python floats.
 
-    Unphysical triples are representable on purpose, so that diagnostics can
-    look at them; every conversion that needs physicality validates it.
+    Each field is read once, here, through _as_float: a numpy float32 is the
+    float it holds, a bool is 0.0 or 1.0, and an integer past the float range
+    is an infinity, so ProbTriple(10**400, 0, 0).p1 is inf. Unphysical
+    triples are representable on purpose, so that diagnostics can look at
+    them; every conversion that needs physicality validates it.
     """
 
     __slots__ = ("p1", "p2", "p3")
 
     def __init__(self, p1: float, p2: float, p3: float):
-        _set(self, "p1", p1)
-        _set(self, "p2", p2)
-        _set(self, "p3", p3)
+        _set(self, "p1", _as_float(p1))
+        _set(self, "p2", _as_float(p2))
+        _set(self, "p3", _as_float(p3))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3], dtype=float)
@@ -84,7 +93,7 @@ def check_ball(p: ProbTriple) -> float:
     Nonnegative exactly for physical triples, zero on the pure-state sphere,
     and equal to det(rho) of the corresponding density matrix.
     """
-    return _ball_residual(_as_float(p.p1), _as_float(p.p2), _as_float(p.p3))
+    return _ball_residual(p.p1, p.p2, p.p3)
 
 
 def _ball_residual(p1: float, p2: float, p3: float, c: float = 0.25) -> float:
@@ -98,7 +107,7 @@ def _ball_residual(p1: float, p2: float, p3: float, c: float = 0.25) -> float:
 
 def _violation(p: ProbTriple, tol: float, ball: bool = True) -> str | None:
     """Why p lies outside the physical region at slack tol, or None; ball=False tests the cube alone."""
-    p1, p2, p3 = _as_float(p.p1), _as_float(p.p2), _as_float(p.p3)
+    p1, p2, p3 = p.p1, p.p2, p.p3
     for k, v in enumerate((p1, p2, p3), start=1):
         if not -tol <= v <= 1.0 + tol:  # NaN is outside
             return f"p{k} = {v!r} violates 0 <= p{k} <= 1"

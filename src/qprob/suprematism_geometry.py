@@ -18,7 +18,7 @@ from ._numpy import lazy_constants, np
 from ._record import Record, _set
 from .errors import DomainError
 from .observable_map import ObservableProbRep
-from .qubit_core import DEFAULT_TOL, ProbTriple
+from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float
 
 SIDE = math.sqrt(2.0)
 
@@ -42,7 +42,10 @@ class TrianglePicture(Record):
             vertices = np.asarray(vertices).tolist()
         if not (len(vertices) == 3 and all(len(v) == 2 for v in vertices)):
             raise DomainError(f"a picture needs three (x, y) vertices, got {vertices!r}")
-        _set(self, "vertices", tuple((float(x), float(y)) for x, y in vertices))
+        vertices = tuple((_as_float(x), _as_float(y)) for x, y in vertices)
+        if not all(map(math.isfinite, (*vertices[0], *vertices[1], *vertices[2]))):
+            raise DomainError(f"a picture's vertices must be finite, got {vertices!r}")
+        _set(self, "vertices", vertices)
         _set(self, "side_lengths", side_lengths)
         _set(self, "square_areas", square_areas)
         _set(self, "total_area", total_area)
@@ -61,7 +64,7 @@ def _chords(p: ProbTriple) -> tuple[tuple, tuple[float, float, float]]:
     at fraction p_k along it; chord k joins vertex k to vertex k+1.
     """
     vertices = []
-    for k, p_k in enumerate((float(p.p1), float(p.p2), float(p.p3))):
+    for k, p_k in enumerate((p.p1, p.p2, p.p3)):
         (x0, y0), (x1, y1) = _CORNERS[k], _CORNERS[(k + 1) % 3]
         vertices.append((x0 + p_k * (x1 - x0), y0 + p_k * (y1 - y0)))
     return tuple(vertices), tuple(math.dist(vertices[k], vertices[(k + 1) % 3]) for k in range(3))

@@ -85,9 +85,12 @@ def state_tomogram(p: ProbTriple, direction, tol: float = qubit_core.DEFAULT_TOL
 
 
 def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
-    """w+ = 1/2 + (p - c) . n as 1/2 + p . n - sum_k n_k / 2, one exact sum correctly rounded, and w- = 1 - w+."""
+    """w+ = 1/2 + (p - c) . n as 1/2 + p . n - sum_k n_k / 2, one exact sum correctly rounded, and w- = 1 - w+.
+
+    p's fields are Python floats, as ProbTriple reads them, so Veltkamp's split in the sum is exact.
+    """
     n = _unit_vector(direction)
-    terms, pairs = [0.5], [(_as_float(p.p1), n[0]), (_as_float(p.p2), n[1]), (_as_float(p.p3), n[2])]
+    terms, pairs = [0.5], [(p.p1, n[0]), (p.p2, n[1]), (p.p3, n[2])]
     for n_k in n:  # -n_k / 2 rounds only near the subnormals, where the product n_k * (-1/2) stays exact
         if -0.5 * n_k * -2.0 == n_k:
             terms.append(-0.5 * n_k)
@@ -124,7 +127,7 @@ class AffineMap3(Record):
     def apply(self, p: ProbTriple) -> ProbTriple:
         (l11, l12, l13), (l21, l22, l23), (l31, l32, l33) = self.linear
         c1, c2, c3 = self.offset
-        x, y, z = _as_float(p.p1), _as_float(p.p2), _as_float(p.p3)
+        x, y, z = p.p1, p.p2, p.p3
         return ProbTriple(l11 * x + l12 * y + l13 * z + c1, l21 * x + l22 * y + l23 * z + c2,
                           l31 * x + l32 * y + l33 * z + c3)
 

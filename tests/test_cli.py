@@ -552,12 +552,14 @@ _ANGLES = ["--theta", "1.0471975511965976", "--phi", "0.7853981633974483"]
     (["check"], "generic_state.json", "generic_state_check_out.json"),
     (["tomogram", *_ANGLES, "--x", "2"], "generic_h.json", "generic_observable_tomogram_out.json"),
     (["tomogram", *_ANGLES], "generic_state.json", "generic_tomogram_out.json"),
+    (["check", "--allow-unphysical"], "degenerate_state.json", "degenerate_check_out.json"),
 ], ids=["encode-default-shifts", "observable-tomogram", "generic-encode", "generic-decode", "generic-check",
-        "generic-state-check", "generic-observable-tomogram", "generic-state-tomogram"])
+        "generic-state-check", "generic-observable-tomogram", "generic-state-tomogram", "unphysical-check"])
 def test_observable_golden_bytes(args, infile, golden, capsys):
     # sigma_z runs the eigenvalue solve (default shifts, the admissibility of x) on exact
     # values; the generic H and triple have nonzero off-diagonals and inexact dots, so the
-    # off-diagonal triple path, the eigenvalue formula and the order of each sum show too
+    # off-diagonal triple path, the eigenvalue formula and the order of each sum show too;
+    # the degenerate triple lies outside the ball, so its report has no density eigenvalues
     code, out, err = run_cli([*args, "--in", str(GOLDEN / infile)], capsys=capsys)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()

@@ -25,6 +25,7 @@ from qprob import (
     encode_observable,
     evolve,
     evolve_observable,
+    observable_areas,
     observable_tomogram,
     probs_from_density,
     require_physical,
@@ -148,6 +149,28 @@ def test_rep_rejects_equal_shifts():
     p = ProbTriple(0.5, 0.5, 0.5)
     with pytest.raises(DomainError, match="differ"):
         ObservableProbRep(2.0, 2.0, p, p)
+
+
+def test_rep_rejects_a_triple_that_is_not_a_prob_triple():
+    # a bare tuple has no p1 for decode_observable and observable_areas to read, so it is refused up front
+    p_a, p_b = ProbTriple(0.5, 0.5, 0.75), ProbTriple(0.5, 0.5, 2.0 / 3.0)
+    with pytest.raises(DomainError, match=r"^p_a must be a ProbTriple, got \(0\.5, 0\.5, 0\.75\)$"):
+        ObservableProbRep(2.0, 3.0, (0.5, 0.5, 0.75), p_b)
+    with pytest.raises(DomainError, match=r"^p_b must be a ProbTriple, got \[0\.5, 0\.5, 0\.75\]$"):
+        ObservableProbRep(2.0, 3.0, p_a, [0.5, 0.5, 0.75])
+
+
+def test_float32_shifts_and_triples_read_as_their_floats():
+    # float32 shifts kept as given would put the decode in float32 arithmetic, 1.2e-7 off h
+    h = [[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]]
+    rep = encode_observable(h, 2.0, 3.0)
+    single = ObservableProbRep(np.float32(2.0), np.float32(3.0), rep.p_a, rep.p_b)
+    assert type(single.a) is float and type(single.b) is float
+    assert decode_observable(single).tobytes() == decode_observable(rep).tobytes()
+    assert np.max(np.abs(decode_observable(single) - h)) < 1e-14
+    p_a, p_b = (ProbTriple(*np.float32([p.p1, p.p2, p.p3])) for p in (rep.p_a, rep.p_b))
+    areas = observable_areas(ObservableProbRep(2.0, 3.0, p_a, p_b))
+    assert list(map(type, areas)) == [float, float]
 
 
 def test_decode_frozen_example():

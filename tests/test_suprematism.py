@@ -1,5 +1,7 @@
 """Triangle picture of a triple: vertex placement, chords, and the square-area sum."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,15 @@ def test_render_svg_draws_array_vertices_as_float_pairs(p):
     assert as_array == pic and hash(as_array) == hash(pic)
     for with_squares in (False, True):
         assert render_svg([as_array, pic], with_squares) == render_svg([pic, pic], with_squares)
+
+
+@pytest.mark.parametrize("x, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (10**400, "inf")],
+                         ids=["nan", "inf", "minus-inf", "huge-int"])
+def test_picture_rejects_a_vertex_that_is_not_finite(x, shown):
+    # a NaN or infinite vertex would reach render_svg as nan or inf coordinates; 10**400 reads as inf
+    message = f"a picture's vertices must be finite, got (({shown}, 0.0), (1.0, 0.0), (0.5, 1.0))"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        TrianglePicture([(x, 0.0), (1.0, 0.0), (0.5, 1.0)], (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 3.0)
 
 
 def test_render_svg_needs_a_picture():

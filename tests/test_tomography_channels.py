@@ -16,16 +16,20 @@ from qprob import (
     DomainError,
     FormulaMismatchWarning,
     ProbTriple,
+    area_sum,
+    build_kinetic,
     channel_map,
     check_ball,
     density_from_probs,
     euler_unitary,
+    evolve,
     expm_hermitian_generator,
     is_physical,
     probs_from_density,
     rotation_formula_checks,
     rotation_from_unitary,
     state_tomogram,
+    triangle_picture,
 )
 from qprob.diagnostics import failed_checks
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, unitarity_defect
@@ -585,15 +589,34 @@ def test_float32_fields_give_the_tomogram_and_physicality_of_their_floats():
     # a float32 point 1.1e-8 inside the sphere; a float32 residual put it 6.5e-9 outside
     near = ProbTriple(*np.float32([0.8094919919967651, 0.11245014518499374, 0.5634019374847412]))
     assert is_physical(near, tol=0.0)
+    assert repr(ProbTriple(np.float32(0.7), 1, True)) == "ProbTriple(p1=0.699999988079071, p2=1.0, p3=1.0)"
+    # computed in float32, these would read 2.22 and 0.8999999761581421
+    p = ProbTriple(*np.float32([0.7, 0.4, 0.1]))
+    assert area_sum(p) == 2.2199999812245372
+    assert density_from_probs(p)[1, 1] == 0.8999999985098839
+
+
+# a rotation about a tilted axis and a Hamiltonian with every component nonzero, so each entry shows
+_TILTED_MAP = rotation_from_unitary(euler_unitary(Direction(1.0, 0.5, 0.25)))
+_GENERIC_SYSTEM = build_kinetic(np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]]), 0.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(p=st.tuples(*[st.floats(0.0, 1.0, width=32)] * 3), theta=st.floats(0.0, math.pi),
        phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+@example(p=(0.7, 0.4, 0.1), theta=1.0, phi=0.5)
 def test_float32_triples_read_as_their_floats(p, theta, phi):
-    single, double = ProbTriple(*np.float32(p)), ProbTriple(*map(float, p))
+    # each result is compared by repr, which tells a float from a float32 and 0.0 from -0.0
+    single, double = ProbTriple(*np.float32(p)), ProbTriple(*np.float32(p).tolist())
+    assert [type(single.p1), type(single.p2), type(single.p3)] == [float, float, float]
     for tol in (0.0, 1e-10):
         assert is_physical(single, tol) == is_physical(double, tol)
+    assert repr(check_ball(single)) == repr(check_ball(double))
+    assert repr(area_sum(single)) == repr(area_sum(double))
+    assert repr(triangle_picture(single)) == repr(triangle_picture(double))
+    assert repr(_TILTED_MAP.apply(single)) == repr(_TILTED_MAP.apply(double))
     if is_physical(double):
         direction = Direction(theta, phi)
         assert state_tomogram(single, direction) == state_tomogram(double, direction)
+        assert density_from_probs(single).tobytes() == density_from_probs(double).tobytes()
+        assert repr(evolve(_GENERIC_SYSTEM, single, 0.7)) == repr(evolve(_GENERIC_SYSTEM, double, 0.7))
