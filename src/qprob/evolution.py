@@ -6,10 +6,14 @@ omega = 2h and C = -L c fixes the ball center c; a KineticSystem holds omega
 and derives L and C. The exact solution p(t) = c + exp(L t)(p0 - c) is a
 rotation, in Rodrigues' closed form: one prelude (|omega|, k1, k2) on Python
 floats, then one row per time. build_kinetic reads a Hamiltonian given as
-nested lists without numpy. evolve, evolve_observable and the CLI's grid
-form their rows on Python floats; sample_trajectory forms the same rows, bit
-for bit, as a read-only (n, 3) array over a numpy time grid, filled one
-column at a time by length-n ufuncs. Its peak memory is 56 bytes a sample:
+nested lists without numpy; evolve_observable validates its H once, as
+build_kinetic does, and builds A(t) as one array. evolve, evolve_observable
+and the CLI's grid form their rows on Python floats; sample_trajectory forms
+the same rows, bit for bit, as a read-only (n, 3) array, filled one column
+at a time by length-n ufuncs. Both grids are the one formula k * step, with
+t_end last, which np.linspace also computes; a scalar test on step and steps
+proves that it strictly increases, and only a grid with a subnormal step is
+compared element by element. sample_trajectory peaks at 56 bytes a sample:
 the times, the rows and three length-n buffers. The oracle, in diagnostics,
 fits the exact derivatives i[H, rho] at four probe states; it runs given
 fd_tol, and a mismatch warns, while omega stays 2h.
@@ -17,7 +21,6 @@ fd_tol, and a mismatch warns, while omega stays 2h.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
@@ -202,14 +205,20 @@ def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
     """
     rows, lam_min, _ = observable_map._accept(a0, "observable")
     x = _as_float(x)
-    p0 = observable_map._triple(rows, lam_min, x)
-    pt = _evolve_at(build_kinetic(h, x).omega, p0, t)
-    denom = (rows[0][0].real + rows[1][1].real) + 2.0 * x
-    return denom * qubit_core._density(pt) - x * matrix_oracle.IDENTITY
+    p0 = observable_map._triple(rows, lam_min, x)  # checks that x is admissible, so finite
+    pt = _evolve_at(_omega(matrix_oracle._hermitian_rows(h, name="hamiltonian")), p0, t)
+    (r11, r12), (r21, r22) = qubit_core._density_rows(pt)
+    # the entries of d * rho - x * I as numpy's complex multiply and subtract form them, signed
+    # zeros included: d is real, so no product here rounds differently when fused
+    d = complex((rows[0][0].real + rows[1][1].real) + 2.0 * x)
+    shift = complex(x)
+    off = shift * 0j
+    return np.array([[d * complex(r11) - shift, d * r12 - off],
+                     [d * r21 - off, d * complex(r22) - shift]], dtype=complex)
 
 
-def _grid_inputs(p0: ProbTriple, t_end: float, steps: int, tol: float) -> tuple[float, int]:
-    """A trajectory's t_end and steps, checked, and then p0 checked physical."""
+def _grid_inputs(p0: ProbTriple, t_end: float, steps: int, tol: float) -> tuple[float, int, float]:
+    """A trajectory's t_end and steps, checked, then p0 checked physical, and the step t_end / steps."""
     t_end = _as_float(t_end)
     if not math.isfinite(t_end) or t_end <= 0.0:
         raise DomainError(f"t_end must be finite and positive, got {t_end!r}")
@@ -222,7 +231,26 @@ def _grid_inputs(p0: ProbTriple, t_end: float, steps: int, tol: float) -> tuple[
     if steps < 1:
         raise DomainError(f"steps must be at least 1, got {steps}")
     qubit_core.require_physical(p0, tol)
-    return t_end, steps
+    return t_end, steps, t_end / steps
+
+
+def _increases(step: float, steps: int) -> bool:
+    """Whether the grid 0, fl(k * step) for 0 < k < steps, t_end is proved strictly increasing.
+
+    It is when step >= 2^-1022 and steps < 2^51. Every k * step with k >= 1
+    is then at least step, a normal float, and the exact (steps - 1) * step
+    is below t_end (step <= (t_end / steps)(1 + 2^-53)), so no product
+    overflows or leaves the normal range, where each rounding moves a value
+    by at most 2^-53 of it. Neighbours k * step and (k + 1) * step differ by
+    step exactly, more than the 2^-53 * 2 steps * step that their two
+    roundings can take away, so fl(k * step) < fl((k + 1) * step); and
+    t_end - (steps - 1) * step >= t_end (1 - (steps - 1) 2^-53) / steps is
+    more than one rounding of 2^-53 t_end, so fl((steps - 1) * step) < t_end.
+    A subnormal step, or one that underflows to 0 (the grid is then
+    k / steps * t_end), can collapse the grid, and the caller compares its
+    times instead.
+    """
+    return step >= 2.0 ** -1022 and steps < 2 ** 51
 
 
 # rounding can collapse a tiny grid (t_end = 5e-324, steps = 3)
@@ -235,16 +263,26 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
 
     Every sample is propagated directly from t = 0, so there is no
     accumulation of step error; refining the grid never moves shared times.
-    Each row equals evolve() at its time, bit for bit. Only the inputs and the
-    grid's times are checked: each row is a rotation of the accepted p0 about
-    the ball center and keeps its ball residual. The times and the (n, 3)
-    rows are read-only arrays.
+    The times are fl(k * step) with step = t_end / steps, and t_end last,
+    the floats np.linspace(0, t_end, steps + 1) gives; where step underflows
+    to 0 they are k / steps * t_end, as in linspace. No product reaches the
+    last index, so none overflows near the float maximum. For
+    step >= 2^-1022 and steps < 2^51 the grid strictly increases by proof
+    (_increases); only a subnormal step has its times compared. Each row
+    equals evolve() at its time, bit for bit. Only the inputs and the grid's
+    times are checked: each row is a rotation of the accepted p0 about the
+    ball center and keeps its ball residual. The times and the (n, 3) rows
+    are read-only arrays.
     """
-    t_end, steps = _grid_inputs(p0, t_end, steps, tol)
-    # near the float maximum, linspace's step * (num - 1) overflows before it sets the last time to t_end
-    with np.errstate(over="ignore"):
-        times = np.linspace(0.0, t_end, steps + 1)
-    if not (times[1:] > times[:-1]).all():
+    t_end, steps, step = _grid_inputs(p0, t_end, steps, tol)
+    times = np.arange(steps + 1, dtype=float)
+    if step == 0.0:  # linspace's branch for a step that underflows
+        times /= steps
+        times *= t_end
+    else:
+        times[:-1] *= step
+    times[-1] = t_end
+    if not _increases(step, steps) and not (times[1:] > times[:-1]).all():
         raise DomainError(_COLLAPSED_GRID)
     norm, p, k1, k2 = _rodrigues_terms(system.omega, p0, t_end)
     if k1 is None:
@@ -287,9 +325,9 @@ def _trajectory_rows(system: KineticSystem, p0: ProbTriple, t_end: float, steps:
     Every check of sample_trajectory runs before this returns, and the times
     and rows are sample_trajectory's, bit for bit.
     """
-    t_end, steps = _grid_inputs(p0, t_end, steps, tol)
+    t_end, steps, step = _grid_inputs(p0, t_end, steps, tol)
     times = _linspace(t_end, steps + 1)
-    if not all(map(operator.lt, times, itertools.islice(times, 1, None))):
+    if not _increases(step, steps) and not all(map(operator.lt, times, times[1:])):
         raise DomainError(_COLLAPSED_GRID)
     norm, p, k1, k2 = _rodrigues_terms(system.omega, p0, t_end)
     return times, (_row(p, k1, k2, norm * t) for t in times)

@@ -16,6 +16,7 @@ from qprob import (
     FormulaMismatchWarning,
     KineticSystem,
     ProbTriple,
+    Trajectory,
     build_kinetic,
     check_ball,
     density_from_probs,
@@ -28,11 +29,12 @@ from qprob import (
     sample_trajectory,
     state_tomogram,
 )
+from qprob import evolution, observable_map, qubit_core
 from qprob.diagnostics import failed_checks, heisenberg_exact
-from qprob.evolution import FD_TOL, _linspace, _trajectory_rows, _turn
+from qprob.evolution import FD_TOL, _increases, _linspace, _trajectory_rows, _turn
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z
-from qprob.observable_map import conservative_shift_bound
-from qprob.qubit_core import DEFAULT_TOL
+from qprob.observable_map import admissible_shift_bound, conservative_shift_bound
+from qprob.qubit_core import DEFAULT_TOL, _as_float
 
 from conftest import (
     random_hermitian,
@@ -383,6 +385,178 @@ def test_trajectory_grid_up_to_the_float_maximum():
     assert trajectory.times.tolist() == times == _linspace(sys.float_info.max, 4)
     assert rows_bytes(list(rows)) == trajectory.probs.tobytes()
 
+
+
+def reference_evolve_observable(a0, h, x, t):
+    """evolve_observable as it was: H validated a second time by build_kinetic, and A(t) formed by
+    three numpy operations. Kept as the reference the closed form must equal bit for bit."""
+    rows, lam_min, _ = observable_map._accept(a0, "observable")
+    x = _as_float(x)
+    p0 = observable_map._triple(rows, lam_min, x)
+    pt = evolution._evolve_at(build_kinetic(h, x).omega, p0, t)
+    denom = (rows[0][0].real + rows[1][1].real) + 2.0 * x
+    return denom * qubit_core._density(pt) - x * IDENTITY
+
+
+def reference_sample_trajectory(system, p0, t_end, steps, tol=DEFAULT_TOL):
+    """sample_trajectory as it was: its times from np.linspace, always compared element by element.
+    Kept as the reference the one grid formula and its scalar check must equal bit for bit."""
+    t_end, steps = evolution._grid_inputs(p0, t_end, steps, tol)[:2]
+    # near the float maximum, linspace's step * (num - 1) overflows before it sets the last time to t_end
+    with np.errstate(over="ignore"):
+        times = np.linspace(0.0, t_end, steps + 1)
+    if not (times[1:] > times[:-1]).all():
+        raise DomainError(evolution._COLLAPSED_GRID)
+    norm, p, k1, k2 = evolution._rodrigues_terms(system.omega, p0, t_end)
+    if k1 is None:
+        probs = np.tile(p, (times.size, 1))
+    else:
+        scratch = norm * times
+        s = np.sin(scratch)
+        h = np.sin(np.multiply(0.5, scratch, out=scratch), out=scratch)
+        hh = 2.0 * h
+        hh *= h
+        probs = np.empty((times.size, 3))
+        for j in range(3):
+            column = probs[:, j]
+            np.multiply(s, k1[j], out=column)
+            column += np.multiply(hh, k2[j], out=scratch)
+            column += p[j]
+    times.flags.writeable = False
+    probs.flags.writeable = False
+    return Trajectory(times=times, probs=probs, x=system.x)
+
+
+def outcome(call, *args):
+    """A call's result, as bytes, or the type and message of the error it raised."""
+    try:
+        result = call(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(result, Trajectory):
+        return result.times.tobytes(), result.probs.tobytes(), result.x
+    return result.tobytes()
+
+
+def scaled_hermitian(entries, log_norm):
+    d1, d2, re, im = (10.0 ** log_norm * e for e in entries)
+    return np.array([[d1, re - 1j * im], [re + 1j * im, d2]])
+
+
+signed_time = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, log_t: sign * 10.0 ** log_t, st.sampled_from([-1.0, 1.0]), st.floats(-9.0, 6.0)),
+    st.floats(-1e6, 1e6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a_entries=st.tuples(unit, unit, unit, unit),
+    a_log_norm=st.floats(-9.0, 9.0),
+    h_entries=st.tuples(unit, unit, unit, unit),
+    h_log_norm=st.floats(-9.0, 9.0),
+    above=st.one_of(st.sampled_from([0.0, -1e-9, 1e-15]), st.floats(0.0, 10.0)),
+    nudge=st.integers(-2, 2),
+    t=signed_time,
+)
+# a diagonal A0 and H, with off-diagonal zeros of both signs, at the bound and at t = -0
+@example(a_entries=(1.0, -1.0, -0.0, 0.0), a_log_norm=0.0, h_entries=(0.5, 0.5, 0.0, -0.0), h_log_norm=0.0,
+         above=0.0, nudge=0, t=-0.0)
+# a multiple of the identity, where only shifts strictly above the bound are admissible
+@example(a_entries=(0.3, 0.3, 0.0, 0.0), a_log_norm=9.0, h_entries=(1.0, -1.0, 0.3, 0.2), h_log_norm=-9.0,
+         above=0.0, nudge=1, t=1e6)
+def test_evolve_observable_is_the_reference(a_entries, a_log_norm, h_entries, h_log_norm, above, nudge, t):
+    a0 = scaled_hermitian(a_entries, a_log_norm)
+    h = scaled_hermitian(h_entries, h_log_norm)
+    bound = admissible_shift_bound(a0)
+    # at, just beside and above the admissible bound, in units of the matrix's size
+    x = bound + above * 10.0 ** a_log_norm
+    for _ in range(abs(nudge)):
+        x = math.nextafter(x, math.copysign(math.inf, nudge))
+    expected = outcome(reference_evolve_observable, a0, h, x, t)
+    assert outcome(evolve_observable, a0, h, x, t) == expected
+    # nested lists take the same path through the entry kernels
+    assert outcome(evolve_observable, a0.tolist(), h.tolist(), x, t) == expected
+
+
+def test_evolve_observable_checks_in_the_reference_order():
+    good = [[1.0, 0.0], [0.0, -1.0]]
+    bad = [[1.0, 2.0], [0.0, -1.0]]
+    cases = [
+        (bad, bad, 0.5, 1.0),  # A0 first
+        (good, bad, -5.0, 1.0),  # then the shift
+        (good, bad, 2.0, 1.0),  # then H
+        (good, [[1e308, 1e308], [1e308, -1e308]], 2.0, 1.0),  # an overflowing omega
+        (good, good, 2.0, math.nan),  # then the time
+        (good, [[1e300, 0.0], [0.0, -1e300]], 2.0, 1e10),  # and the rotation angle
+        (good, good, math.inf, 1.0),
+    ]
+    for a0, h, x, t in cases:
+        expected = outcome(reference_evolve_observable, a0, h, x, t)
+        assert expected[0] is DomainError
+        assert outcome(evolve_observable, a0, h, x, t) == expected
+
+
+
+def test_evolve_observable_keeps_the_signed_zeros_of_the_reference():
+    # a subnormal A0 at a negative shift: d * Re rho21 underflows to -0, and numpy subtracts
+    # x * 0j, whose real part is -0 here, so the entry is +0; subtracting a plain 0j gives -0
+    a0 = [[2e-323, -0j], [0j, 1.5e-323]]
+    h = [[-0.2028896799241784, -0.871616036990404 - 0.365300924035709j],
+         [-0.871616036990404 + 0.365300924035709j, 0.20289380803401014]]
+    a_t = evolve_observable(a0, h, -1.5e-323, -2.3318261392386486)
+    assert a_t.tobytes() == reference_evolve_observable(a0, h, -1.5e-323, -2.3318261392386486).tobytes()
+    assert math.copysign(1.0, a_t[1, 0].real) == 1.0
+
+TINY_STEP = 2.0 ** -1022  # the least normal float
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t_end=st.one_of(st.floats(5e-324, sys.float_info.max),
+                    st.builds(lambda e: 10.0 ** e, st.floats(-323.3, 308.25))),
+    steps=st.one_of(st.integers(1, 40), st.integers(1, 100_000)),
+    omega=st.sampled_from([(0.6, -1.0, 1.6), (0.0, 0.0, 1e-300), (0.0, 0.0, 0.0)]),
+)
+# step = 2^-1022 exactly, where the scalar check starts to hold, and its predecessor, the largest
+# subnormal, where the times are compared
+@example(t_end=4 * TINY_STEP, steps=4, omega=(0.6, -1.0, 1.6))
+@example(t_end=2 * math.nextafter(TINY_STEP, 0.0), steps=2, omega=(0.6, -1.0, 1.6))
+@example(t_end=1024 * math.nextafter(TINY_STEP, 0.0), steps=1024, omega=(0.6, -1.0, 1.6))
+# step underflows to 0, and rounding collapses the grid to [0, 0, 5e-324, 5e-324]
+@example(t_end=5e-324, steps=3, omega=(0.6, -1.0, 1.6))
+# a subnormal step that rounds up: fl(1e-323 / 3) = 5e-324, so 2 * step = t_end
+@example(t_end=1e-323, steps=3, omega=(0.6, -1.0, 1.6))
+# linspace's last product overflows here; the one grid formula never forms it
+@example(t_end=sys.float_info.max, steps=3, omega=(0.0, 0.0, 1e-300))
+@example(t_end=sys.float_info.max, steps=100_000, omega=(0.0, 0.0, 0.0))
+def test_trajectory_grid_is_the_reference(t_end, steps, omega):
+    system = KineticSystem(omega, 0.0)
+    p0 = ProbTriple(0.7, 0.4, 0.55)
+    expected = outcome(reference_sample_trajectory, system, p0, t_end, steps)
+    assert outcome(sample_trajectory, system, p0, t_end, steps) == expected
+    # the CLI's grid refuses the same grids with the same message, and otherwise has the same times
+    try:
+        times, _ = _trajectory_rows(system, p0, t_end, steps, DEFAULT_TOL)
+    except DomainError as exc:
+        assert (DomainError, str(exc)) == expected
+    else:
+        assert np.array(times).tobytes() == expected[0]
+
+
+def test_grid_scalar_check_boundaries():
+    assert _increases(TINY_STEP, 3)
+    assert _increases(TINY_STEP, 2 ** 51 - 1)
+    assert not _increases(math.nextafter(TINY_STEP, 0.0), 3)
+    assert not _increases(0.0, 3)
+    assert not _increases(1.0, 2 ** 51)
+    for t_end, steps in ((5e-324, 3), (1e-323, 3)):
+        system = KineticSystem((0.0, 0.0, 1.0), 0.0)
+        with pytest.raises(DomainError, match="^trajectory times must be strictly increasing$"):
+            sample_trajectory(system, P0_X, t_end, steps)
+        with pytest.raises(DomainError, match="^trajectory times must be strictly increasing$"):
+            _trajectory_rows(system, P0_X, t_end, steps, DEFAULT_TOL)
 
 @pytest.mark.parametrize("omega", [(0.6, -1.0, 1.6), (0.0, 0.0, 0.0)], ids=["rotating", "static"])
 def test_trajectory_arrays_are_c_ordered_and_read_only(omega):
