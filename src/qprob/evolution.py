@@ -242,7 +242,7 @@ def _increases(step: float, steps: int) -> bool:
     is below t_end (step <= (t_end / steps)(1 + 2^-53)), so no product
     overflows or leaves the normal range, where each rounding moves a value
     by at most 2^-53 of it. Neighbours k * step and (k + 1) * step differ by
-    step exactly, more than the 2^-53 * 2 steps * step that their two
+    step exactly, more than the 2^-52 * steps * step that their two
     roundings can take away, so fl(k * step) < fl((k + 1) * step); and
     t_end - (steps - 1) * step >= t_end (1 - (steps - 1) 2^-53) / steps is
     more than one rounding of 2^-53 t_end, so fl((steps - 1) * step) < t_end.

@@ -490,7 +490,7 @@ def test_evolve_observable_checks_in_the_reference_order():
         (good, [[1e308, 1e308], [1e308, -1e308]], 2.0, 1.0),  # an overflowing omega
         (good, good, 2.0, math.nan),  # then the time
         (good, [[1e300, 0.0], [0.0, -1e300]], 2.0, 1e10),  # and the rotation angle
-        (good, good, math.inf, 1.0),
+        (good, good, math.inf, 1.0),  # a shift that is not finite is inadmissible
     ]
     for a0, h, x, t in cases:
         expected = outcome(reference_evolve_observable, a0, h, x, t)
