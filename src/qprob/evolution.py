@@ -11,9 +11,10 @@ build_kinetic does, and builds A(t) as one array. evolve, evolve_observable
 and the CLI's grid form their rows on Python floats; sample_trajectory forms
 the same rows, bit for bit, as a read-only (n, 3) array, filled one column
 at a time by length-n ufuncs. Both grids are the one formula k * step, with
-t_end last, which np.linspace also computes; a scalar test on step and steps
-proves that it strictly increases, and only a grid with a subnormal step is
-compared element by element. sample_trajectory peaks at 56 bytes a sample:
+t_end last, which np.linspace also computes, and one scalar check in
+_grid_inputs decides that it strictly increases: step > 0 and
+fl((steps - 1) * step) < t_end, as only the last pair can collapse (the
+proof is in its docstring). sample_trajectory peaks at 56 bytes a sample:
 the times, the rows and three length-n buffers. The oracle, in diagnostics,
 fits the exact derivatives i[H, rho] at four probe states; it runs given
 fd_tol, and a mismatch warns, while omega stays 2h.
@@ -29,7 +30,7 @@ from ._numpy import np
 from ._record import Record, _set
 from .diagnostics import FormulaCheck, checked_map, component_checks, kinetic_oracle
 from .errors import DomainError
-from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float, _sum_of_products
+from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float, _floats3, _sum_of_products
 
 FD_TOL = 1e-4
 
@@ -45,9 +46,7 @@ class KineticSystem(Record):
     __slots__ = ("omega", "x")
 
     def __init__(self, omega: tuple[float, float, float], x: float):
-        omega = tuple(map(_as_float, omega))
-        if len(omega) != 3:
-            raise DomainError(f"kinetic angular velocity omega needs 3 components, got {len(omega)}")
+        omega = _floats3(omega, "kinetic angular velocity omega needs 3 components")
         if not all(map(math.isfinite, omega)):
             raise DomainError(f"kinetic angular velocity omega must be finite, got {omega!r}")
         x = _as_float(x)
@@ -217,8 +216,28 @@ def evolve_observable(a0, h, x: float, t: float) -> np.ndarray:
                      [d * r21 - off, d * complex(r22) - shift]], dtype=complex)
 
 
+# rounding can collapse a tiny grid (t_end = 5e-324, steps = 3)
+_COLLAPSED_GRID = "trajectory times must be strictly increasing"
+
+
 def _grid_inputs(p0: ProbTriple, t_end: float, steps: int, tol: float) -> tuple[float, int, float]:
-    """A trajectory's t_end and steps, checked, then p0 checked physical, and the step t_end / steps."""
+    """A trajectory's t_end and steps, checked, then p0 checked physical, then the grid, and its step.
+
+    The grid is 0, fl(k * step) for 0 < k < steps, and t_end, with
+    step = t_end / steps; np.linspace(0, t_end, steps + 1) gives these
+    floats wherever step is not 0. One scalar condition decides that it
+    strictly increases: step > 0 and fl((steps - 1) * step) < t_end. For
+    steps < 2^52, neighbours k * step and (k + 1) * step differ by step
+    exactly, and rounding cannot close that gap: a subnormal product is
+    exact, and a normal one moves by at most 2^-53 of itself, so two
+    roundings take away at most 2^-53 (2k + 1) step < step. So only the
+    last pair can collapse, and the one product checks it. No product
+    below the last index overflows, as (steps - 1) * step is below t_end.
+    If step is 0, then steps >= 2 t_end / 5e-324, and linspace's grid of
+    steps + 1 multiples of 5e-324 in [0, t_end] takes at most
+    t_end / 5e-324 + 1 distinct values, so it collapses too. A grid of
+    2^52 floats cannot be allocated.
+    """
     t_end = _as_float(t_end)
     if not math.isfinite(t_end) or t_end <= 0.0:
         raise DomainError(f"t_end must be finite and positive, got {t_end!r}")
@@ -231,30 +250,10 @@ def _grid_inputs(p0: ProbTriple, t_end: float, steps: int, tol: float) -> tuple[
     if steps < 1:
         raise DomainError(f"steps must be at least 1, got {steps}")
     qubit_core.require_physical(p0, tol)
-    return t_end, steps, t_end / steps
-
-
-def _increases(step: float, steps: int) -> bool:
-    """Whether the grid 0, fl(k * step) for 0 < k < steps, t_end is proved strictly increasing.
-
-    It is when step >= 2^-1022 and steps < 2^51. Every k * step with k >= 1
-    is then at least step, a normal float, and the exact (steps - 1) * step
-    is below t_end (step <= (t_end / steps)(1 + 2^-53)), so no product
-    overflows or leaves the normal range, where each rounding moves a value
-    by at most 2^-53 of it. Neighbours k * step and (k + 1) * step differ by
-    step exactly, more than the 2^-52 * steps * step that their two
-    roundings can take away, so fl(k * step) < fl((k + 1) * step); and
-    t_end - (steps - 1) * step >= t_end (1 - (steps - 1) 2^-53) / steps is
-    more than one rounding of 2^-53 t_end, so fl((steps - 1) * step) < t_end.
-    A subnormal step, or one that underflows to 0 (the grid is then
-    k / steps * t_end), can collapse the grid, and the caller compares its
-    times instead.
-    """
-    return step >= 2.0 ** -1022 and steps < 2 ** 51
-
-
-# rounding can collapse a tiny grid (t_end = 5e-324, steps = 3)
-_COLLAPSED_GRID = "trajectory times must be strictly increasing"
+    step = t_end / steps
+    if not (step > 0.0 and (steps - 1) * step < t_end):
+        raise DomainError(_COLLAPSED_GRID)
+    return t_end, steps, step
 
 
 def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps: int,
@@ -264,26 +263,20 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
     Every sample is propagated directly from t = 0, so there is no
     accumulation of step error; refining the grid never moves shared times.
     The times are fl(k * step) with step = t_end / steps, and t_end last,
-    the floats np.linspace(0, t_end, steps + 1) gives; where step underflows
-    to 0 they are k / steps * t_end, as in linspace. No product reaches the
-    last index, so none overflows near the float maximum. For
-    step >= 2^-1022 and steps < 2^51 the grid strictly increases by proof
-    (_increases); only a subnormal step has its times compared. Each row
-    equals evolve() at its time, bit for bit. Only the inputs and the grid's
+    the floats np.linspace(0, t_end, steps + 1) gives. No product reaches the
+    last index, so none overflows near the float maximum. The grid strictly
+    increases exactly when step > 0 and fl((steps - 1) * step) < t_end, the
+    one scalar check of _grid_inputs, which proves it; any other grid is
+    refused before a time is formed. Each row equals evolve() at its time,
+    bit for bit. Only the inputs and the grid's
     times are checked: each row is a rotation of the accepted p0 about the
     ball center and keeps its ball residual. The times and the (n, 3) rows
     are read-only arrays.
     """
     t_end, steps, step = _grid_inputs(p0, t_end, steps, tol)
     times = np.arange(steps + 1, dtype=float)
-    if step == 0.0:  # linspace's branch for a step that underflows
-        times /= steps
-        times *= t_end
-    else:
-        times[:-1] *= step
+    times[:-1] *= step
     times[-1] = t_end
-    if not _increases(step, steps) and not (times[1:] > times[:-1]).all():
-        raise DomainError(_COLLAPSED_GRID)
     norm, p, k1, k2 = _rodrigues_terms(system.omega, p0, t_end)
     if k1 is None:
         probs = np.tile(p, (times.size, 1))
@@ -307,18 +300,6 @@ def sample_trajectory(system: KineticSystem, p0: ProbTriple, t_end: float, steps
     return Trajectory(times=times, probs=probs, x=system.x)
 
 
-def _linspace(stop: float, num: int) -> list[float]:
-    """np.linspace(0.0, stop, num) for num >= 2, as a list of the same floats."""
-    div = num - 1
-    step = stop / div
-    if step == 0.0:  # numpy's branch for a step that underflows
-        grid = [i / div * stop for i in range(num)]
-    else:
-        grid = [i * step for i in range(num)]
-    grid[-1] = stop
-    return grid
-
-
 def _trajectory_rows(system: KineticSystem, p0: ProbTriple, t_end: float, steps: int, tol: float):
     """sample_trajectory's times, as a list, and its rows, as tuples made one at a time, on Python floats.
 
@@ -326,8 +307,7 @@ def _trajectory_rows(system: KineticSystem, p0: ProbTriple, t_end: float, steps:
     and rows are sample_trajectory's, bit for bit.
     """
     t_end, steps, step = _grid_inputs(p0, t_end, steps, tol)
-    times = _linspace(t_end, steps + 1)
-    if not _increases(step, steps) and not all(map(operator.lt, times, times[1:])):
-        raise DomainError(_COLLAPSED_GRID)
+    times = [k * step for k in range(steps)]
+    times.append(t_end)
     norm, p, k1, k2 = _rodrigues_terms(system.omega, p0, t_end)
     return times, (_row(p, k1, k2, norm * t) for t in times)

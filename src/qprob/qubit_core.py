@@ -14,7 +14,7 @@ a triple converts its fields, and none computes in float32.
 The ball residual is one call of matrix_oracle's _sum_of_products, correctly
 rounded wherever it is finite, on exact terms: -3/4 + sum p_k - sum p_k^2,
 never p_k - 1/2, which rounds outside [1/4, 1]. A raw 3-vector (a triple, a
-direction) is read in one place, _floats3.
+direction, a kinetic omega) is read in one place, _floats3.
 """
 
 from __future__ import annotations

@@ -38,7 +38,21 @@ near-pure states, or absolute where the result is a rotation entry:
   at most 188 sigma u, at D = 1/3. half = (tr + 2a) / 2 adds (tr + 2a) u / 2,
   and each entry one or two roundings more. Maximized over every spectrum
   and axis, this first-order bound is 95u max|H_ij|, at H = sigma I; the
-  stated 1.1e-14 is 99u.
+  stated 1.1e-14 is 99u;
+- evolve: every component of a row within 1.5 ulp(theta) + 19 ulp(1/2) of
+  the exact rotation of p0's floats by the float omega through the float t,
+  where theta = fl(|omega| t) is the angle evolve computes; so within 19
+  units of ulp(theta) + ulp(1/2). math.hypot is within 1 ulp and the product
+  adds one rounding, so theta is within 3u |theta| < 3 ulp(theta) of exact,
+  and a row moves with the angle by at most sqrt(k1_i^2 + k2_i^2) <= 1/2:
+  1.5 ulp(theta). At that angle the rest is absolute, with |p - c| <= 1/2.
+  The unit axis is within 3u per component; p - 1/2 is exact or within u/4;
+  k1 = (p - c) x axis, rounded twice per component, is within 2.93u as a
+  vector (1.5u from the axis, 0.43u from p - 1/2, u from rounding) and
+  k2 = k1 x axis within 5.43u. With libm's sin within 1 ulp, s = sin(theta)
+  is within 2u|s| and h = 2 sin^2(theta/2) within 5u h, and a row
+  p + s k1 + h k2 adds four roundings. Maximized over theta, with
+  k1_i^2 + k2_i^2 <= 1/4, the total is 18.9u.
 """
 
 import math
@@ -47,15 +61,19 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qprob import (
     Direction,
     NonInvertibleEncodingWarning,
     ProbTriple,
+    build_kinetic,
     check_ball,
     decode_observable,
     eigenvalues_hermitian,
     encode_observable,
+    evolve,
     rotation_from_unitary,
     state_tomogram,
 )
@@ -74,6 +92,8 @@ CORRECTLY_ROUNDED_ULPS = 0.5
 ENCODE_OFF_DIAGONAL_ULPS = 2.0
 ENCODE_DIAGONAL_ULPS = 4.0
 DECODE_ENTRY_ERROR = 1.1e-14
+EVOLVE_ANGLE_ULPS = 1.5
+EVOLVE_ROW_ULPS = 19.0
 
 
 def ulps(value: float, exact) -> float:
@@ -347,3 +367,55 @@ def test_decode_is_within_its_bound(rng):
         assert error <= DECODE_ENTRY_ERROR * size, (h11, h22, c)
         decoded += 1
     assert decoded > 1900
+
+
+def exact_evolve(omega, p: ProbTriple, t: float) -> list:
+    """p turned about the ball center by the float omega through the float t, at PREC bits."""
+    with mpmath.workprec(PREC):
+        w = [mpmath.mpf(x) for x in omega]
+        norm = mpmath.sqrt(sum(x * x for x in w))
+        p = [mpmath.mpf(x) for x in (p.p1, p.p2, p.p3)]
+        if norm == 0:
+            return p
+        u = [x / norm for x in w]
+        v = [x - mpmath.mpf(0.5) for x in p]
+        k1 = [v[1] * u[2] - v[2] * u[1], v[2] * u[0] - v[0] * u[2], v[0] * u[1] - v[1] * u[0]]
+        k2 = [k1[1] * u[2] - k1[2] * u[1], k1[2] * u[0] - k1[0] * u[2], k1[0] * u[1] - k1[1] * u[0]]
+        angle = norm * mpmath.mpf(t)
+        s, h = mpmath.sin(angle), 1 - mpmath.cos(angle)
+        return [p[i] + s * k1[i] + h * k2[i] for i in range(3)]
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    entries=st.tuples(unit, unit, unit, unit),
+    log_norm=st.floats(-9.0, 9.0),
+    bloch=st.tuples(unit, unit, unit),
+    on_sphere=st.booleans(),
+    sign=st.sampled_from([-1.0, 1.0]),
+    log_t=st.floats(-9.0, 1.0),
+)
+# a half turn, where h = 2 sin^2(theta/2) is largest, of a pure state
+@example(entries=(1.0, -1.0, 0.0, 0.0), log_norm=0.0, bloch=(1.0, 0.0, 0.0), on_sphere=True, sign=1.0,
+         log_t=math.log10(math.pi / 2))
+# the largest angle, about 2e10 rad
+@example(entries=(0.3, -0.7, 0.6, -0.5), log_norm=9.0, bloch=(0.2, -0.9, 0.3), on_sphere=True, sign=-1.0,
+         log_t=1.0)
+def test_evolve_rows_are_within_their_bound(entries, log_norm, bloch, on_sphere, sign, log_t):
+    d1, d2, re, im = (10.0 ** log_norm * e for e in entries)
+    system = build_kinetic([[d1, complex(re, -im)], [complex(re, im), d2]], 0.0)
+    v = np.array(bloch)
+    length = float(np.linalg.norm(v))
+    if length and (on_sphere or length > 1.0):
+        v /= length
+    p0 = ProbTriple.from_array(0.5 + 0.5 * v)
+    t = sign * 10.0 ** log_t
+    row = evolve(system, p0, t)
+    angle = math.hypot(*system.omega) * abs(t)
+    bound = EVOLVE_ANGLE_ULPS * math.ulp(angle) + EVOLVE_ROW_ULPS * math.ulp(0.5)
+    with mpmath.workprec(PREC):
+        for got, exact in zip((row.p1, row.p2, row.p3), exact_evolve(system.omega, p0, t)):
+            assert abs(got - exact) <= bound, (system.omega, p0, t)

@@ -508,6 +508,20 @@ def test_evolve_input_validation(monkeypatch, capsys):
     assert code == 3 and "steps" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("t_end", ["5e-324", "1e-323"])
+def test_evolve_refuses_a_collapsing_grid(t_end, fmt, monkeypatch, capsys):
+    # with 3 steps, step = t_end / 3 underflows to 0 or rounds up so that 2 * step = t_end
+    code, out, err = run_cli(
+        ["evolve", "--t-end", t_end, "--steps", "3", "--format", fmt],
+        stdin_text=_EVOLVE_DOC,
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 3 and out == ""
+    assert err == "qprob: trajectory times must be strictly increasing\n"
+
+
 def test_evolve_caps_steps_before_allocating(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the trajectory must not be built")

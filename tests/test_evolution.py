@@ -1,6 +1,7 @@
 """Kinetic equation: generator values, exact propagation, and matrix-side agreement."""
 
 import math
+import operator
 import re
 import sys
 import tracemalloc
@@ -31,7 +32,7 @@ from qprob import (
 )
 from qprob import evolution, observable_map, qubit_core
 from qprob.diagnostics import failed_checks, heisenberg_exact
-from qprob.evolution import FD_TOL, _increases, _linspace, _trajectory_rows, _turn
+from qprob.evolution import FD_TOL, _trajectory_rows, _turn
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z
 from qprob.observable_map import admissible_shift_bound, conservative_shift_bound
 from qprob.qubit_core import DEFAULT_TOL, _as_float
@@ -80,8 +81,12 @@ def test_kinetic_system_rejects_a_non_finite_or_wrong_length_omega():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError, match=r"^kinetic angular velocity omega must be finite, got \("):
             KineticSystem(omega=(0.0, bad, 1.0), x=0.0)
-    with pytest.raises(DomainError, match=r"^kinetic angular velocity omega needs 3 components, got 2$"):
+    with pytest.raises(DomainError, match=r"^kinetic angular velocity omega needs 3 components, got shape \(2,\)$"):
         KineticSystem(omega=(1.0, 2.0), x=0.0)
+    # omega is read as every 3-vector is, so a scalar or a matrix is a DomainError too
+    for bad, shape in ((1.0, r"\(\)"), ([[1, 2, 3]], r"\(1, 3\)")):
+        with pytest.raises(DomainError, match=rf"^kinetic angular velocity omega needs 3 components, got shape {shape}$"):
+            KineticSystem(bad, 0.0)
 
 
 def test_kinetic_system_rejects_a_non_finite_shift():
@@ -360,8 +365,6 @@ def test_cli_rows_equal_sample_trajectory_and_evolve(axis, log_norm, bloch, log_
     system = KineticSystem(omega, 0.0)
     p0 = ball_triple(bloch)
     t_end = 10.0 ** log_t
-    # the grid is np.linspace's, also where its step underflows and the grid is then refused
-    assert np.array(_linspace(t_end, steps + 1)).tobytes() == np.linspace(0.0, t_end, steps + 1).tobytes()
     try:
         trajectory = sample_trajectory(system, p0, t_end, steps)
     except DomainError as exc:
@@ -370,6 +373,8 @@ def test_cli_rows_equal_sample_trajectory_and_evolve(axis, log_norm, bloch, log_
         return
     times, rows = _trajectory_rows(system, p0, t_end, steps, DEFAULT_TOL)
     rows = list(rows)
+    # an accepted grid is np.linspace's
+    assert np.array(times).tobytes() == np.linspace(0.0, t_end, steps + 1).tobytes()
     assert np.array(times).tobytes() == trajectory.times.tobytes()
     assert rows_bytes(rows) == trajectory.probs.tobytes()
     assert rows_bytes([evolve(system, p0, t).as_array() for t in times]) == rows_bytes(rows)
@@ -382,7 +387,9 @@ def test_trajectory_grid_up_to_the_float_maximum():
     p0 = ProbTriple(0.7, 0.4, 0.55)
     trajectory = sample_trajectory(system, p0, sys.float_info.max, 3)
     times, rows = _trajectory_rows(system, p0, sys.float_info.max, 3, DEFAULT_TOL)
-    assert trajectory.times.tolist() == times == _linspace(sys.float_info.max, 4)
+    with np.errstate(over="ignore"):
+        expected = np.linspace(0.0, sys.float_info.max, 4).tolist()
+    assert trajectory.times.tolist() == times == expected
     assert rows_bytes(list(rows)) == trajectory.probs.tobytes()
 
 
@@ -398,10 +405,27 @@ def reference_evolve_observable(a0, h, x, t):
     return denom * qubit_core._density(pt) - x * IDENTITY
 
 
+def reference_grid_inputs(p0, t_end, steps, tol):
+    """_grid_inputs as it was, before it checked the grid: the reference's own input checks."""
+    t_end = _as_float(t_end)
+    if not math.isfinite(t_end) or t_end <= 0.0:
+        raise DomainError(f"t_end must be finite and positive, got {t_end!r}")
+    try:
+        if isinstance(steps, bool):  # operator.index takes True as 1
+            raise TypeError
+        steps = operator.index(steps)
+    except TypeError:
+        raise DomainError(f"steps must be an integer, got {steps!r}") from None
+    if steps < 1:
+        raise DomainError(f"steps must be at least 1, got {steps}")
+    qubit_core.require_physical(p0, tol)
+    return t_end, steps, t_end / steps
+
+
 def reference_sample_trajectory(system, p0, t_end, steps, tol=DEFAULT_TOL):
     """sample_trajectory as it was: its times from np.linspace, always compared element by element.
     Kept as the reference the one grid formula and its scalar check must equal bit for bit."""
-    t_end, steps = evolution._grid_inputs(p0, t_end, steps, tol)[:2]
+    t_end, steps = reference_grid_inputs(p0, t_end, steps, tol)[:2]
     # near the float maximum, linspace's step * (num - 1) overflows before it sets the last time to t_end
     with np.errstate(over="ignore"):
         times = np.linspace(0.0, t_end, steps + 1)
@@ -512,28 +536,8 @@ def test_evolve_observable_keeps_the_signed_zeros_of_the_reference():
 TINY_STEP = 2.0 ** -1022  # the least normal float
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    t_end=st.one_of(st.floats(5e-324, sys.float_info.max),
-                    st.builds(lambda e: 10.0 ** e, st.floats(-323.3, 308.25))),
-    steps=st.one_of(st.integers(1, 40), st.integers(1, 100_000)),
-    omega=st.sampled_from([(0.6, -1.0, 1.6), (0.0, 0.0, 1e-300), (0.0, 0.0, 0.0)]),
-)
-# step = 2^-1022 exactly, where the scalar check starts to hold, and its predecessor, the largest
-# subnormal, where the times are compared
-@example(t_end=4 * TINY_STEP, steps=4, omega=(0.6, -1.0, 1.6))
-@example(t_end=2 * math.nextafter(TINY_STEP, 0.0), steps=2, omega=(0.6, -1.0, 1.6))
-@example(t_end=1024 * math.nextafter(TINY_STEP, 0.0), steps=1024, omega=(0.6, -1.0, 1.6))
-# step underflows to 0, and rounding collapses the grid to [0, 0, 5e-324, 5e-324]
-@example(t_end=5e-324, steps=3, omega=(0.6, -1.0, 1.6))
-# a subnormal step that rounds up: fl(1e-323 / 3) = 5e-324, so 2 * step = t_end
-@example(t_end=1e-323, steps=3, omega=(0.6, -1.0, 1.6))
-# linspace's last product overflows here; the one grid formula never forms it
-@example(t_end=sys.float_info.max, steps=3, omega=(0.0, 0.0, 1e-300))
-@example(t_end=sys.float_info.max, steps=100_000, omega=(0.0, 0.0, 0.0))
-def test_trajectory_grid_is_the_reference(t_end, steps, omega):
-    system = KineticSystem(omega, 0.0)
-    p0 = ProbTriple(0.7, 0.4, 0.55)
+def assert_grid_is_the_reference(system, p0, t_end, steps):
+    """Both grid builders give the reference's bytes, or its error type and message."""
     expected = outcome(reference_sample_trajectory, system, p0, t_end, steps)
     assert outcome(sample_trajectory, system, p0, t_end, steps) == expected
     # the CLI's grid refuses the same grids with the same message, and otherwise has the same times
@@ -543,20 +547,66 @@ def test_trajectory_grid_is_the_reference(t_end, steps, omega):
         assert (DomainError, str(exc)) == expected
     else:
         assert np.array(times).tobytes() == expected[0]
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t_end=st.one_of(st.floats(5e-324, sys.float_info.max),
+                    st.builds(lambda e: 10.0 ** e, st.floats(-323.3, 308.25))),
+    steps=st.one_of(st.integers(1, 40), st.integers(1, 100_000)),
+    omega=st.sampled_from([(0.6, -1.0, 1.6), (0.0, 0.0, 1e-300), (0.0, 0.0, 0.0)]),
+)
+# step = 2^-1022 exactly, a normal step, and its predecessor, the largest subnormal, whose
+# products are exact
+@example(t_end=4 * TINY_STEP, steps=4, omega=(0.6, -1.0, 1.6))
+@example(t_end=2 * math.nextafter(TINY_STEP, 0.0), steps=2, omega=(0.6, -1.0, 1.6))
+@example(t_end=1024 * math.nextafter(TINY_STEP, 0.0), steps=1024, omega=(0.6, -1.0, 1.6))
+# step underflows to 0, and linspace's grid collapses to [0, 0, 5e-324, 5e-324]
+@example(t_end=5e-324, steps=3, omega=(0.6, -1.0, 1.6))
+# a subnormal step that rounds up: fl(1e-323 / 3) = 5e-324, so 2 * step = t_end
+@example(t_end=1e-323, steps=3, omega=(0.6, -1.0, 1.6))
+# linspace's last product overflows here; the one grid formula never forms it
+@example(t_end=sys.float_info.max, steps=3, omega=(0.0, 0.0, 1e-300))
+@example(t_end=sys.float_info.max, steps=100_000, omega=(0.0, 0.0, 0.0))
+def test_trajectory_grid_is_the_reference(t_end, steps, omega):
+    assert_grid_is_the_reference(KineticSystem(omega, 0.0), ProbTriple(0.7, 0.4, 0.55), t_end, steps)
+
+
+GRID_BOUNDARIES = (
+    (4 * TINY_STEP, 4, True),  # step = 2^-1022
+    (2 * math.nextafter(TINY_STEP, 0.0), 2, True),  # step is its predecessor
+    (1e-323, 3, False),  # step rounds up to 5e-324, and (steps - 1) * step = t_end
+    (5e-324, 3, False),  # step underflows to 0
+    (5e-324, 1, True),  # the grid [0, 5e-324]
+    (sys.float_info.max, 3, True),
+    (sys.float_info.max, 100_000, True),
+)
 
 
 def test_grid_scalar_check_boundaries():
-    assert _increases(TINY_STEP, 3)
-    assert _increases(TINY_STEP, 2 ** 51 - 1)
-    assert not _increases(math.nextafter(TINY_STEP, 0.0), 3)
-    assert not _increases(0.0, 3)
-    assert not _increases(1.0, 2 ** 51)
-    for t_end, steps in ((5e-324, 3), (1e-323, 3)):
-        system = KineticSystem((0.0, 0.0, 1.0), 0.0)
-        with pytest.raises(DomainError, match="^trajectory times must be strictly increasing$"):
-            sample_trajectory(system, P0_X, t_end, steps)
-        with pytest.raises(DomainError, match="^trajectory times must be strictly increasing$"):
-            _trajectory_rows(system, P0_X, t_end, steps, DEFAULT_TOL)
+    system = KineticSystem((0.0, 0.0, 1.0), 0.0)
+    for t_end, steps, accepted in GRID_BOUNDARIES:
+        step = t_end / steps
+        assert (step > 0.0 and (steps - 1) * step < t_end) is accepted
+        expected = assert_grid_is_the_reference(system, P0_X, t_end, steps)
+        if accepted:
+            assert expected[0] is not DomainError
+        else:
+            assert expected == (DomainError, "trajectory times must be strictly increasing")
+
+
+def test_grid_check_refuses_what_the_reference_refuses_on_a_subnormal_sweep():
+    # every t_end = m * 5e-324 up to m = 64 with up to 256 steps: steps that underflow, round up,
+    # round down or are exact, against linspace's grid compared element by element
+    system = KineticSystem((0.6, -1.0, 1.6), 0.0)
+    p0 = ProbTriple(0.7, 0.4, 0.55)
+    refused = 0
+    for m in range(1, 65):
+        for steps in range(1, 257):
+            refused += assert_grid_is_the_reference(system, p0, m * 5e-324, steps)[0] is DomainError
+    assert 0 < refused < 64 * 256
+
 
 @pytest.mark.parametrize("omega", [(0.6, -1.0, 1.6), (0.0, 0.0, 0.0)], ids=["rotating", "static"])
 def test_trajectory_arrays_are_c_ordered_and_read_only(omega):

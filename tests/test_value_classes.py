@@ -45,7 +45,7 @@ CASES = [
      "ChannelSpec(terms=((1.0, (((1+0j), 0j), (0j, (1+0j)))),))", True,
      (((),), "a channel needs at least one (weight, unitary) term")),
     (KineticSystem, ((1, 0.0, 2.0), 0), "KineticSystem(omega=(1.0, 0.0, 2.0), x=0.0)", True,
-     (((1.0, 2.0), 0.0), "kinetic angular velocity omega needs 3 components, got 2")),
+     (((1.0, 2.0), 0.0), "kinetic angular velocity omega needs 3 components, got shape (2,)")),
     (Trajectory, (np.array([0.0, 1.0]), np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]), 0.0),
      "Trajectory(times=array([0., 1.]), probs=array([[0.5, 0.5, 0.5],\n       [0.5, 0.5, 0.5]]), x=0.0)",
      False, None),
