@@ -346,7 +346,7 @@ def _triple_report(p: ProbTriple, tol: float) -> dict:
         report["density_eigenvalues"] = [report["ball_residual"] / lam_max, lam_max]
     if qubit_core._violation(p, suprematism_geometry.CUBE_SLACK, ball=False) is None:
         report["area_sum"] = suprematism_geometry.area_sum(p)
-        report["chord_lengths"] = list(suprematism_geometry._chords(p)[1])
+        report["chord_lengths"] = list(suprematism_geometry.triangle_picture(p).side_lengths)
     return report
 
 

@@ -30,7 +30,7 @@ from ._numpy import np
 from ._record import Record, _set
 from .diagnostics import FormulaCheck, checked_map, component_checks, kinetic_oracle
 from .errors import DomainError
-from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float, _floats3, _sum_of_products
+from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float, _floats, _sum_of_products
 
 FD_TOL = 1e-4
 
@@ -46,7 +46,7 @@ class KineticSystem(Record):
     __slots__ = ("omega", "x")
 
     def __init__(self, omega: tuple[float, float, float], x: float):
-        omega = _floats3(omega, "kinetic angular velocity omega needs 3 components")
+        omega = _floats(omega, (3,), "kinetic angular velocity omega needs 3 components")
         if not all(map(math.isfinite, omega)):
             raise DomainError(f"kinetic angular velocity omega must be finite, got {omega!r}")
         x = _as_float(x)

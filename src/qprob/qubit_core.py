@@ -13,8 +13,9 @@ a triple converts its fields, and none computes in float32.
 
 The ball residual is one call of matrix_oracle's _sum_of_products, correctly
 rounded wherever it is finite, on exact terms: -3/4 + sum p_k - sum p_k^2,
-never p_k - 1/2, which rounds outside [1/4, 1]. A raw 3-vector (a triple, a
-direction, a kinetic omega) is read in one place, _floats3.
+never p_k - 1/2, which rounds outside [1/4, 1]. Raw vectors and matrices (a
+triple, a direction, an omega, a map's L and C, a picture's vertices) are read
+in one place, _floats.
 """
 
 from __future__ import annotations
@@ -46,20 +47,36 @@ def _as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _floats3(values, what: str) -> tuple[float, float, float]:
-    """tuple(map(_as_float, np.asarray(values).tolist())) for a vector of three numbers.
-
-    A list or tuple of three Python ints or floats (bools included) is read
-    without numpy, to the same bits; anything else goes through np.asarray,
-    and a shape other than (3,) raises DomainError: "<what>, got shape ...".
-    """
-    if not (isinstance(values, (list, tuple)) and len(values) == 3
-            and all(isinstance(v, (int, float)) for v in values)):
-        array = np.asarray(values)  # no dtype: an integer past the float range stays an integer
-        if array.shape != (3,):
-            raise DomainError(f"{what}, got shape {array.shape}")
-        values = array.tolist()
+def _python_floats(values, shape: tuple) -> tuple | None:
+    """Nested lists or tuples of that shape of Python ints and floats as nested float tuples; None for anything else."""
+    if not (isinstance(values, (list, tuple)) and len(values) == shape[0]):
+        return None
+    if len(shape) > 1:
+        rows = [_python_floats(row, shape[1:]) for row in values]
+        return None if None in rows else tuple(rows)
+    for v in values:
+        if type(v) is not float and type(v) is not int:
+            return None
     return tuple(map(_as_float, values))
+
+
+def _floats(values, shape: tuple, what: str) -> tuple:
+    """np.asarray(values).tolist() read through _as_float into nested tuples, for shape (3,), (3, 3) or (3, 2).
+
+    Python ints and floats in lists and tuples (exact types: no bool, no numpy scalar) give the same bits without
+    numpy. DomainError refuses what numpy cannot read ("<what>: ...") and another shape ("<what>, got shape ...").
+    """
+    floats = _python_floats(values, shape)
+    if floats is not None:
+        return floats
+    try:
+        array = np.asarray(values)  # no dtype: an integer past the float range stays an integer
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, say
+        raise DomainError(f"{what}: {exc}") from None
+    if array.shape != shape:
+        raise DomainError(f"{what}, got shape {array.shape}")
+    rows = array.tolist()
+    return tuple(map(_as_float, rows)) if len(shape) == 1 else tuple([tuple(map(_as_float, r)) for r in rows])
 
 
 class ProbTriple(Record):
@@ -84,7 +101,7 @@ class ProbTriple(Record):
 
     @staticmethod
     def from_array(values) -> "ProbTriple":
-        return ProbTriple(*_floats3(values, "a probability triple needs exactly 3 components"))
+        return ProbTriple(*_floats(values, (3,), "a probability triple needs exactly 3 components"))
 
 
 def check_ball(p: ProbTriple) -> float:

@@ -5,8 +5,8 @@ of side sqrt(2); squares erected on the three chords between consecutive
 vertices summarize the triple, and the summed square area has a closed form
 in the probabilities. The coordinate construction and the closed form are
 kept as two independent routes that must agree. Both run on Python floats:
-a picture's vertices are three (x, y) pairs, and only REFERENCE_CORNERS,
-read on request, is an array.
+a picture holds only its three (x, y) vertices and derives its chords and
+squares on each access; only REFERENCE_CORNERS, read on request, is an array.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from ._numpy import lazy_constants, np
 from ._record import Record, _set
 from .errors import DomainError
 from .observable_map import ObservableProbRep
-from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float
+from .qubit_core import DEFAULT_TOL, ProbTriple
 
 SIDE = math.sqrt(2.0)
 
@@ -32,23 +32,28 @@ CUBE_SLACK = 1e-12
 
 
 class TrianglePicture(Record):
-    """Vertices on the reference triangle, as three (x, y) float pairs, plus the squares over their chords."""
+    """Vertices on the reference triangle, as three (x, y) float pairs; its chords and squares follow from them."""
 
-    __slots__ = ("vertices", "side_lengths", "square_areas", "total_area")
+    __slots__ = ("vertices",)
 
-    def __init__(self, vertices: tuple[tuple[float, float], ...], side_lengths: tuple[float, float, float],
-                 square_areas: tuple[float, float, float], total_area: float):
-        if not isinstance(vertices, (list, tuple)):  # pairs load no numpy
-            vertices = np.asarray(vertices).tolist()
-        if not (len(vertices) == 3 and all(len(v) == 2 for v in vertices)):
-            raise DomainError(f"a picture needs three (x, y) vertices, got {vertices!r}")
-        vertices = tuple((_as_float(x), _as_float(y)) for x, y in vertices)
+    def __init__(self, vertices: tuple[tuple[float, float], ...]):
+        vertices = qubit_core._floats(vertices, (3, 2), "a picture needs three (x, y) vertices")
         if not all(map(math.isfinite, (*vertices[0], *vertices[1], *vertices[2]))):
             raise DomainError(f"a picture's vertices must be finite, got {vertices!r}")
         _set(self, "vertices", vertices)
-        _set(self, "side_lengths", side_lengths)
-        _set(self, "square_areas", square_areas)
-        _set(self, "total_area", total_area)
+
+    @property
+    def side_lengths(self) -> tuple[float, float, float]:
+        a, b, c = self.vertices  # chord k joins vertex k to vertex k+1 (cyclic)
+        return math.dist(a, b), math.dist(b, c), math.dist(c, a)
+
+    @property
+    def square_areas(self) -> tuple[float, float, float]:
+        return tuple(length * length for length in self.side_lengths)
+
+    @property
+    def total_area(self) -> float:
+        return float(sum(self.square_areas))
 
 
 def _require_cube(p: ProbTriple) -> None:
@@ -57,30 +62,14 @@ def _require_cube(p: ProbTriple) -> None:
         raise DomainError(reason)
 
 
-def _chords(p: ProbTriple) -> tuple[tuple, tuple[float, float, float]]:
-    """The three vertices (x, y) and the chord lengths of a cube triple, as Python floats.
-
-    Vertex k sits on the side from reference corner k to corner k+1 (cyclic)
-    at fraction p_k along it; chord k joins vertex k to vertex k+1.
-    """
+def triangle_picture(p: ProbTriple) -> TrianglePicture:
+    """The picture of a cube triple: vertex k lies on the side from corner k to corner k+1 (cyclic) at fraction p_k."""
+    _require_cube(p)
     vertices = []
     for k, p_k in enumerate((p.p1, p.p2, p.p3)):
         (x0, y0), (x1, y1) = _CORNERS[k], _CORNERS[(k + 1) % 3]
         vertices.append((x0 + p_k * (x1 - x0), y0 + p_k * (y1 - y0)))
-    return tuple(vertices), tuple(math.dist(vertices[k], vertices[(k + 1) % 3]) for k in range(3))
-
-
-def triangle_picture(p: ProbTriple) -> TrianglePicture:
-    """Place the three vertices and measure the squares on their chords, for a triple in the unit cube."""
-    _require_cube(p)
-    vertices, lengths = _chords(p)
-    areas = tuple(length * length for length in lengths)
-    return TrianglePicture(
-        vertices=vertices,
-        side_lengths=lengths,
-        square_areas=areas,
-        total_area=float(sum(areas)),
-    )
+    return TrianglePicture(vertices)
 
 
 def area_sum(p: ProbTriple) -> float:

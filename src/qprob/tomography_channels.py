@@ -25,7 +25,7 @@ from ._numpy import np
 from ._record import Record, _set
 from .diagnostics import FormulaCheck, checked_map, component_checks, rotation_oracle
 from .errors import DomainError
-from .qubit_core import ProbTriple, _as_float, _floats3, _sum_of_products
+from .qubit_core import ProbTriple, _as_float, _floats, _sum_of_products
 
 TWO_PI = 2.0 * math.pi
 ROTATION_FORMULA_TOL = 1e-9
@@ -67,7 +67,7 @@ def _unit_vector(direction) -> tuple[float, float, float]:
     """A Direction's unit vector, or a raw length-3 vector checked for unit length, as three floats."""
     if isinstance(direction, Direction):
         return direction._unit()
-    n = _floats3(direction, "direction must be a Direction or a length-3 vector")
+    n = _floats(direction, (3,), "direction must be a Direction or a length-3 vector")
     norm = math.hypot(*n)
     if not abs(norm - 1.0) <= DIRECTION_NORM_TOL:
         raise DomainError(f"direction vector must have unit length, got |n| = {norm!r}")
@@ -103,18 +103,14 @@ def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
 class AffineMap3(Record):
     """Affine action p -> L p + C on probability triples, held as finite floats.
 
-    linear is L's three rows and offset is C; L and C are fresh arrays on each access.
+    linear is L's three rows and offset is C, read through qubit_core._floats; L and C are fresh arrays on each access.
     """
 
     __slots__ = ("linear", "offset")
 
     def __init__(self, linear, offset):
-        if not (isinstance(linear, (list, tuple)) and len(linear) == 3):  # nested lists load no numpy
-            linear = np.asarray(linear)
-            if linear.shape != (3, 3):
-                raise DomainError(f"an affine map's L needs shape (3, 3), got shape {linear.shape}")
-        linear = tuple(_floats3(row, "an affine map's L needs shape (3, 3)") for row in linear)
-        _affine_map(linear, _floats3(offset, "an affine map's C needs shape (3,)"), self)
+        _affine_map(_floats(linear, (3, 3), "an affine map's L needs shape (3, 3)"),
+                    _floats(offset, (3,), "an affine map's C needs shape (3,)"), self)
 
     @property
     def L(self) -> np.ndarray:
@@ -203,10 +199,18 @@ class ChannelSpec(Record):
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        if len(terms) == 0:
+        try:
+            count = len(terms)
+        except TypeError:
+            raise DomainError(f"a channel needs a sequence of (weight, unitary) terms, got {terms!r}") from None
+        if count == 0:
             raise DomainError("a channel needs at least one (weight, unitary) term")
         cleaned, total = [], 0.0
-        for k, (weight, u) in enumerate(terms):
+        for k, term in enumerate(terms):
+            try:
+                weight, u = term
+            except (TypeError, ValueError):
+                raise DomainError(f"channel term {k} must be a (weight, unitary) pair, got {term!r}") from None
             w = _as_float(weight)
             if not w >= -WEIGHT_TOL:
                 raise DomainError(f"channel weight {k} is negative or NaN ({w!r})")

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qprob import DomainError, ProbTriple, check_ball, density_from_probs, is_physical, probs_from_density
-from qprob.qubit_core import BALL_CENTER, GAMMA, _as_float, _floats3, _sum_of_products, require_physical
+from qprob.qubit_core import BALL_CENTER, GAMMA, _as_float, _floats, _sum_of_products, require_physical
 
 from conftest import random_physical_triple
 
@@ -107,21 +107,29 @@ def test_from_array_shape_check():
     assert (p.p1, p.p2, p.p3) == (0.1, 0.2, 0.3)
 
 
-def reference_floats3(values, what: str) -> tuple:
-    """The numpy route: np.asarray, its shape checked, then tolist() read through _as_float."""
-    array = np.asarray(values)
-    if array.shape != (3,):
-        raise DomainError(f"{what}, got shape {array.shape}")
-    return tuple(map(_as_float, array.tolist()))
-
-
-def outcome(read, values):
-    """What read(values, ...) gives: the floats' types and bytes, or the exception's type and message."""
+def reference_floats(values, shape: tuple, what: str) -> tuple:
+    """The numpy route: np.asarray, its errors as DomainError, its shape checked, then tolist() read through _as_float."""
     try:
-        floats = read(values, "a vector needs 3 components")
+        array = np.asarray(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what}: {exc}") from None
+    if array.shape != shape:
+        raise DomainError(f"{what}, got shape {array.shape}")
+    if len(shape) == 1:
+        return tuple(_as_float(v) for v in array.tolist())
+    return tuple(tuple(_as_float(v) for v in row) for row in array.tolist())
+
+
+def outcome(read, values, shape: tuple):
+    """What read(values, shape, ...) gives: its nesting, the floats' types and bytes, or the error's type and message."""
+    try:
+        floats = read(values, shape, "a value needs that shape")
     except Exception as exc:
         return type(exc), str(exc)
-    return [type(v) for v in floats], struct.pack("<3d", *floats)
+    rows = (floats,) if len(shape) == 1 else floats
+    flat = [v for row in rows for v in row]
+    nesting = [type(floats), *((type(row), len(row)) for row in rows)]
+    return nesting, list(map(type, flat)), struct.pack(f"<{len(flat)}d", *flat)
 
 
 huge_ints = st.builds(lambda sign, digits: sign * 10 ** digits, st.sampled_from((-1, 1)), st.integers(15, 400))
@@ -143,24 +151,52 @@ vectors = st.one_of(
     st.lists(st.lists(st.floats(), min_size=1, max_size=1), min_size=3, max_size=3),
     numbers,
 )
+# three rows of two or three numbers, as lists or tuples, and rows of other lengths (ragged ones included)
+matrices = st.one_of(
+    st.sampled_from((2, 3)).flatmap(lambda n: st.lists(st.lists(python_numbers, min_size=n, max_size=n),
+                                                      min_size=3, max_size=3)),
+    st.sampled_from((2, 3)).flatmap(lambda n: st.lists(st.lists(python_numbers, min_size=n, max_size=n).map(tuple),
+                                                      min_size=3, max_size=3).map(tuple)),
+    st.lists(st.lists(numbers, min_size=0, max_size=4), min_size=0, max_size=4),
+    st.lists(st.one_of(vectors, numbers), min_size=3, max_size=3),
+    st.sampled_from((2, 3)).flatmap(lambda n: st.lists(st.floats(width=32), min_size=3 * n, max_size=3 * n).map(
+        lambda xs: np.array(xs, dtype=np.float32).reshape(3, n))),
+)
 
 
-@settings(max_examples=500, deadline=None)
-@given(values=vectors)
-@example(values=[0, -0.0, 1])
-@example(values=(10 ** 400, 0.5, -10 ** 400))
-@example(values=[True, 0.5, False])
-@example(values=[2 ** 53 + 1, 0.5, 2 ** 64 - 1])
-@example(values=[np.float64(-0.0), 0.5, 1])
-@example(values=[np.float32(0.1), 0.5, 0.5])
-@example(values=np.array([0.25, 0.5, 1.0]))
-@example(values=[[0.5], [0.5], [0.5]])
-@example(values=[0.5, 0.5])
-@example(values=0.5)
-def test_floats3_reads_what_numpy_reads(values):
-    expected = outcome(reference_floats3, values)
-    assert outcome(_floats3, values) == expected
-    assert (expected[0] is DomainError) == (np.shape(values) != (3,))
+@settings(max_examples=1500, deadline=None)
+@given(shape=st.sampled_from(((3,), (3, 3), (3, 2))), values=st.one_of(vectors, matrices))
+@example(shape=(3,), values=[0, -0.0, 1])
+@example(shape=(3,), values=(10 ** 400, 0.5, -10 ** 400))
+@example(shape=(3,), values=[True, 0.5, False])
+@example(shape=(3,), values=[2 ** 53 + 1, 0.5, 2 ** 64 - 1])
+@example(shape=(3,), values=[np.float64(-0.0), 0.5, 1])
+@example(shape=(3,), values=[np.float32(0.1), 0.5, 0.5])
+@example(shape=(3,), values=np.array([0.25, 0.5, 1.0]))
+@example(shape=(3,), values=[[0.5], [0.5], [0.5]])
+@example(shape=(3,), values=[0.5, 0.5])
+@example(shape=(3,), values=0.5)
+@example(shape=(3,), values=[0.5, [0.5, 0.5], 0.5])  # ragged
+@example(shape=(3, 2), values=[[0, 0], [1, 0], 5])  # ragged
+@example(shape=(3, 3), values=[[1, 0], [0, 1], [0, 0]])
+@example(shape=(3, 3), values=[[1, 0, 0], [0, 1], [0, 0, 1]])  # ragged
+@example(shape=(3, 2), values=np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], dtype=np.float32))
+@example(shape=(3, 3), values=np.eye(3, dtype=np.float32))
+@example(shape=(3, 2), values=[[True, False], [False, True], [True, True]])
+@example(shape=(3, 3), values=[[True, 0.5, False], (1, 2, 3), [0.0, 1, False]])
+@example(shape=(3, 2), values=np.ones((3, 2), dtype=bool))
+@example(shape=(3, 2), values=[[10 ** 400, 0], [0, -10 ** 400], [1, 2]])
+@example(shape=(3, 3), values=[[10 ** 400, 0.5, 1], [2 ** 64 - 1, 0, 0], (-10 ** 400, 1.0, -0.0)])
+@example(shape=(3, 2), values=[[np.float32(0.1), 0.5], [0.5, 0.5], [0.5, 0.5]])
+@example(shape=(3,), values=["0.5", np.float32(0.1), 0.5])  # numpy reads a list with a string as strings
+def test_floats_reads_what_numpy_reads(shape, values):
+    expected = outcome(reference_floats, values, shape)
+    assert outcome(_floats, values, shape) == expected
+    try:
+        numpy_shape = np.shape(values)
+    except ValueError:  # ragged
+        numpy_shape = None
+    assert (expected[0] is DomainError) == (numpy_shape != shape)
 
 
 # an offset d = p - 1/2 with |d| from 1e-9 to 1e9; p = 1/2 + d then gives back d exactly as p - 1/2

@@ -1,6 +1,8 @@
 """Triangle picture of a triple: vertex placement, chords, and the square-area sum."""
 
+import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -112,7 +114,7 @@ def test_picture_is_a_hashable_value_of_float_pairs():
                          ids=["center", "generic", "corners", "collinear", "quarters"])
 def test_render_svg_draws_array_vertices_as_float_pairs(p):
     pic = triangle_picture(p)
-    as_array = TrianglePicture(np.array(pic.vertices), pic.side_lengths, pic.square_areas, pic.total_area)
+    as_array = TrianglePicture(np.array(pic.vertices))
     assert as_array == pic and hash(as_array) == hash(pic)
     for with_squares in (False, True):
         assert render_svg([as_array, pic], with_squares) == render_svg([pic, pic], with_squares)
@@ -124,7 +126,19 @@ def test_picture_rejects_a_vertex_that_is_not_finite(x, shown):
     # a NaN or infinite vertex would reach render_svg as nan or inf coordinates; 10**400 reads as inf
     message = f"a picture's vertices must be finite, got (({shown}, 0.0), (1.0, 0.0), (0.5, 1.0))"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        TrianglePicture([(x, 0.0), (1.0, 0.0), (0.5, 1.0)], (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 3.0)
+        TrianglePicture([(x, 0.0), (1.0, 0.0), (0.5, 1.0)])
+
+
+@pytest.mark.parametrize("vertices, shown", [
+    ([[0, 0], [1, 0], 5], ": setting an array element with a sequence"),
+    ([(0.0, 0.0), (1.0, 0.0)], ", got shape (2, 2)"),
+    ([(0.0, 0.0, 0.0)] * 3, ", got shape (3, 3)"),
+    (np.zeros(6), ", got shape (6,)"),
+    (5, ", got shape ()"),
+], ids=["ragged", "two-vertices", "three-coordinates", "flat-array", "scalar"])
+def test_picture_refuses_what_is_not_three_vertices(vertices, shown):
+    with pytest.raises(DomainError, match=f"^{re.escape('a picture needs three (x, y) vertices' + shown)}"):
+        TrianglePicture(vertices)
 
 
 def test_render_svg_needs_a_picture():
@@ -209,7 +223,7 @@ _coordinates = st.one_of(
 def _picture(p1, p2, p3, as_array):
     pic = triangle_picture(ProbTriple(p1, p2, p3))
     if as_array:
-        return TrianglePicture(np.array(pic.vertices), pic.side_lengths, pic.square_areas, pic.total_area)
+        return TrianglePicture(np.array(pic.vertices))
     return pic
 
 
@@ -219,6 +233,36 @@ def _picture(p1, p2, p3, as_array):
        with_squares=st.booleans())
 def test_render_svg_is_the_reference_renderer_byte_for_byte(pics, with_squares):
     assert render_svg(pics, with_squares) == reference_render_svg(pics, with_squares)
+
+
+def reference_picture_fields(p: ProbTriple) -> tuple:
+    """Vertices, chord lengths, square areas and total area, each computed once, eagerly, from p."""
+    vertices = []
+    for k, p_k in enumerate((p.p1, p.p2, p.p3)):
+        (x0, y0), (x1, y1) = _CORNERS[k], _CORNERS[(k + 1) % 3]
+        vertices.append((x0 + p_k * (x1 - x0), y0 + p_k * (y1 - y0)))
+    lengths = tuple(math.dist(vertices[k], vertices[(k + 1) % 3]) for k in range(3))
+    areas = tuple(length * length for length in lengths)
+    return tuple(vertices), lengths, areas, float(sum(areas))
+
+
+def _bits(fields) -> tuple:
+    """The fields' nesting and types, and the bytes of every float in them."""
+    vertices, lengths, areas, total = fields
+    flat = [*vertices[0], *vertices[1], *vertices[2], *lengths, *areas, total]
+    shape = [type(vertices), *map(type, vertices), type(lengths), type(areas)]
+    return shape, list(map(type, flat)), struct.pack(f"<{len(flat)}d", *flat)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(p1=_coordinates, p2=_coordinates, p3=_coordinates)
+def test_picture_fields_are_the_eager_computation_bit_for_bit(p1, p2, p3):
+    # a picture holds only its vertices; its lengths and areas, computed on access, are the eager ones
+    p = ProbTriple(p1, p2, p3)
+    pic = triangle_picture(p)
+    assert _bits((pic.vertices, pic.side_lengths, pic.square_areas, pic.total_area)) == _bits(
+        reference_picture_fields(p))
+    assert TrianglePicture.__slots__ == ("vertices",) and TrianglePicture(pic.vertices) == pic
 
 
 def test_cube_bounds_enforced():

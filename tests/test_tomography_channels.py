@@ -1,6 +1,7 @@
 """Tomograms, frame unitaries, and the affine action of rotations and channels."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -444,6 +445,19 @@ def test_channel_spec_validation(rng):
         ChannelSpec(((1.0, np.array([[1.0, 1.0], [0.0, 1.0]])),))
 
 
+@pytest.mark.parametrize("terms, message", [
+    (5, "a channel needs a sequence of (weight, unitary) terms, got 5"),
+    (iter(()), "a channel needs a sequence of (weight, unitary) terms, got <tuple_iterator"),
+    ([5], "channel term 0 must be a (weight, unitary) pair, got 5"),
+    ([(1.0,)], "channel term 0 must be a (weight, unitary) pair, got (1.0,)"),
+    ([(1.0, [[1, 0], [0, 1]], 3)], "channel term 0 must be a (weight, unitary) pair, got (1.0, [[1, 0], [0, 1]], 3)"),
+    ([(0.5, IDENTITY), None], "channel term 1 must be a (weight, unitary) pair, got None"),
+], ids=["int", "iterator", "int-term", "one-item", "three-items", "none-term"])
+def test_channel_spec_refuses_a_malformed_term(terms, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        ChannelSpec(terms)
+
+
 def test_channel_spec_holds_its_own_unitaries():
     # channel_map trusts ChannelSpec's check, so a later write must not reach the spec
     u = SIGMA_X.copy()
@@ -461,7 +475,9 @@ def test_affine_map_shapes():
     cases = [
         (np.eye(2), np.zeros(3), r"^an affine map's L needs shape \(3, 3\), got shape \(2, 2\)$"),
         ([[1, 0, 0], [0, 1, 0]], (0, 0, 0), r"^an affine map's L needs shape \(3, 3\), got shape \(2, 3\)$"),
-        ([[1, 0], [0, 1], [0, 0]], (0, 0, 0), r"^an affine map's L needs shape \(3, 3\), got shape \(2,\)$"),
+        ([[1, 0], [0, 1], [0, 0]], (0, 0, 0), r"^an affine map's L needs shape \(3, 3\), got shape \(3, 2\)$"),
+        ([[1, 0, 0], [0, 1], [0, 0, 1]], (0, 0, 0), r"^an affine map's L needs shape \(3, 3\): setting an array"),
+        (np.eye(3), (0, [0], 0), r"^an affine map's C needs shape \(3,\): setting an array"),
         (np.eye(3), np.zeros(2), r"^an affine map's C needs shape \(3,\), got shape \(2,\)$"),
         ([[1, 0, 0], [0, 1, 0], [0, 0, math.inf]], (0, 0, 0), r"^affine map must be finite, got L = .*inf.*, C = "),
         (np.eye(3), (0.0, math.nan, 0.0), r"^affine map must be finite, got L = .*, C = \(0\.0, nan, 0\.0\)$"),
