@@ -40,7 +40,9 @@ class KineticSystem(Record):
 
     Held as its angular velocity omega = 2h, three finite numbers, and a finite
     shift x: L v = v x omega and C = -L c, which keeps the ball center c fixed,
-    are fresh arrays on each access.
+    are fresh arrays on each access. The constructor reads omega through
+    qubit_core._floats; build_kinetic holds _omega's floats as they are, since
+    the Hermitian guard and _omega's overflow check leave them finite.
     """
 
     __slots__ = ("omega", "x")
@@ -49,11 +51,7 @@ class KineticSystem(Record):
         omega = _floats(omega, (3,), "kinetic angular velocity omega needs 3 components")
         if not all(map(math.isfinite, omega)):
             raise DomainError(f"kinetic angular velocity omega must be finite, got {omega!r}")
-        x = _as_float(x)
-        if not math.isfinite(x):
-            raise DomainError(f"kinetic shift x must be finite, got {x!r}")
-        _set(self, "omega", omega)
-        _set(self, "x", x)
+        _kinetic_system(omega, x, self)
 
     @property
     def L(self) -> np.ndarray:
@@ -63,6 +61,17 @@ class KineticSystem(Record):
     @property
     def C(self) -> np.ndarray:
         return -(self.L @ qubit_core.BALL_CENTER)
+
+
+def _kinetic_system(omega: tuple, x, system: KineticSystem | None = None) -> KineticSystem:
+    """system, or a new KineticSystem, set to the finite floats omega and to x, read and refused if not finite."""
+    x = _as_float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"kinetic shift x must be finite, got {x!r}")
+    system = KineticSystem.__new__(KineticSystem) if system is None else system
+    _set(system, "omega", omega)
+    _set(system, "x", x)
+    return system
 
 
 class Trajectory(Record):
@@ -123,7 +132,7 @@ def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     system returned is the closed form either way.
     """
     rows = matrix_oracle._hermitian_rows(h, name="hamiltonian")
-    system = KineticSystem(_omega(rows), x)
+    system = _kinetic_system(_omega(rows), x)
     if fd_tol is not None:
         oracle = kinetic_oracle(matrix_oracle.as_matrix2(rows))
         checked_map((system.L, system.C), oracle, _scaled_tol(system.omega, fd_tol), "kinetic generator")

@@ -6,10 +6,13 @@ along the x, y, and z axes. Physical triples fill the closed ball of radius
 the ball residual equals the determinant of the corresponding density matrix.
 
 A triple holds Python floats, each read once, in its constructor, through
-_as_float, as an encoding, a direction, a map, a channel and a kinetic
-system hold theirs: ProbTriple(np.float32(0.7), 1, True).p1 is the float
-0.699999988079071, and ProbTriple(10**400, 0, 0).p1 is inf. So no reader of
-a triple converts its fields, and none computes in float32.
+_as_float, as an encoding, a direction, a channel, and a map or a kinetic
+system given to its constructor hold theirs: ProbTriple(np.float32(0.7), 1,
+True).p1 is the float 0.699999988079071, ProbTriple(10**400, 0, 0).p1 is
+inf, and ProbTriple(None, 0, 0) is a DomainError. So no reader of a triple
+converts its fields, and none computes in float32. rotation_from_unitary and
+build_kinetic hold the floats their kernels compute from input their guards
+accepted, which no reader need look at again.
 
 The ball residual is one call of matrix_oracle's _sum_of_products, correctly
 rounded wherever it is finite, on exact terms: -3/4 + sum p_k - sum p_k^2,
@@ -40,11 +43,16 @@ DEFAULT_TOL = 1e-10
 
 
 def _as_float(value) -> float:
-    """float(value) for a number from a caller; an integer past the float range is the infinity of its sign."""
+    """float(value) for a number from a caller; an integer past the float range is the infinity of its sign.
+
+    What float() refuses, such as None or a string that is not a number, raises DomainError.
+    """
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"expected a real number, got {value!r}") from None
 
 
 def _python_floats(values, shape: tuple) -> tuple | None:
@@ -125,9 +133,11 @@ def _ball_residual(p1: float, p2: float, p3: float, c: float = 0.25) -> float:
 def _violation(p: ProbTriple, tol: float, ball: bool = True) -> str | None:
     """Why p lies outside the physical region at slack tol, or None; ball=False tests the cube alone."""
     p1, p2, p3 = p.p1, p.p2, p.p3
-    for k, v in enumerate((p1, p2, p3), start=1):
-        if not -tol <= v <= 1.0 + tol:  # NaN is outside
-            return f"p{k} = {v!r} violates 0 <= p{k} <= 1"
+    lo, hi = -tol, 1.0 + tol
+    if not (lo <= p1 <= hi and lo <= p2 <= hi and lo <= p3 <= hi):  # NaN is outside
+        for k, v in enumerate((p1, p2, p3), start=1):  # the first coordinate outside names the violation
+            if not lo <= v <= hi:
+                return f"p{k} = {v!r} violates 0 <= p{k} <= 1"
     if not ball:
         return None
     residual = _ball_residual(p1, p2, p3)  # p and tol are finite past the cube test, so < is NaN-safe

@@ -9,6 +9,9 @@ the one production route; its oracle, the probe-state fit in diagnostics, runs
 only when a caller passes formula_tol, and then only to warn of a mismatch.
 One kernel, _adjoint_rotation, computes R from a unitary's entries, and the
 maps and channels hold Python numbers, so they load no numpy on Python input.
+AffineMap3's constructor, then and channel_map refuse a map with an entry that
+is not finite; rotation_from_unitary holds its kernel's floats without that
+scan, as the unitarity guard bounds u's entries, and so every R_ij and C_i.
 AffineMap3.apply, AffineMap3.then and channel_map are straight-line float
 arithmetic on the unpacked entries: each result is the same float operations,
 in the same order, as the row sums L p + C, the product of other's rows with
@@ -103,7 +106,8 @@ def _tomogram(p: ProbTriple, direction) -> tuple[float, float]:
 class AffineMap3(Record):
     """Affine action p -> L p + C on probability triples, held as finite floats.
 
-    linear is L's three rows and offset is C, read through qubit_core._floats; L and C are fresh arrays on each access.
+    linear is L's three rows and offset is C, read through qubit_core._floats and scanned for finiteness by the
+    constructor (rotation_from_unitary skips both, and says why); L and C are fresh arrays on each access.
     """
 
     __slots__ = ("linear", "offset")
@@ -142,9 +146,18 @@ class AffineMap3(Record):
 
 
 def _affine_map(linear: tuple, offset: tuple, m: AffineMap3 | None = None) -> AffineMap3:
-    """m, or a new AffineMap3, set to L's float rows and C, with DomainError if an entry is not finite."""
+    """m, or a new AffineMap3, set to L's float rows and C, with DomainError if an entry is not finite.
+
+    Every map from a caller or from arithmetic on maps passes this scan; only rotation_from_unitary, whose
+    entries its guard bounds, goes to _hold directly.
+    """
     if not all(map(math.isfinite, (*linear[0], *linear[1], *linear[2], *offset))):
         raise DomainError(f"affine map must be finite, got L = {linear!r}, C = {offset!r}")
+    return _hold(linear, offset, m)
+
+
+def _hold(linear: tuple, offset: tuple, m: AffineMap3 | None = None) -> AffineMap3:
+    """m, or a new AffineMap3, set to L's float rows and C as given: the caller knows each entry is finite."""
     m = AffineMap3.__new__(AffineMap3) if m is None else m
     _set(m, "linear", linear)
     _set(m, "offset", offset)
@@ -166,7 +179,8 @@ def _adjoint_rotation(rows) -> tuple[tuple, tuple[float, float, float]]:
           fsum((ci * ar, -(cr * ai), -(di * br), dr * bi))),
          (fsum((ar * br, ai * bi, -(cr * dr), -(ci * di))), fsum((ai * br, -(ar * bi), -(ci * dr), cr * di)),
           0.5 * fsum((ar * ar, ai * ai, -(br * br), -(bi * bi), -(cr * cr), -(ci * ci), dr * dr, di * di))))
-    return R, tuple(0.5 - 0.5 * ((r1 + r2) + r3) for r1, r2, r3 in R)
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = R
+    return R, (0.5 - 0.5 * ((r11 + r12) + r13), 0.5 - 0.5 * ((r21 + r22) + r23), 0.5 - 0.5 * ((r31 + r32) + r33))
 
 
 def _rotation(rows, formula_tol: float | None) -> tuple[tuple, tuple[float, float, float]]:
@@ -189,8 +203,14 @@ def rotation_from_unitary(u, formula_tol: float | None = None) -> AffineMap3:
     The map is the closed-form adjoint rotation of u's entries; given formula_tol,
     it is also checked against the fit through four probe states of the matrix
     route: a component off by more names itself in a FormulaMismatchWarning.
+
+    The map holds the kernel's floats without _affine_map's finiteness scan,
+    as no entry can be infinite or NaN: the unitarity guard accepted a defect
+    of at most UNITARY_TOL <= 1, which bounds every entry of u by sqrt(2), the
+    argument _unitarity_defect makes to skip its size scan. So each R_ij, one
+    fsum of four or eight products of at most 2, and each C_i are finite.
     """
-    return _affine_map(*_rotation(matrix_oracle._unitary_rows(u), formula_tol))
+    return _hold(*_rotation(matrix_oracle._unitary_rows(u), formula_tol))
 
 
 class ChannelSpec(Record):

@@ -768,3 +768,32 @@ def test_turn_is_the_fused_multiply_add(rng):
         (u0, u1, u2), (v0, v1, v2) = u, v
         fused = (math.fma(-u1, v2, u2 * v1) + 0.0, math.fma(u0, v2, -u2 * v0) + 0.0, math.fma(u1, v0, -u0 * v1) + 0.0)
         assert [x.hex() for x in _turn(u, v)] == [x.hex() for x in fused], (u, v)
+
+
+hamiltonian_parts = st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(parts=hamiltonian_parts, log_size=st.floats(-9.0, 300.0),
+       x=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10 ** 6, 10 ** 6)))
+@example(parts=(1.0, -1.0, 1.0, 1.0), log_size=300.0, x=0.0)
+@example(parts=(0.0, 0.0, 0.0, 0.0), log_size=0.0, x=-0.0)
+def test_build_kinetic_holds_what_the_reading_constructor_holds(parts, log_size, x):
+    # build_kinetic keeps _omega's floats without reading them again: the system is the one
+    # KineticSystem reads from the same omega, at every size of H from 1e-9 to 1e300
+    d1, d2, re_part, im_part = (10.0 ** log_size * v for v in parts)
+    h = [[d1, complex(re_part, -im_part)], [complex(re_part, im_part), d2]]
+    system = build_kinetic(h, x)
+    read = KineticSystem(system.omega, x)
+    assert system == read and hash(system) == hash(read)
+    assert all(type(w) is float and math.isfinite(w) for w in system.omega) and type(system.x) is float
+
+
+def test_an_overflowing_omega_is_named_before_a_non_finite_shift():
+    # the Hermitian guard, then omega's overflow, then the shift, as the checks ran when omega was read again
+    with pytest.raises(DomainError, match=r"^kinetic generator omega = 2h overflows \(h = \(0\.000e\+00, 0\.000e\+00, 1\.700e\+308\)\)$"):
+        build_kinetic([[1.7e308, 0.0], [0.0, -1.7e308]], math.nan)
+    with pytest.raises(DomainError, match=r"^hamiltonian is not Hermitian"):
+        build_kinetic([[math.inf, 0.0], [0.0, -1.7e308]], math.nan)
+    with pytest.raises(DomainError, match=r"^kinetic shift x must be finite, got nan$"):
+        build_kinetic(SIGMA_Z, math.nan)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qprob import DomainError, ProbTriple, check_ball, density_from_probs, is_physical, probs_from_density
 from qprob.qubit_core import BALL_CENTER, GAMMA, _as_float, _floats, _sum_of_products, require_physical
+from qprob.qubit_core import DEFAULT_TOL, _violation
 
 from conftest import random_physical_triple
 
@@ -41,6 +42,18 @@ def test_require_physical_names_the_violation():
         require_physical(ProbTriple(2.0, 0.5, 0.5))
     with pytest.raises(DomainError, match="ball residual"):
         require_physical(ProbTriple(0.9, 0.9, 0.9))
+
+
+def test_the_cube_test_names_the_first_coordinate_outside():
+    # one chained comparison passes the common case; a failure names the first coordinate outside
+    assert _violation(ProbTriple(1.5, 0.5, -0.5), DEFAULT_TOL) == "p1 = 1.5 violates 0 <= p1 <= 1"
+    assert _violation(ProbTriple(1.5, 0.5, -0.5), DEFAULT_TOL, ball=False) == "p1 = 1.5 violates 0 <= p1 <= 1"
+    assert _violation(ProbTriple(0.5, -0.5, 2.0), DEFAULT_TOL) == "p2 = -0.5 violates 0 <= p2 <= 1"
+    assert _violation(ProbTriple(0.5, 0.5, math.nan), DEFAULT_TOL) == "p3 = nan violates 0 <= p3 <= 1"
+    assert _violation(ProbTriple(0.5, 0.5, 1.0 + 1e-11), DEFAULT_TOL, ball=False) is None
+    assert _violation(ProbTriple(0.5, 0.5, 1.0 + 1e-9), DEFAULT_TOL) == "p3 = 1.000000001 violates 0 <= p3 <= 1"
+    with pytest.raises(DomainError, match=r"^p1 = 1\.5 violates 0 <= p1 <= 1$"):
+        require_physical(ProbTriple(1.5, 0.5, -0.5))
 
 
 def test_density_frozen_examples():

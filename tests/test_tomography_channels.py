@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qprob import (
@@ -33,7 +33,7 @@ from qprob import (
     triangle_picture,
 )
 from qprob.diagnostics import failed_checks
-from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, unitarity_defect
+from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, UNITARY_TOL, unitarity_defect
 from qprob.qubit_core import BALL_CENTER, _as_float
 from qprob.tomography_channels import ROTATION_FORMULA_TOL, _adjoint_rotation, _affine_map, _rotation
 
@@ -636,3 +636,25 @@ def test_float32_triples_read_as_their_floats(p, theta, phi):
         assert state_tomogram(single, direction) == state_tomogram(double, direction)
         assert density_from_probs(single).tobytes() == density_from_probs(double).tobytes()
         assert repr(evolve(_GENERIC_SYSTEM, single, 0.7)) == repr(evolve(_GENERIC_SYSTEM, double, 0.7))
+
+
+@settings(max_examples=400, deadline=None)
+@given(q=quaternions, phase=st.floats(0.0, 2.0 * math.pi), stretch=st.floats(-1.0, 1.0),
+       push=st.tuples(*[st.floats(-1.0, 1.0)] * 8), log_size=st.floats(-20.0, -12.0),
+       form=st.sampled_from(("list", "C", "F")))
+@example(q=(1.0, 0.0, 0.0, 0.0), phase=0.0, stretch=1.0, push=(0.0,) * 8, log_size=-20.0, form="list")
+@example(q=(0.3, -0.2, 0.9, 0.1), phase=2.0, stretch=-1.0, push=(0.0,) * 8, log_size=-20.0, form="F")
+def test_rotation_holds_what_the_scanning_constructor_holds(q, phase, stretch, push, log_size, form):
+    # rotation_from_unitary skips the finiteness scan: every unitary the guard accepts, up to a defect of
+    # UNITARY_TOL, gives finite entries and the map AffineMap3 builds from them after its scan
+    v = np.exp(1j * phase) * np.array(unit_quaternion_unitary(q))
+    # (1 + s)^2 v v^dagger - I is a defect of about 2 s, so stretch reaches the guard's bound
+    u = (1.0 + stretch * 0.4999 * UNITARY_TOL) * v
+    u = u + 10.0 ** log_size * (np.array(push[:4]) + 1j * np.array(push[4:])).reshape(2, 2)
+    assume(unitarity_defect(u) <= UNITARY_TOL)
+    given_u = {"list": u.tolist(), "C": np.ascontiguousarray(u), "F": np.asfortranarray(u)}[form]
+    m = rotation_from_unitary(given_u)
+    scanned = AffineMap3(m.linear, m.offset)
+    assert m == scanned and hash(m) == hash(scanned)
+    entries = (*m.linear[0], *m.linear[1], *m.linear[2], *m.offset)
+    assert all(type(v) is float and math.isfinite(v) for v in entries)

@@ -136,3 +136,25 @@ def test_trajectories_compare_by_their_numbers():
     assert trajectory != Trajectory(trajectory.times, changed, trajectory.x)
     # arrays of another shape are unequal, not broadcast
     assert trajectory != Trajectory(trajectory.times[:1], trajectory.probs[:1], trajectory.x)
+
+
+@pytest.mark.parametrize("build, shown", [
+    (lambda: ProbTriple(None, 0, 0), "None"),
+    (lambda: KineticSystem((None, 0, 0), 0.0), "None"),
+    (lambda: KineticSystem((0, 0, 1), None), "None"),
+    (lambda: TrianglePicture([(None, 0), (1, 0), (0, 1)]), "None"),
+    (lambda: Direction(None, 0), "None"),
+    (lambda: ChannelSpec([(None, np.eye(2))]), "None"),
+    (lambda: AffineMap3([[1, 0, 0], [0, 1, 0], [0, 0, None]], (0, 0, 0)), "None"),
+    (lambda: ProbTriple.from_array(["a", 0, 0]), "'a'"),
+    (lambda: ChannelSpec([("x", np.eye(2))]), "'x'"),
+    (lambda: ProbTriple(1j, 0, 0), "1j"),
+])
+def test_a_field_that_is_not_a_real_number_is_a_domain_error(build, shown):
+    with pytest.raises(DomainError, match=rf"^expected a real number, got {re.escape(shown)}$"):
+        build()
+
+
+def test_numeric_strings_are_read_as_float_reads_them():
+    # the numpy route reads a list holding a string as strings, so the readers agree on them
+    assert ProbTriple("0.5", 0, 0) == ProbTriple(0.5, 0, 0) == ProbTriple.from_array(["0.5", 0, 0])
