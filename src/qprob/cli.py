@@ -172,18 +172,16 @@ def _dump_trajectory(x: float, times: list, rows) -> str:
 
     json writes a finite float as its repr, so joining the reprs in the
     indent=2 layout gives the same bytes without the pure-Python encoder's
-    copies of the document. Only the reprs inf, -inf and nan hold an n: given
-    one, the rows are read back from their text and _dump_json names the
-    first value JSON cannot carry.
+    copies of the document. No value can be NaN or infinite: x is a
+    KineticSystem's finite shift; the times are the grid _grid_inputs
+    accepted, a finite t_end and every k * step below it; and each row is a
+    rotation of the accepted p0 about the ball center, whose ball test at any
+    finite QPROB_TOL bounds |p0 - c| by about 1.34e154, the square root of
+    the largest float.
     """
-    times_text = ",\n    ".join(map(repr, times))
-    row_texts = [f"[\n      {p1!r},\n      {p2!r},\n      {p3!r}\n    ]" for p1, p2, p3 in rows]
-    rows_text = ",\n    ".join(row_texts)
-    if "n" in repr(x) or "n" in times_text or "n" in rows_text:
-        return _dump_json({"x": x, "times": times,
-                           "probs": [[float(v) for v in row.strip("[] \n").split(",")] for row in row_texts]})
-    del row_texts  # freed before the last copy, which sets the peak
-    return "".join(('{\n  "x": ', repr(x), ',\n  "times": [\n    ', times_text,
+    # the row texts are freed when the join returns, before the last copy, which sets the peak
+    rows_text = ",\n    ".join([f"[\n      {p1!r},\n      {p2!r},\n      {p3!r}\n    ]" for p1, p2, p3 in rows])
+    return "".join(('{\n  "x": ', repr(x), ',\n  "times": [\n    ', ",\n    ".join(map(repr, times)),
                     '\n  ],\n  "probs": [\n    ', rows_text, "\n  ]\n}\n"))
 
 

@@ -141,7 +141,7 @@ def expm_hermitian_generator(h, t: float) -> np.ndarray:
     |hvec| t and h0 t, must be finite.
     """
     h0, hvec = matrix_oracle._pauli(matrix_oracle._hermitian_rows(h))
-    norm, t = math.hypot(*hvec), float(t)
+    norm, t = math.hypot(*hvec), qubit_core._as_float(t)
     angle = norm * t
     if not (math.isfinite(angle) and math.isfinite(h0 * t)):
         raise DomainError(

@@ -188,13 +188,11 @@ def _check_hermitian(rows, tol: float, name: str) -> None:
 
 
 def require_hermitian(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    m = as_matrix2(matrix)
-    _check_hermitian(m.tolist(), tol, name)
-    return m
+    return as_matrix2(_hermitian_rows(matrix, tol, name))
 
 
 def _hermitian_rows(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> list:
-    """require_hermitian, returning the accepted matrix's entries for the kernels."""
+    """The Hermitian guard, require_hermitian's too: the accepted matrix's entries, or DomainError naming it."""
     rows = _entries(matrix)
     _check_hermitian(rows, tol, name)
     return rows

@@ -16,8 +16,9 @@ _default_shifts, _admissible_bound) take those entries and eigenvalues and
 check only that each shift is admissible. So every function here that
 returns numbers or triples loads no numpy on Python input. _triple reads the
 triple of rho(x) straight off H, (Re H21/d + 1/2, Im H21/d + 1/2,
-(H11 + x)/d) with d = tr H + 2x, so no rho(x) is built and no computed value
-checked again.
+(H11 + x)/d) with d = tr H + 2x, so no rho(x) is built. observable_tomogram
+checks that triple physical, once, as near the admissible bound it can round
+out of the cube.
 """
 
 from __future__ import annotations
@@ -216,5 +217,11 @@ def _decode(rep: ObservableProbRep, tol: float) -> list:
 
 
 def observable_tomogram(h, direction, x: float) -> tuple[float, float]:
-    """Spin tomogram of rho(x): probabilities of projection +1/2 and -1/2 along the direction."""
-    return _tomogram(_triple(*_accept(h, "observable")[:2], _as_float(x)), direction)
+    """Spin tomogram of rho(x): probabilities of projection +1/2 and -1/2 along the direction.
+
+    Near the admissible bound tr H + 2x is small, and the triple read off H can round out of the cube, so it
+    is checked physical at DEFAULT_TOL, as qprob encode checks the triples it prints.
+    """
+    p = _triple(*_accept(h, "observable")[:2], _as_float(x))
+    qubit_core.require_physical(p, DEFAULT_TOL)
+    return _tomogram(p, direction)

@@ -9,10 +9,11 @@ A triple holds Python floats, each read once, in its constructor, through
 _as_float, as an encoding, a direction, a channel, and a map or a kinetic
 system given to its constructor hold theirs: ProbTriple(np.float32(0.7), 1,
 True).p1 is the float 0.699999988079071, ProbTriple(10**400, 0, 0).p1 is
-inf, and ProbTriple(None, 0, 0) is a DomainError. So no reader of a triple
-converts its fields, and none computes in float32. rotation_from_unitary and
-build_kinetic hold the floats their kernels compute from input their guards
-accepted, which no reader need look at again.
+inf, and ProbTriple(None, 0, 0) and ProbTriple(np.complex128(0.5), 0, 0) are
+DomainErrors. So no reader of a triple converts its fields, and none computes
+in float32. rotation_from_unitary, channel_map and build_kinetic hold the
+floats their kernels compute from input their guards accepted, which no
+reader need look at again.
 
 The ball residual is one call of matrix_oracle's _sum_of_products, correctly
 rounded wherever it is finite, on exact terms: -3/4 + sum p_k - sum p_k^2,
@@ -45,8 +46,13 @@ DEFAULT_TOL = 1e-10
 def _as_float(value) -> float:
     """float(value) for a number from a caller; an integer past the float range is the infinity of its sign.
 
-    What float() refuses, such as None or a string that is not a number, raises DomainError.
+    What float() refuses, such as None or a string that is not a number, raises DomainError, and so does a numpy
+    complex scalar, whose imaginary part float() would drop.
     """
+    if type(value) is float:
+        return value
+    if getattr(getattr(value, "dtype", None), "kind", None) == "c":
+        raise DomainError(f"expected a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:

@@ -9,9 +9,11 @@ the one production route; its oracle, the probe-state fit in diagnostics, runs
 only when a caller passes formula_tol, and then only to warn of a mismatch.
 One kernel, _adjoint_rotation, computes R from a unitary's entries, and the
 maps and channels hold Python numbers, so they load no numpy on Python input.
-AffineMap3's constructor, then and channel_map refuse a map with an entry that
-is not finite; rotation_from_unitary holds its kernel's floats without that
-scan, as the unitarity guard bounds u's entries, and so every R_ij and C_i.
+AffineMap3's constructor and then refuse a map with an entry that is not
+finite; rotation_from_unitary and channel_map hold their kernel's floats
+without that scan, as the unitarity guard bounds u's entries, and so every
+R_ij and C_i, and ChannelSpec bounds the weights. channel_map takes a
+ChannelSpec and nothing else, so each term it sums has passed both guards.
 AffineMap3.apply, AffineMap3.then and channel_map are straight-line float
 arithmetic on the unpacked entries: each result is the same float operations,
 in the same order, as the row sums L p + C, the product of other's rows with
@@ -107,7 +109,8 @@ class AffineMap3(Record):
     """Affine action p -> L p + C on probability triples, held as finite floats.
 
     linear is L's three rows and offset is C, read through qubit_core._floats and scanned for finiteness by the
-    constructor (rotation_from_unitary skips both, and says why); L and C are fresh arrays on each access.
+    constructor (rotation_from_unitary and channel_map skip both, and say why); L and C are fresh arrays on each
+    access.
     """
 
     __slots__ = ("linear", "offset")
@@ -148,8 +151,8 @@ class AffineMap3(Record):
 def _affine_map(linear: tuple, offset: tuple, m: AffineMap3 | None = None) -> AffineMap3:
     """m, or a new AffineMap3, set to L's float rows and C, with DomainError if an entry is not finite.
 
-    Every map from a caller or from arithmetic on maps passes this scan; only rotation_from_unitary, whose
-    entries its guard bounds, goes to _hold directly.
+    A map from a caller, AffineMap3(L, C), and a product of maps, which can overflow, pass this scan;
+    rotation_from_unitary and channel_map, whose entries the guards bound, go to _hold directly.
     """
     if not all(map(math.isfinite, (*linear[0], *linear[1], *linear[2], *offset))):
         raise DomainError(f"affine map must be finite, got L = {linear!r}, C = {offset!r}")
@@ -244,10 +247,20 @@ class ChannelSpec(Record):
 def channel_map(spec: ChannelSpec, formula_tol: float | None = None) -> AffineMap3:
     """Weighted sum of the per-unitary affine maps; a contraction on the ball.
 
-    Each unitary, already validated by ChannelSpec, becomes its rotation as in
+    spec must be a ChannelSpec, or DomainError names what it is. Each unitary,
+    already validated by ChannelSpec, becomes its rotation as in
     rotation_from_unitary, formula_tol and all, and the sum adds w * R and
     w * C term by term from zero.
+
+    The map holds the sum without _affine_map's finiteness scan, as no partial
+    sum can overflow. ChannelSpec accepted each weight >= -WEIGHT_TOL with
+    |sum w - 1| <= WEIGHT_TOL, so sum |w| <= 1 + (2n + 1) WEIGHT_TOL over n
+    terms. Each unitary passed the guard, so by rotation_from_unitary's
+    argument its entries are at most sqrt(2), each |R_ij| at most 8 and each
+    |C_i| at most 12.5, and every partial sum of w * R_ij or w * C_i is finite.
     """
+    if not isinstance(spec, ChannelSpec):
+        raise DomainError(f"channel_map needs a ChannelSpec, got {spec!r}")
     l11 = l12 = l13 = l21 = l22 = l23 = l31 = l32 = l33 = c1 = c2 = c3 = 0.0
     for w, rows in spec.terms:
         ((r11, r12, r13), (r21, r22, r23), (r31, r32, r33)), (k1, k2, k3) = _rotation(rows, formula_tol)
@@ -263,4 +276,4 @@ def channel_map(spec: ChannelSpec, formula_tol: float | None = None) -> AffineMa
         c1 += w * k1
         c2 += w * k2
         c3 += w * k3
-    return _affine_map(((l11, l12, l13), (l21, l22, l23), (l31, l32, l33)), (c1, c2, c3))
+    return _hold(((l11, l12, l13), (l21, l22, l23), (l31, l32, l33)), (c1, c2, c3))

@@ -3,7 +3,6 @@
 import io
 import json
 import pathlib
-import re
 import subprocess
 import sys
 import tempfile
@@ -20,7 +19,6 @@ from qprob import render_svg, triangle_picture
 from qprob import admissible_shift_bound, qubit_core
 from qprob.cli import MAX_STEPS, _dump_json, _dump_trajectory, main, matrix_to_json, parse_matrix, triple_to_json
 from qprob.diagnostics import heisenberg_exact
-from qprob.errors import DomainError
 from qprob.matrix_oracle import SIGMA_Z
 from qprob.qubit_core import density_from_probs, probs_from_density
 
@@ -401,19 +399,27 @@ def test_trajectory_json_is_written_as_json_dumps_writes_it(x, times, rows):
     assert _dump_trajectory(x, times, iter(rows)) == _dump_json(doc)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
-@pytest.mark.parametrize("where", ["x", "times[1]", "probs[1][2]"])
-def test_trajectory_json_names_a_non_finite_value(bad, where):
-    x, times, rows = 0.0, [0.0, 1.0], [(0.5, 0.5, 0.5), (0.5, 0.5, 0.5)]
-    if where == "x":
-        x = bad
-    elif where == "times[1]":
-        times = [0.0, bad]
-    else:
-        rows = [(0.5, 0.5, 0.5), (0.5, 0.5, bad)]
-    message = f"{where} = {bad!r} is not finite, and JSON has no such number"
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        _dump_trajectory(x, times, iter(rows))
+def _refuse_constant(name):
+    raise AssertionError(f"{name} in the output")
+
+
+_GENERIC_H_JSON = {"m11": [1.0, 0.0], "m12": [0.3, 0.2], "m21": [0.3, -0.2], "m22": [-1.0, 0.0]}
+
+
+def test_evolve_json_from_the_largest_accepted_start_is_finite(monkeypatch, capsys):
+    # at the largest finite QPROB_TOL the ball test still bounds |p0 - c| by about 1.34e154, the square root of
+    # the largest float, so each row, a rotation of p0 about the center, is finite, and so is the JSON
+    monkeypatch.setenv("QPROB_TOL", "1.7976931348623157e308")
+    args = ["evolve", "--t-end", "2", "--steps", "4", "--format", "json"]
+    payload = {"H": _GENERIC_H_JSON, "p0": {"p1": 1.34e154, "p2": 0.5, "p3": 0.5}}
+    code, out, err = run_cli(args, stdin_text=json.dumps(payload), monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and err == ""
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert max(abs(v) for row in doc["probs"] for v in row) == 1.34e154
+    # at |p0 - c| of about 1.84e154 the ball residual is -inf, and the start is refused
+    payload["p0"] = {"p1": 1.3e154, "p2": -1.3e154, "p3": 0.5}
+    code, out, err = run_cli(args, stdin_text=json.dumps(payload), monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (3, "") and "-inf" in err
 
 
 def test_evolve_observable_start(monkeypatch, capsys):
@@ -677,6 +683,15 @@ def test_check_tolerance_env_override(monkeypatch, capsys):
 
 _OFF_CUBE = {"p1": 1.0000005, "p2": 0.5, "p3": 0.5}
 _OFF_CUBE_MESSAGE = "p1 = 1.0000005 violates 0 <= p1 <= 1"
+
+
+def test_observable_tomogram_exits_3_where_its_triple_rounds_out_of_the_cube(monkeypatch, capsys):
+    # at its admissible bound this H's triple reads p1 = 1 + 5.8e-8, checked at the default 1e-10 as encode's are
+    doc = {"m11": [1.0, 0.0], "m12": [2.4532112507341666e-10, 0.0], "m21": [2.4532112507341666e-10, 0.0],
+           "m22": [1.0, 0.0]}
+    args = ["tomogram", "--theta", "1.5707963267948966", "--phi", "0", "--x", "-0.9999999997546789"]
+    assert run_cli(args, stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys) == (
+        3, "", "qprob: p1 = 1.0000000576862416 violates 0 <= p1 <= 1\n")
 
 
 @pytest.mark.parametrize("args, doc, tol, message", [

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qprob import DomainError, encode_observable
 from qprob.diagnostics import conjugate_by_unitary, expm_hermitian_generator, heisenberg_exact
 from qprob.matrix_oracle import (
+    _check_hermitian,
     _entries,
     _largest_part,
     _modulus,
@@ -20,6 +21,7 @@ from qprob.matrix_oracle import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    HERMITIAN_TOL,
     as_matrix2,
     eigenvalues_hermitian,
     hermiticity_defect,
@@ -130,6 +132,47 @@ def test_hermitian_guard_rejects_an_infinite_entry_at_any_scale():
     # inf <= tol * inf would pass a naively scaled bound
     with pytest.raises(DomainError, match=r"defect inf exceeds 1\.0e-12"):
         require_hermitian(np.array([[1.0, np.inf], [1.0, 1.0]]))
+
+
+def reference_require_hermitian(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+    """require_hermitian as it was before it read its matrix through _hermitian_rows, verbatim."""
+    m = as_matrix2(matrix)
+    _check_hermitian(m.tolist(), tol, name)
+    return m
+
+
+def _guarded(guard, matrix, tol):
+    """guard's array as its dtype, shape and bytes, or the type and message of what it raised."""
+    try:
+        m = guard(matrix, tol, "observable")
+    except Exception as exc:  # the property compares whatever either guard raises
+        return type(exc), str(exc)
+    return m.dtype, m.shape, m.tobytes()
+
+
+def near_hermitian(scales):
+    """Hermitian matrices at the given scales, off by nothing, by about the guard's bound or by far more."""
+    return st.builds(
+        lambda d1, d2, z, push, scale: [[d1 * scale, z * scale], [z.conjugate() * scale + push, d2 * scale]],
+        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.complex_numbers(max_magnitude=2.0),
+        st.one_of(st.sampled_from((0.0, 1e-13, 5e-12, 1e-3)), st.complex_numbers(max_magnitude=1e-11)),
+        st.sampled_from(scales),
+    )
+
+
+doubles_near_hermitian = near_hermitian((1e-9, 1.0, 1e6, 1e300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrix=st.one_of(doubles_near_hermitian, doubles_near_hermitian.map(np.array),
+                        doubles_near_hermitian.map(np.asfortranarray),
+                        near_hermitian((1e-9, 1.0, 1e6)).map(lambda m: np.array(m, dtype=np.complex64)),
+                        _nested(number, (2, 2)), _nested(st.one_of(number, not_a_number), (1, 3), not_a_row)),
+       tol=st.sampled_from((HERMITIAN_TOL, 0.0, 1e-3, math.nan)))
+@example(matrix=[[1, 2 ** 1030], [2 ** 1030, 1]], tol=HERMITIAN_TOL)
+@example(matrix=np.array([[1.0, np.inf], [1.0, 1.0]]), tol=HERMITIAN_TOL)
+def test_require_hermitian_is_the_reference_form(matrix, tol):
+    assert _guarded(require_hermitian, matrix, tol) == _guarded(reference_require_hermitian, matrix, tol)
 
 
 def test_pauli_components_do_not_overflow():
@@ -387,6 +430,14 @@ def test_expm_rejects_a_non_finite_angle():
     for t in (np.nan, np.inf):
         with pytest.raises(DomainError, match="finite"):
             heisenberg_exact(SIGMA_X, SIGMA_Z, t)
+
+
+def test_expm_reads_t_as_a_real_number():
+    # an integer past the float range is infinite, so the angle is, and None is not a number
+    with pytest.raises(DomainError, match=r"^exp\(iHt\) needs finite \|h\| t and h0 t \(.*, t = inf\)$"):
+        expm_hermitian_generator([[1, 0], [0, -1]], 10 ** 400)
+    with pytest.raises(DomainError, match="^expected a real number, got None$"):
+        heisenberg_exact(SIGMA_Z, SIGMA_X, None)
 
 
 def test_expm_norm_does_not_overflow_near_the_float_maximum():

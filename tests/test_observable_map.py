@@ -272,6 +272,16 @@ def test_observable_tomogram_frozen():
     assert abs(along_x[0] + along_x[1] - 1.0) < 1e-15
 
 
+# at its admissible bound this H's triple reads p1 = 1 + 5.8e-8: tr H + 2x is small, and the quotient rounds
+_ROUNDS_OUT_AT_BOUND = [[1.0, 2.4532112507341666e-10], [2.4532112507341666e-10, 1.0]]
+_BOUND_OF_ROUNDS_OUT = -0.9999999997546789
+
+
+def test_observable_tomogram_refuses_a_triple_that_rounds_out_of_the_cube():
+    with pytest.raises(DomainError, match=r"^p1 = 1\.0000000576862416 violates 0 <= p1 <= 1$"):
+        observable_tomogram(_ROUNDS_OUT_AT_BOUND, Direction(math.pi / 2.0, 0.0), _BOUND_OF_ROUNDS_OUT)
+
+
 def test_observable_tomogram_matches_density_diagonal(rng):
     from qprob.diagnostics import euler_unitary
 

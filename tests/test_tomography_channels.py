@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from qprob import (
 from qprob.diagnostics import failed_checks
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, UNITARY_TOL, unitarity_defect
 from qprob.qubit_core import BALL_CENTER, _as_float
-from qprob.tomography_channels import ROTATION_FORMULA_TOL, _adjoint_rotation, _affine_map, _rotation
+from qprob.tomography_channels import ROTATION_FORMULA_TOL, WEIGHT_TOL, _adjoint_rotation, _affine_map, _rotation
 
 from conftest import random_direction, random_physical_triple, random_unitary
 
@@ -470,6 +471,18 @@ def test_channel_spec_holds_its_own_unitaries():
     assert channel_map(spec) == rotation_from_unitary(SIGMA_X)
 
 
+@pytest.mark.parametrize("spec", [
+    SimpleNamespace(terms=[(1.0, [[2, 0], [0, 2]])]),
+    [(1.0, [[1, 0], [0, 1]])],
+    None,
+], ids=["non-unitary-namespace", "list-of-terms", "none"])
+def test_channel_map_takes_only_a_channel_spec(spec):
+    # anything else would skip ChannelSpec's weight and unitarity checks, on which the unscanned sum relies
+    message = f"channel_map needs a ChannelSpec, got {spec!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        channel_map(spec)
+
+
 def test_affine_map_shapes():
     # a misshaped or non-finite L or C is a DomainError, as KineticSystem's omega is
     cases = [
@@ -656,5 +669,34 @@ def test_rotation_holds_what_the_scanning_constructor_holds(q, phase, stretch, p
     m = rotation_from_unitary(given_u)
     scanned = AffineMap3(m.linear, m.offset)
     assert m == scanned and hash(m) == hash(scanned)
+    entries = (*m.linear[0], *m.linear[1], *m.linear[2], *m.offset)
+    assert all(type(v) is float and math.isfinite(v) for v in entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(st.tuples(st.floats(0.0, 1.0), quaternions, st.floats(0.0, 2.0 * math.pi), st.floats(-1.0, 1.0)),
+                      min_size=1, max_size=4),
+       low=st.sampled_from((0.0, -WEIGHT_TOL)), excess=st.floats(-1.0, 1.0))
+@example(terms=[(1.0, (0.3, -0.2, 0.9, 0.1), 2.0, 1.0)], low=-WEIGHT_TOL, excess=1.0)
+@example(terms=[(0.0, (1.0, 0.0, 0.0, 0.0), 0.0, -1.0), (1.0, (0.0, 1.0, 0.0, 0.0), 1.0, 1.0)], low=0.0, excess=-1.0)
+def test_channel_map_holds_what_the_scanning_constructor_holds(terms, low, excess):
+    # channel_map skips the finiteness scan: weights ChannelSpec accepts, down to -WEIGHT_TOL and summing to 1
+    # within WEIGHT_TOL, times unitaries up to a defect of UNITARY_TOL give finite entries, the map AffineMap3
+    # builds from them after its scan, and the map the scanning reference sum builds
+    total = sum(w for w, _, _, _ in terms)
+    weights = [w / total for w, _, _, _ in terms] if total > 0.0 else [1.0 / len(terms)] * len(terms)
+    # one more term at weight low, and the first moved so that the sum is off 1 by up to WEIGHT_TOL / 2
+    weights[0] += 0.5 * excess * WEIGHT_TOL - low
+    unitaries = []
+    for _, q, phase, stretch in terms:
+        # (1 + s)^2 v v^dagger - I is a defect of about 2 s, so stretch reaches the guard's bound
+        u = (1.0 + stretch * 0.4999 * UNITARY_TOL) * np.exp(1j * phase) * np.array(unit_quaternion_unitary(q))
+        assume(unitarity_defect(u) <= UNITARY_TOL)
+        unitaries.append(u.tolist())
+    spec = ChannelSpec((*zip(weights, unitaries), (low, unitaries[-1])))
+    m = channel_map(spec)
+    scanned = AffineMap3(m.linear, m.offset)
+    assert m == scanned and hash(m) == hash(scanned)
+    assert bits(lambda: m) == bits(lambda: reference_channel_map(spec))
     entries = (*m.linear[0], *m.linear[1], *m.linear[2], *m.offset)
     assert all(type(v) is float and math.isfinite(v) for v in entries)

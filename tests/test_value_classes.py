@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,21 @@ def test_trajectories_compare_by_their_numbers():
 def test_a_field_that_is_not_a_real_number_is_a_domain_error(build, shown):
     with pytest.raises(DomainError, match=rf"^expected a real number, got {re.escape(shown)}$"):
         build()
+
+
+@pytest.mark.parametrize("value", [np.complex128(0.5 + 1j), np.complex64(1 + 2j), np.clongdouble(0.5 + 0.25j),
+                                   np.complex128(1.0)], ids=["complex128", "complex64", "clongdouble", "zero-imag"])
+@pytest.mark.parametrize("build", [
+    lambda v: ProbTriple(v, 0, 0),
+    lambda v: Direction(v, 0),
+    lambda v: ChannelSpec([(v, np.eye(2))]),
+], ids=["triple", "direction", "weight"])
+def test_a_numpy_complex_scalar_is_not_a_real_number(build, value):
+    # float() would drop its imaginary part with only a ComplexWarning, whatever that part is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^expected a real number, got {re.escape(repr(value))}$"):
+            build(value)
 
 
 def test_numeric_strings_are_read_as_float_reads_them():
