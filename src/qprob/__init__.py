@@ -15,15 +15,18 @@ classes (ProbTriple, ObservableProbRep, Direction, AffineMap3, ChannelSpec,
 KineticSystem, Trajectory, TrianglePicture, FormulaCheck) are frozen classes
 with __slots__ and their own __init__, on the small base in _record. So the
 generator's helpers (fields, replace, asdict) do not apply to them; the
-constructor builds a changed value. import qprob.cli takes about 9 ms with
-the bytecode cache on, and 28 to 39 ms without one, when every module is
+constructor builds a changed value. Nor does it import diagnostics, the
+oracle module that no command uses: a tolerance given to a map builder, a
+*_formula_checks report or the first read of one of its five names here
+(FormulaCheck, euler_unitary, expm_hermitian_generator, failed_checks,
+heisenberg_exact) imports it. import qprob.cli takes about 7 ms with the
+bytecode cache on, and about 26 ms without one, when every module is
 compiled from source, as under PYTHONDONTWRITEBYTECODE=1 with no
 __pycache__ (x86-64 Linux, Python 3.11).
 """
 
 from . import matrix_oracle, qubit_core
 from ._numpy import lazy_constants
-from .diagnostics import FormulaCheck, euler_unitary, expm_hermitian_generator, failed_checks, heisenberg_exact
 from .errors import DomainError, FormulaMismatchWarning, NonInvertibleEncodingWarning
 from .evolution import (
     KineticSystem,
@@ -79,7 +82,7 @@ from .tomography_channels import (
     state_tomogram,
 )
 
-__getattr__ = lazy_constants(
+_constant = lazy_constants(
     globals(),
     BALL_CENTER=lambda: qubit_core.BALL_CENTER,
     IDENTITY=lambda: matrix_oracle.IDENTITY,
@@ -87,6 +90,20 @@ __getattr__ = lazy_constants(
     SIGMA_Y=lambda: matrix_oracle.SIGMA_Y,
     SIGMA_Z=lambda: matrix_oracle.SIGMA_Z,
 )
+
+# the oracle module's public names, which no command uses: diagnostics is imported on the first read of one
+_DIAGNOSTICS = frozenset({"FormulaCheck", "euler_unitary", "expm_hermitian_generator", "failed_checks",
+                          "heisenberg_exact"})
+
+
+def __getattr__(name):
+    """PEP 562: an array constant, built on first access, or one of diagnostics' names, imported on first access."""
+    if name in _DIAGNOSTICS:
+        from . import diagnostics
+
+        value = globals()[name] = getattr(diagnostics, name)
+        return value
+    return _constant(name)
 
 __version__ = "0.1.0"
 

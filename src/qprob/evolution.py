@@ -17,7 +17,8 @@ fl((steps - 1) * step) < t_end, as only the last pair can collapse (the
 proof is in its docstring). sample_trajectory peaks at 56 bytes a sample:
 the times, the rows and three length-n buffers. The oracle, in diagnostics,
 fits the exact derivatives i[H, rho] at four probe states; it runs given
-fd_tol, and a mismatch warns, while omega stays 2h.
+fd_tol, and a mismatch warns, while omega stays 2h. diagnostics is imported
+by the calls that run it, so the default path never loads it.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ import operator
 from . import matrix_oracle, observable_map, qubit_core
 from ._numpy import np
 from ._record import Record, _set
-from .diagnostics import FormulaCheck, checked_map, component_checks, kinetic_oracle
 from .errors import DomainError
 from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float, _floats, _sum_of_products
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .diagnostics import FormulaCheck
 
 FD_TOL = 1e-4
 
@@ -117,9 +121,11 @@ def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
 
     Each check's tolerance is tol * max(1, max|L|), as in build_kinetic.
     """
+    from . import diagnostics
+
     system = build_kinetic(h, 0.0)  # L and C do not depend on the shift
-    oracle = kinetic_oracle(matrix_oracle.as_matrix2(h))
-    return component_checks((system.L, system.C), oracle, _scaled_tol(system.omega, tol))
+    oracle = diagnostics.kinetic_oracle(matrix_oracle.as_matrix2(h))
+    return diagnostics.component_checks((system.L, system.C), oracle, _scaled_tol(system.omega, tol))
 
 
 def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
@@ -134,8 +140,10 @@ def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:
     rows = matrix_oracle._hermitian_rows(h, name="hamiltonian")
     system = _kinetic_system(_omega(rows), x)
     if fd_tol is not None:
-        oracle = kinetic_oracle(matrix_oracle.as_matrix2(rows))
-        checked_map((system.L, system.C), oracle, _scaled_tol(system.omega, fd_tol), "kinetic generator")
+        from . import diagnostics
+
+        oracle = diagnostics.kinetic_oracle(matrix_oracle.as_matrix2(rows))
+        diagnostics.checked_map((system.L, system.C), oracle, _scaled_tol(system.omega, fd_tol), "kinetic generator")
     return system
 
 

@@ -927,3 +927,54 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["physical"] is True
+
+
+@pytest.mark.parametrize("args, stdin_text, code", [
+    (["check"], '{"p1": 1.0,', 2),
+    (["transmogrify"], "", 2),
+    (["check", "--in", str(GOLDEN / "degenerate_state.json")], "", 3),
+    (["figures", "--out", "{blocker}/sub"], json.dumps(STATE_X_JSON), 4),
+], ids=["invalid-json", "unknown-subcommand", "degenerate-state", "unwritable-out"])
+def test_module_entry_error_paths_match_main(tmp_path, monkeypatch, capsys, args, stdin_text, code):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("plain file")
+    args = [arg.format(blocker=blocker) for arg in args]
+    result = subprocess.run([sys.executable, "-m", "qprob", *args], input=stdin_text, capture_output=True, text=True)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    try:
+        in_process = main(args)
+    except SystemExit as exc:  # argparse's exit
+        in_process = exc.code
+    captured = capsys.readouterr()
+    assert in_process == code and captured.out == "" and captured.err.strip()
+    assert (result.returncode, result.stdout, result.stderr) == (code, captured.out, captured.err)
+
+
+def test_the_entry_freezes_the_imported_heap_before_main():
+    # a subprocess, so the test process is never frozen
+    script = (
+        "import gc, sys\n"
+        "from qprob import __main__ as entry, cli\n"
+        "print(gc.get_freeze_count())\n"
+        "cli.main = lambda argv: print(gc.get_freeze_count() > 0, argv) or 7\n"
+        "sys.exit(entry.run(['check']))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (7, "0\nTrue ['check']\n", "")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["check", "--in", str(GOLDEN / "generic_state.json")], 0),
+    (["check", "--in", str(GOLDEN / "degenerate_state.json")], 3),
+    (["transmogrify"], 2),
+], ids=["success", "domain-error", "argparse-exit"])
+def test_atexit_handlers_run_after_the_entry(args, code):
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "from qprob.__main__ import run\n"
+        f"sys.exit(run({args!r}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == code
+    assert result.stdout.endswith("atexit ran\n")

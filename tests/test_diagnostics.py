@@ -12,10 +12,9 @@ from qprob import (
     build_kinetic,
     channel_map,
     cli,
-    evolution,
+    diagnostics,
     evolve_observable,
     rotation_from_unitary,
-    tomography_channels,
 )
 from qprob.diagnostics import checked_map, component_checks, failed_checks
 from qprob.matrix_oracle import IDENTITY, SIGMA_X, SIGMA_Z
@@ -65,11 +64,11 @@ def test_component_checks_agree_with_checked_map():
 def oracle_calls(monkeypatch):
     """A list that fills with the name of each oracle the map builders run."""
     calls = []
-    for module, name in ((tomography_channels, "rotation_oracle"), (evolution, "kinetic_oracle")):
-        def counting(m, oracle=getattr(module, name), name=name):
+    for name in ("rotation_oracle", "kinetic_oracle"):
+        def counting(m, oracle=getattr(diagnostics, name), name=name):
             calls.append(name)
             return oracle(m)
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(diagnostics, name, counting)
     return calls
 
 

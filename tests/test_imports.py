@@ -55,6 +55,35 @@ def test_importing_the_package_and_the_cli_loads_no_numpy():
     assert result.stdout.split("\n") == ["False", "False", "[]", ""]
 
 
+def test_importing_the_package_and_the_cli_leaves_out_the_oracles():
+    result = run_python("-c", (
+        "import sys, qprob; print('qprob.diagnostics' in sys.modules)\n"
+        "import qprob.cli; print('qprob.diagnostics' in sys.modules)\n"
+    ))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\nFalse\n", "")
+
+
+DIAGNOSTICS_NAMES = ("FormulaCheck", "euler_unitary", "expm_hermitian_generator", "failed_checks", "heisenberg_exact")
+
+
+@pytest.mark.parametrize("first_use", [
+    "qprob.build_kinetic([[1, 0], [0, -1]], 0.0, fd_tol=1e-4)",
+    "qprob.rotation_from_unitary([[0, 1], [1, 0]], formula_tol=1e-9)",
+    "qprob.kinetic_formula_checks([[1, 0], [0, -1]])",
+    "qprob.rotation_formula_checks([[0, 1], [1, 0]])",
+    "qprob.heisenberg_exact",
+], ids=["fd_tol", "formula_tol", "kinetic-checks", "rotation-checks", "package-name"])
+def test_a_tolerance_or_an_oracle_name_loads_diagnostics(first_use):
+    result = run_python("-c", (
+        "import sys, qprob\n"
+        "print('qprob.diagnostics' in sys.modules)\n"
+        f"{first_use}\n"
+        "home = sys.modules['qprob.diagnostics']\n"
+        f"print(all(getattr(qprob, name) is getattr(home, name) for name in {DIAGNOSTICS_NAMES!r}))\n"
+    ))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\nTrue\n", "")
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -S keeps site, and whatever its .pth files import, out of the count
     code = "import sys, qprob.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

@@ -178,6 +178,12 @@ def test_decode_frozen_example():
     np.testing.assert_allclose(decode_observable(rep), H_EXAMPLE, rtol=0, atol=1e-14)
 
 
+def test_decode_with_the_larger_shift_first():
+    # a > b gives s < 1: the sign test (s - 1)(b - a) > 0 must hold for either order of the shifts
+    rep = encode_observable(H_EXAMPLE, 3.0, 2.0)
+    np.testing.assert_allclose(decode_observable(rep), H_EXAMPLE, rtol=0, atol=1e-14)
+
+
 def test_decode_round_trip_random(rng):
     for _ in range(100):
         h = random_hermitian(rng)
@@ -254,6 +260,13 @@ def test_decode_rejects_negative_normalization():
     )
     with pytest.raises(DomainError, match="ill-posed"):
         decode_observable(rep)
+
+
+def test_decode_rejects_equal_triples_at_distinct_shifts():
+    # s = 1 would put T = 2 (b - a s) / (s - 1) over zero; no admissible H encodes to this pair
+    p = ProbTriple(0.5, 0.5, 0.7)
+    with pytest.raises(DomainError, match="ill-posed"):
+        decode_observable(ObservableProbRep(1.0, 2.0, p, p))
 
 
 def test_decode_rejects_unphysical_triples():
