@@ -17,12 +17,12 @@ with __slots__ and their own __init__, on the small base in _record. So the
 generator's helpers (fields, replace, asdict) do not apply to them; the
 constructor builds a changed value. Nor does it import diagnostics, the
 oracle module that no command uses: a tolerance given to a map builder, a
-*_formula_checks report or the first read of one of its five names here
-(FormulaCheck, euler_unitary, expm_hermitian_generator, failed_checks,
-heisenberg_exact) imports it. import qprob.cli takes about 7 ms with the
-bytecode cache on, and about 26 ms without one, when every module is
-compiled from source, as under PYTHONDONTWRITEBYTECODE=1 with no
-__pycache__ (x86-64 Linux, Python 3.11).
+*_formula_checks report, or the first read of qprob.diagnostics or of one
+of its five names here (FormulaCheck, euler_unitary,
+expm_hermitian_generator, failed_checks, heisenberg_exact), imports it.
+import qprob.cli takes about 7 ms with the bytecode cache on, and about
+26 ms without one, when every module is compiled from source, as under
+PYTHONDONTWRITEBYTECODE=1 with no __pycache__ (x86-64 Linux, Python 3.11).
 """
 
 from . import matrix_oracle, qubit_core
@@ -97,13 +97,23 @@ _DIAGNOSTICS = frozenset({"FormulaCheck", "euler_unitary", "expm_hermitian_gener
 
 
 def __getattr__(name):
-    """PEP 562: an array constant, built on first access, or one of diagnostics' names, imported on first access."""
-    if name in _DIAGNOSTICS:
-        from . import diagnostics
+    """PEP 562: an array constant, built on first access, or diagnostics or one of its names, imported then."""
+    if name == "diagnostics" or name in _DIAGNOSTICS:
+        # not `from . import diagnostics`: its hasattr test on this package would call this function again
+        from importlib import import_module
 
+        diagnostics = import_module(".diagnostics", __name__)
+        if name == "diagnostics":
+            return diagnostics
         value = globals()[name] = getattr(diagnostics, name)
         return value
     return _constant(name)
+
+
+def __dir__():
+    """The bound names, every public name and the diagnostics submodule, loaded or not."""
+    return sorted({*globals(), *__all__, "diagnostics"})
+
 
 __version__ = "0.1.0"
 

@@ -438,7 +438,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"qprob: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

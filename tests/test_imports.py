@@ -59,8 +59,9 @@ def test_importing_the_package_and_the_cli_leaves_out_the_oracles():
     result = run_python("-c", (
         "import sys, qprob; print('qprob.diagnostics' in sys.modules)\n"
         "import qprob.cli; print('qprob.diagnostics' in sys.modules)\n"
+        "print({'diagnostics', *qprob.__all__} <= set(dir(qprob)), 'qprob.diagnostics' in sys.modules)\n"
     ))
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False\nFalse\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\nFalse\nTrue False\n", "")
 
 
 DIAGNOSTICS_NAMES = ("FormulaCheck", "euler_unitary", "expm_hermitian_generator", "failed_checks", "heisenberg_exact")
@@ -72,14 +73,16 @@ DIAGNOSTICS_NAMES = ("FormulaCheck", "euler_unitary", "expm_hermitian_generator"
     "qprob.kinetic_formula_checks([[1, 0], [0, -1]])",
     "qprob.rotation_formula_checks([[0, 1], [1, 0]])",
     "qprob.heisenberg_exact",
-], ids=["fd_tol", "formula_tol", "kinetic-checks", "rotation-checks", "package-name"])
+    "qprob.diagnostics.PROBE_DENSITIES",
+], ids=["fd_tol", "formula_tol", "kinetic-checks", "rotation-checks", "package-name", "package-module"])
 def test_a_tolerance_or_an_oracle_name_loads_diagnostics(first_use):
     result = run_python("-c", (
         "import sys, qprob\n"
         "print('qprob.diagnostics' in sys.modules)\n"
         f"{first_use}\n"
         "home = sys.modules['qprob.diagnostics']\n"
-        f"print(all(getattr(qprob, name) is getattr(home, name) for name in {DIAGNOSTICS_NAMES!r}))\n"
+        "print(qprob.diagnostics is home and\n"
+        f"      all(getattr(qprob, name) is getattr(home, name) for name in {DIAGNOSTICS_NAMES!r}))\n"
     ))
     assert (result.returncode, result.stdout, result.stderr) == (0, "False\nTrue\n", "")
 
