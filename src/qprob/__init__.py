@@ -16,17 +16,18 @@ KineticSystem, Trajectory, TrianglePicture, FormulaCheck) are frozen classes
 with __slots__ and their own __init__, on the small base in _record. So the
 generator's helpers (fields, replace, asdict) do not apply to them; the
 constructor builds a changed value. Nor does it import diagnostics, the
-oracle module that no command uses: a tolerance given to a map builder, a
-*_formula_checks report, or the first read of qprob.diagnostics or of one
-of its five names here (FormulaCheck, euler_unitary,
-expm_hermitian_generator, failed_checks, heisenberg_exact), imports it.
+oracle module that no command uses: a tolerance given to a map builder, or
+the first read of qprob.diagnostics or of one of its seven names here
+(FormulaCheck, euler_unitary, expm_hermitian_generator, failed_checks,
+heisenberg_exact and the two reports, kinetic_formula_checks and
+rotation_formula_checks), imports it. One table, _LAZY, names the home
+module of each name bound on first read; __getattr__ imports it and binds
+the name.
 import qprob.cli takes about 7 ms with the bytecode cache on, and about
 26 ms without one, when every module is compiled from source, as under
 PYTHONDONTWRITEBYTECODE=1 with no __pycache__ (x86-64 Linux, Python 3.11).
 """
 
-from . import matrix_oracle, qubit_core
-from ._numpy import lazy_constants
 from .errors import DomainError, FormulaMismatchWarning, NonInvertibleEncodingWarning
 from .evolution import (
     KineticSystem,
@@ -34,7 +35,6 @@ from .evolution import (
     build_kinetic,
     evolve,
     evolve_observable,
-    kinetic_formula_checks,
     sample_trajectory,
 )
 from .figures import render_svg
@@ -77,42 +77,37 @@ from .tomography_channels import (
     ChannelSpec,
     Direction,
     channel_map,
-    rotation_formula_checks,
     rotation_from_unitary,
     state_tomogram,
 )
 
-_constant = lazy_constants(
-    globals(),
-    BALL_CENTER=lambda: qubit_core.BALL_CENTER,
-    IDENTITY=lambda: matrix_oracle.IDENTITY,
-    SIGMA_X=lambda: matrix_oracle.SIGMA_X,
-    SIGMA_Y=lambda: matrix_oracle.SIGMA_Y,
-    SIGMA_Z=lambda: matrix_oracle.SIGMA_Z,
-)
-
-# the oracle module's public names, which no command uses: diagnostics is imported on the first read of one
-_DIAGNOSTICS = frozenset({"FormulaCheck", "euler_unitary", "expm_hermitian_generator", "failed_checks",
-                          "heisenberg_exact"})
+# each name bound on first read, and its home module: the array constants, built there on first access, and
+# the oracle module and its names, which no command uses
+_LAZY = {
+    "BALL_CENTER": "qubit_core",
+    **dict.fromkeys(("IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z"), "matrix_oracle"),
+    **dict.fromkeys(("diagnostics", "FormulaCheck", "euler_unitary", "expm_hermitian_generator", "failed_checks",
+                     "heisenberg_exact", "kinetic_formula_checks", "rotation_formula_checks"), "diagnostics"),
+}
 
 
 def __getattr__(name):
-    """PEP 562: an array constant, built on first access, or diagnostics or one of its names, imported then."""
-    if name == "diagnostics" or name in _DIAGNOSTICS:
-        # not `from . import diagnostics`: its hasattr test on this package would call this function again
-        from importlib import import_module
+    """PEP 562: a name of _LAZY, read from its home module, imported first, and bound here; or diagnostics itself."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not `from . import ...`: its hasattr test on this package would call this function again
+    from importlib import import_module
 
-        diagnostics = import_module(".diagnostics", __name__)
-        if name == "diagnostics":
-            return diagnostics
-        value = globals()[name] = getattr(diagnostics, name)
-        return value
-    return _constant(name)
+    home = import_module(f".{_LAZY[name]}", __name__)
+    if name == "diagnostics":
+        return home
+    value = globals()[name] = getattr(home, name)
+    return value
 
 
 def __dir__():
     """The bound names, every public name and the diagnostics submodule, loaded or not."""
-    return sorted({*globals(), *__all__, "diagnostics"})
+    return sorted({*globals(), *__all__, *_LAZY})
 
 
 __version__ = "0.1.0"

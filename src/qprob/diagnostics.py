@@ -1,29 +1,33 @@
-"""The independent routes behind the closed-form maps: test oracles and opt-in checks.
+"""The independent routes behind the closed-form maps: test oracles, opt-in checks and their reports.
 
 Production code evaluates every affine map on probability triples in closed
 form, and nothing here ever stands in for it. The oracles conjugate, or
 differentiate, the density matrices of four probe states in one stacked
 product, read their triples off the stack, and fit the affine map through
-those images. They run for tests, the *_formula_checks reports and a map
-builder given a tolerance, where checked_map compares the twelve components
-of the two routes and warns, naming each failing component, when they
-disagree. The matrix-route references (conjugation, exp(iHt), the exact
-Heisenberg solution and the measurement-frame unitary of a Direction) live
-here too: only tests and oracles use them.
+those images. They run for tests, the two reports here
+(rotation_formula_checks and kinetic_formula_checks) and a map builder
+given a tolerance, where checked_map compares the twelve components of the
+two routes and warns, naming each failing component, when they disagree.
+The matrix-route references (conjugation, exp(iHt), the exact Heisenberg
+solution and the measurement-frame unitary of a Direction) live here too:
+only tests and oracles use them. No command loads this module: it loads only
+to run an oracle or to serve one of its names, so it builds PROBE_DENSITIES,
+a read-only array, once, as it loads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 
 from . import matrix_oracle, qubit_core
-from ._numpy import lazy_constants, np
+from ._numpy import np
 from ._record import Record, _set
 from .errors import DomainError, FormulaMismatchWarning
+from .evolution import FD_TOL, _scaled_tol, build_kinetic
 from .matrix_oracle import UNITARY_TOL
 from .qubit_core import ProbTriple, density_from_probs
+from .tomography_channels import ROTATION_FORMULA_TOL, _adjoint_rotation
 
 # Four probe triples fixing any affine map in three dimensions: the ball
 # center plus half-steps along each axis (all physical, the steps are pure).
@@ -34,14 +38,9 @@ PROBE_TRIPLES = (
     ProbTriple(0.5, 0.5, 1.0),
 )
 
-
-@functools.cache
-def _probe_densities() -> np.ndarray:
-    return np.stack([density_from_probs(p) for p in PROBE_TRIPLES])
-
-
-# PROBE_DENSITIES: their (4, 2, 2) density matrices, built on first access
-__getattr__ = lazy_constants(globals(), PROBE_DENSITIES=_probe_densities)
+# their (4, 2, 2) density matrices, read-only
+PROBE_DENSITIES = np.stack([density_from_probs(p) for p in PROBE_TRIPLES])
+PROBE_DENSITIES.flags.writeable = False
 
 # Component names in check order: L row by row, then C.
 COMPONENT_NAMES = tuple(f"L{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ("C1", "C2", "C3")
@@ -93,13 +92,12 @@ def rotation_oracle(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A density's triple is (Re rho21 + 1/2, Im rho21 + 1/2, rho11).
     """
-    return fit_affine(_triple_parts(w @ _probe_densities() @ w.conj().T) + [0.5, 0.5, 0.0])
+    return fit_affine(_triple_parts(w @ PROBE_DENSITIES @ w.conj().T) + [0.5, 0.5, 0.0])
 
 
 def kinetic_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The affine map through the exact derivatives i[H, rho] at the probe states."""
-    probes = _probe_densities()
-    return fit_affine(_triple_parts(1j * (m @ probes - probes @ m)))
+    return fit_affine(_triple_parts(1j * (m @ PROBE_DENSITIES - PROBE_DENSITIES @ m)))
 
 
 def component_checks(closed, oracle, tol: float) -> list[FormulaCheck]:
@@ -108,12 +106,12 @@ def component_checks(closed, oracle, tol: float) -> list[FormulaCheck]:
     return [FormulaCheck(name, x, y, tol) for name, x, y in zip(COMPONENT_NAMES, a, b)]
 
 
-def checked_map(closed, oracle, tol: float, label: str) -> None:
+def checked_map(closed, oracle, tol: float, label: str, stacklevel: int = 2) -> None:
     """Warn if the components of one closed-form map deviate from the oracle's beyond tol.
 
     The one FormulaMismatchWarning names every failing component and its
     deviation; a NaN deviation fails. The caller's result is the closed form
-    either way.
+    either way. stacklevel counts from the caller, as warnings.warn's would there.
     """
     failed = failed_checks(component_checks(closed, oracle, tol))
     if failed:
@@ -121,8 +119,24 @@ def checked_map(closed, oracle, tol: float, label: str) -> None:
         warnings.warn(
             f"closed-form {label} components disagree with the matrix-route oracle: {details}",
             FormulaMismatchWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
+
+
+def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[FormulaCheck]:
+    """Compare every closed-form (L, C) component of a unitary's rotation against the probe construction."""
+    rows = matrix_oracle._unitary_rows(u)
+    return component_checks(_adjoint_rotation(rows), rotation_oracle(np.array(rows)), tol)
+
+
+def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
+    """Compare every closed-form generator component against the exact-derivative fit.
+
+    Each check's tolerance is tol * max(1, max|L|), as in build_kinetic.
+    """
+    system = build_kinetic(h, 0.0)  # L and C do not depend on the shift
+    oracle = kinetic_oracle(matrix_oracle.as_matrix2(h))
+    return component_checks((system.L, system.C), oracle, _scaled_tol(system.omega, tol))
 
 
 def conjugate_by_unitary(rho, u, tol: float = UNITARY_TOL) -> np.ndarray:

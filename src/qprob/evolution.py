@@ -15,10 +15,11 @@ t_end last, which np.linspace also computes, and one scalar check in
 _grid_inputs decides that it strictly increases: step > 0 and
 fl((steps - 1) * step) < t_end, as only the last pair can collapse (the
 proof is in its docstring). sample_trajectory peaks at 56 bytes a sample:
-the times, the rows and three length-n buffers. The oracle, in diagnostics,
-fits the exact derivatives i[H, rho] at four probe states; it runs given
-fd_tol, and a mismatch warns, while omega stays 2h. diagnostics is imported
-by the calls that run it, so the default path never loads it.
+the times, the rows and three length-n buffers. The oracle and its report,
+kinetic_formula_checks, live in diagnostics: the oracle fits the exact
+derivatives i[H, rho] at four probe states. Here it runs only given fd_tol,
+the one branch that imports diagnostics, and a mismatch warns, while omega
+stays 2h.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from ._numpy import np
 from ._record import Record, _set
 from .errors import DomainError
 from .qubit_core import DEFAULT_TOL, ProbTriple, _as_float, _floats, _sum_of_products
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .diagnostics import FormulaCheck
 
 FD_TOL = 1e-4
 
@@ -114,18 +111,6 @@ def _omega(rows) -> tuple[float, float, float]:
 def _scaled_tol(omega, tol: float) -> float:
     # the oracle rounds at about 2.4e-16 * |H|, so the tolerance grows with max|L| = max|omega_k| past 1
     return tol * max(1.0, *map(abs, omega))
-
-
-def kinetic_formula_checks(h, tol: float = FD_TOL) -> list[FormulaCheck]:
-    """Compare every closed-form generator component against the exact-derivative fit.
-
-    Each check's tolerance is tol * max(1, max|L|), as in build_kinetic.
-    """
-    from . import diagnostics
-
-    system = build_kinetic(h, 0.0)  # L and C do not depend on the shift
-    oracle = diagnostics.kinetic_oracle(matrix_oracle.as_matrix2(h))
-    return diagnostics.component_checks((system.L, system.C), oracle, _scaled_tol(system.omega, tol))
 
 
 def build_kinetic(h, x: float, fd_tol: float | None = None) -> KineticSystem:

@@ -181,7 +181,8 @@ def decode_observable(rep: ObservableProbRep, tol: float = DEFAULT_TOL) -> np.nd
     (|r| <= DENOM_GUARD), H was a multiple of the identity: the zero matrix is
     returned under a NonInvertibleEncodingWarning. Vectors not parallel within
     CONSISTENCY_TOL, or an s that makes T + 2a or T + 2b nonpositive, fit no
-    admissible Hermitian matrix and raise DomainError.
+    admissible Hermitian matrix and raise DomainError, as does a T, or an
+    entry built from it, that overflows.
     """
     return np.array(_decode(rep, tol), dtype=complex)
 
@@ -212,8 +213,13 @@ def _decode(rep: ObservableProbRep, tol: float) -> list:
         )
     trace = 2.0 * (b - a * s) / (s - 1.0)
     half = 0.5 * (trace + 2.0 * a)  # h/2 = half r_a
-    h12 = half * complex(ax, -ay)
-    return [[0.5 * trace + half * az, h12], [h12.conjugate(), 0.5 * trace - half * az]]
+    h11, h12, h22 = 0.5 * trace + half * az, half * complex(ax, -ay), 0.5 * trace - half * az
+    if not all(map(math.isfinite, (h11, h22, h12.real, h12.imag))):
+        raise DomainError(
+            f"decoding overflows: the trace 2 (b - a s)/(s - 1) = {trace!r} (a = {a!r}, b = {b!r}, s = {s!r}) "
+            "gives a matrix that is not finite"
+        )
+    return [[h11, h12], [h12.conjugate(), h22]]
 
 
 def observable_tomogram(h, direction, x: float) -> tuple[float, float]:

@@ -7,7 +7,7 @@ ball center fixed. Convex mixtures of unitaries give contractive affine maps,
 which is the whole channel picture in these coordinates. The closed form is
 the one production route; its oracle, the probe-state fit in diagnostics, runs
 only when a caller passes formula_tol, and then only to warn of a mismatch;
-only such calls and rotation_formula_checks import diagnostics.
+only such calls import diagnostics, which also holds rotation_formula_checks.
 One kernel, _adjoint_rotation, computes R from a unitary's entries, and the
 maps and channels hold Python numbers, so they load no numpy on Python input.
 AffineMap3's constructor and then refuse a map with an entry that is not
@@ -31,10 +31,6 @@ from ._numpy import np
 from ._record import Record, _set
 from .errors import DomainError
 from .qubit_core import ProbTriple, _as_float, _floats, _sum_of_products
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .diagnostics import FormulaCheck
 
 TWO_PI = 2.0 * math.pi
 ROTATION_FORMULA_TOL = 1e-9
@@ -196,16 +192,10 @@ def _rotation(rows, formula_tol: float | None) -> tuple[tuple, tuple[float, floa
     if formula_tol is not None:
         from . import diagnostics
 
-        diagnostics.checked_map(closed, diagnostics.rotation_oracle(np.array(rows)), formula_tol, "rotation")
+        oracle = diagnostics.rotation_oracle(np.array(rows))
+        # past rotation_from_unitary or channel_map, the warning points at their caller
+        diagnostics.checked_map(closed, oracle, formula_tol, "rotation", stacklevel=3)
     return closed
-
-
-def rotation_formula_checks(u, tol: float = ROTATION_FORMULA_TOL) -> list[FormulaCheck]:
-    """Compare every closed-form (L, C) component against the probe construction."""
-    from . import diagnostics
-
-    rows = matrix_oracle._unitary_rows(u)
-    return diagnostics.component_checks(_adjoint_rotation(rows), diagnostics.rotation_oracle(np.array(rows)), tol)
 
 
 def rotation_from_unitary(u, formula_tol: float | None = None) -> AffineMap3:

@@ -131,6 +131,17 @@ def test_decode_identity_rep_reports_warning(monkeypatch, capsys):
     assert any("trace" in note for note in doc["warnings"])
 
 
+def test_decode_rejects_an_overflowing_trace(monkeypatch, capsys):
+    rep = {
+        "a": -1e308, "b": 1e308,
+        "P_a": {"p1": 0.5, "p2": 0.5, "p3": 0.75},
+        "P_b": {"p1": 0.5, "p2": 0.5, "p3": 0.5000001},
+    }
+    code, out, err = run_cli(["decode"], stdin_text=json.dumps(rep), monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert "decoding overflows: the trace 2 (b - a s)/(s - 1) = inf" in err
+
+
 def test_encode_small_observable_is_not_identity(monkeypatch, capsys):
     # the identity note follows decode's scale-free no-trace test on the encoded pair
     tiny = {"m11": [1e-13, 0], "m12": [0, 0], "m21": [0, 0], "m22": [-1e-13, 0]}

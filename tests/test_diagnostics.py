@@ -91,3 +91,16 @@ def test_a_tolerance_runs_each_oracle_once(oracle_calls):
     assert oracle_calls == ["rotation_oracle"] * 3
     build_kinetic(SIGMA_Z, 0.0, fd_tol=1e-4)
     assert oracle_calls == ["rotation_oracle"] * 3 + ["kinetic_oracle"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rotation_from_unitary(SIGMA_X, formula_tol=-1),
+    lambda: channel_map(ChannelSpec(((1.0, SIGMA_X),)), formula_tol=-1),
+    lambda: build_kinetic(SIGMA_X, 0.0, fd_tol=-1),
+], ids=["rotation", "channel", "kinetic"])
+def test_a_mismatch_warning_points_at_the_builders_caller(build):
+    # so the default once-per-location filter keeps apart mismatches from different call sites
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build()
+    assert [(record.category, record.filename) for record in caught] == [(FormulaMismatchWarning, __file__)]

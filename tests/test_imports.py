@@ -64,7 +64,8 @@ def test_importing_the_package_and_the_cli_leaves_out_the_oracles():
     assert (result.returncode, result.stdout, result.stderr) == (0, "False\nFalse\nTrue False\n", "")
 
 
-DIAGNOSTICS_NAMES = ("FormulaCheck", "euler_unitary", "expm_hermitian_generator", "failed_checks", "heisenberg_exact")
+DIAGNOSTICS_NAMES = ("FormulaCheck", "euler_unitary", "expm_hermitian_generator", "failed_checks", "heisenberg_exact",
+                     "rotation_formula_checks", "kinetic_formula_checks")
 
 
 @pytest.mark.parametrize("first_use", [
@@ -206,3 +207,24 @@ def test_side_keeps_its_bits_and_unknown_names_still_raise():
     for module in (qprob, matrix_oracle, qubit_core, suprematism_geometry, diagnostics):
         with pytest.raises(AttributeError, match="has no attribute 'NO_SUCH_NAME'"):
             getattr(module, "NO_SUCH_NAME")
+
+
+def imported_but_never_read(tree: ast.Module) -> list[str]:
+    """The names a module's import statements bind, anywhere in it, that no expression reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+# every module but the package's __init__, which imports names to re-export them
+MODULES = sorted(path for path in (ROOT / "src" / "qprob").glob("*.py") if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert imported_but_never_read(ast.parse(path.read_text(encoding="utf-8"))) == []

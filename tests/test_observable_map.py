@@ -269,6 +269,15 @@ def test_decode_rejects_equal_triples_at_distinct_shifts():
         decode_observable(ObservableProbRep(1.0, 2.0, p, p))
 
 
+def test_decode_rejects_an_overflowing_trace():
+    # a consistent pair whose trace 2 (b - a s)/(s - 1) overflows: every entry would be NaN
+    rep = ObservableProbRep(-1e308, 1e308, ProbTriple(0.5, 0.5, 0.75), ProbTriple(0.5, 0.5, 0.5000001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape("the trace 2 (b - a s)/(s - 1) = inf")):
+            decode_observable(rep)
+
+
 def test_decode_rejects_unphysical_triples():
     rep = ObservableProbRep(
         1.0, 2.0, ProbTriple(0.9, 0.9, 0.9), ProbTriple(0.5, 0.5, 0.6)
